@@ -446,8 +446,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "print a live progress/ETA line to stderr while the timed "
             "enumerations run; implies --obs light unless --obs was "
-            "given (progress rides the observer seam, so its cost "
-            "counts toward the measured time like any obs level)"
+            "given (light is lifecycle-only: the timed search keeps "
+            "the production recursion variant, and only the per-root "
+            "progress ticks add to the measured time)"
         ),
     )
     parser.add_argument(

@@ -101,7 +101,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "enable the observability layer for every enumeration in "
             "the experiment (see docs/observability.md); 'light' keeps "
-            "counters/gauges only, 'full' adds trace spans and sampled "
+            "counters, gauges and phase timers on the production "
+            "recursion, 'metrics' adds per-depth histograms through "
+            "the hooked recursion, 'full' adds trace spans and sampled "
             "stacks on top of metrics"
         ),
     )
@@ -111,7 +113,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "print a live progress/ETA line to stderr while each "
             "enumeration runs; implies --obs light unless --obs was "
-            "given"
+            "given (light is lifecycle-only, so the enumeration keeps "
+            "its production recursion variant)"
         ),
     )
     parser.add_argument(

@@ -84,11 +84,14 @@ class PivotConfig:
         variable can still switch a level on process-wide.
     obs:
         Observability layer (see :mod:`repro.obs`): ``"off"``
-        (default; no hooks fire), ``"light"`` (flat counters, gauges
-        and phase timers only — the cheapest hooked mode, used for
+        (default; no hooks fire), ``"light"`` (flat counters, gauges,
+        phase timers and progress from the run-lifecycle hooks only —
+        the run keeps the production recursion variant; used for
         per-worker telemetry in parallel runs), ``"metrics"`` (adds
-        per-depth histograms) or ``"full"`` (metrics plus Chrome-trace
-        phase spans, sampled recursion instants, and folded stacks).
+        per-depth histograms through the per-node recursion hooks,
+        which select the ``generic+hooks`` variant) or ``"full"``
+        (metrics plus Chrome-trace phase spans, sampled recursion
+        instants, and folded stacks).
         When left at ``"off"``, the ``REPRO_OBS`` environment variable
         can still switch a level on process-wide.
     """

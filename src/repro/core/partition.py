@@ -283,8 +283,10 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
 
             # A worker-local session with no artifact paths: its only
             # job is handing the flight recorder to the observer the
-            # run builds, so heartbeats and emission milestones land
-            # in this worker's log.
+            # run builds, so per-root heartbeats (every level) and
+            # emission milestones (``metrics``/``full`` only — they
+            # ride the per-node ``on_emit`` hook) land in this
+            # worker's log.
             with observe(flight=recorder):
                 result = enumerator.run(
                     seeds=chunk, reduced_graph=reduced, order=order
@@ -317,9 +319,8 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
         "flight": flight_path,
     }
     if recorder is not None:
-        if obs is not None:
-            for name, seconds in obs.metrics.timers().items():
-                recorder.phase(name, seconds)
+        for name, seconds in result.phases.items():
+            recorder.phase(name, seconds)
         recorder.finish(
             stats=result.stats.as_dict(),
             metrics=metrics,
@@ -355,3 +356,6 @@ def _accumulate(merged: EnumerationResult, part: EnumerationResult) -> None:
     stats.kpivot_stops += other.kpivot_stops
     stats.size_prunes += other.size_prunes
     stats.max_depth = max(stats.max_depth, other.max_depth)
+    phases = merged.phases
+    for name, seconds in part.phases.items():
+        phases[name] = phases.get(name, 0.0) + seconds

@@ -76,12 +76,18 @@ class EnumerationResult:
     the cross-worker imbalance/utilization summary of
     :func:`repro.obs.fleet.fleet_summary` — so the merged ``stats``
     stop being the only surviving view of a fan-out.
+
+    ``phases`` holds the engine's per-phase seconds (``reduction``,
+    ``ordering``, ``recursion``, ``sanitize``), recorded on every
+    engine run whether or not an observer is bound; merged results sum
+    them over shards.  Wall time is never part of result equality.
     """
 
     cliques: list = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
     shards: list = field(default_factory=list)
     fleet: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):
         return iter(self.cliques)

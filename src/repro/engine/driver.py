@@ -23,7 +23,10 @@ Three shapes exist:
     dict backend.
 ``generic+hooks``
     The same, plus the sanitizer/observer hook sites.  Chosen whenever
-    a sanitizer or observer is attached, for either backend.
+    a sanitizer or a per-node observer (``obs="metrics"``/``"full"``,
+    see :data:`repro.obs.observer.RECURSION_HOOK_LEVELS`) is attached,
+    for either backend.  A ``light`` observer is lifecycle-only: it
+    keeps the production shape below.
 ``bitset``
     The hot loop stays in bitset domain end to end: big-int candidate
     sets with per-survivor threshold tests, per-color bit masks with a
@@ -1053,6 +1056,22 @@ def compiled_variant(key):
     return factory
 
 
+def _release(search) -> None:
+    """Cut the recursive closure's reference to itself.
+
+    ``search`` calls itself through a closure cell, a reference cycle
+    that keeps everything the closure holds (the backend's hot-path
+    tables, the sink and, through the default sink, every emitted
+    clique) alive until a full garbage collection, which an
+    allocation-light bitset run may not trigger for several runs.
+    Emptying that cell once the run is over lets reference counting
+    free the run's state as soon as the caller drops the result.
+    """
+    names = search.__code__.co_freevars
+    if "search" in names:
+        search.__closure__[names.index("search")].cell_contents = None
+
+
 def build_search(ops, config, k, stats, sink, limit, san=None, obs=None):
     """Select the variant for this run and instantiate its closures.
 
@@ -1116,6 +1135,11 @@ class SearchEngine:
             ops.graph, self.k, self.eta, config, ops.name
         )
         obs = self.obs = build_observer(config, ops.name)
+        # Only a per-node observer is bound into the recursion; a
+        # lifecycle-only one (``light``) still gets every gauge, root,
+        # phase and finish hook below, so the run keeps the production
+        # variant.
+        node_obs = obs if obs is not None and obs.recursion_hooks else None
         if obs is not None:
             obs.on_gauge("vertices_input", ops.graph.num_vertices)
         start = perf_counter()
@@ -1124,7 +1148,7 @@ class SearchEngine:
         start = perf_counter()
         ops.prepare_ordering(order)
         ordering_s = perf_counter() - start
-        ops.bind_observer(obs)
+        ops.bind_observer(node_obs)
         if obs is not None:
             obs.on_gauge("vertices_search", ops.search_size())
         adapter = None
@@ -1133,7 +1157,9 @@ class SearchEngine:
             san.on_reduced(vertices)
             san.on_context(color, edges)
             adapter = ops.bind_sanitizer(san)
-        self.variant = variant_id(variant_key(ops, config, adapter, obs))
+        self.variant = variant_id(
+            variant_key(ops, config, adapter, node_obs)
+        )
         if obs is not None:
             obs.variant = self.variant
         # The recursion is at most one level per clique member; make
@@ -1167,7 +1193,7 @@ class SearchEngine:
             # sanitizer end to end.
             search, flush = build_search(
                 ops, config, self.k, self.result.stats, self.sink,
-                self.limit, adapter, obs
+                self.limit, adapter, node_obs
             )
             try:
                 for v in roots:
@@ -1180,6 +1206,7 @@ class SearchEngine:
                 complete = False
             finally:
                 flush()
+                _release(search)
         finally:
             if raised:
                 sys.setrecursionlimit(previous_limit)
@@ -1188,6 +1215,14 @@ class SearchEngine:
         if san is not None:
             san.on_finish(complete)
         sanitize_s = perf_counter() - start
+        # Phase seconds are part of every result, observed or not; the
+        # observer's timers receive exactly these values.
+        self.result.phases = {
+            "reduction": reduction_s,
+            "ordering": ordering_s,
+            "recursion": recursion_s,
+            "sanitize": sanitize_s,
+        }
         if obs is not None:
             obs.on_phase("reduction", reduction_s)
             obs.on_phase("ordering", ordering_s)

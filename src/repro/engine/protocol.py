@@ -167,7 +167,8 @@ class StateOps:
     def bind_observer(self, obs) -> None:
         """Give the observer backend-specific decoding state (or no-op).
 
-        ``obs`` may be None when observation is off.
+        ``obs`` is the observer bound into the recursion; it is None
+        when observation is off or lifecycle-only (``light``).
         """
         raise NotImplementedError
 

@@ -18,7 +18,9 @@ event           meaning
 ``run_start``   one enumeration begins (workload parameters, shard)
 ``dispatch``    parent handed one shard to a worker
 ``phase``       one named engine phase and its measured seconds
-``milestone``   every N-th emitted clique (progress breadcrumb)
+``milestone``   every N-th emitted clique (progress breadcrumb;
+                ``metrics``/``full`` only — it rides the per-node
+                ``on_emit`` hook)
 ``heartbeat``   throttled liveness sample: peak RSS plus caller gauges
 ``violation``   the run died (sanitizer violation or any exception)
 ``finish``      run completed: flat stats, full metrics snapshot,

@@ -7,7 +7,8 @@ positions, guarded by ``if obs is not None`` so a disabled observer
 costs nothing.  The REP008 lint rule compares the two hook streams
 statically, like REP007 does for the sanitizer.
 
-Recursion hooks (hot path — counters only, plus 1-in-N sampling):
+Recursion hooks (hot path, bound only for the
+:data:`RECURSION_HOOK_LEVELS` — counters only, plus 1-in-N sampling):
 
 =================================  ===================================
 hook                               meaning
@@ -25,7 +26,8 @@ hook                               meaning
                                    ``"size"``
 =================================  ===================================
 
-Driver hooks (once per run, plus once per outer-loop root):
+Driver hooks (once per run, plus once per outer-loop root; every
+level):
 
 ``on_gauge(name, value)``, ``on_phase(name, seconds)`` for the fixed
 phase sequence reduction / ordering / recursion / sanitize,
@@ -38,13 +40,17 @@ loop (feeds the progress estimator and flight heartbeats — see
 so REP009's guarantee is untouched: hooks-off compiled variants carry
 no progress or flight branches (REP008 covers the lifecycle site).
 
-Levels: ``"light"`` keeps only the flat counters, gauges and phase
-timers (the cheapest hooked mode — per-worker telemetry for parallel
-runs); ``"metrics"`` adds the per-depth histograms; ``"full"``
+Levels: ``"light"`` is lifecycle-only — flat counters, gauges, phase
+timers, progress and flight heartbeats, all from the driver hooks —
+so a light observer never forces the hooked recursion variant
+(per-worker telemetry for parallel runs); ``"metrics"`` takes the
+recursion hooks for the per-depth histograms; ``"full"``
 additionally records Chrome-trace phase spans, sampled node instants,
-and folded stacks for flamegraphs.  Node sampling is counter-based
-(every ``sample_every``-th ``on_node``), never random, so traces are
-deterministic.
+and folded stacks for flamegraphs.  :data:`RECURSION_HOOK_LEVELS` is
+the one place that says which levels take the recursion hooks (the
+engine's variant choice and the run store's variant class both read
+it).  Node sampling is counter-based (every ``sample_every``-th
+``on_node``), never random, so traces are deterministic.
 """
 
 from __future__ import annotations
@@ -67,6 +73,13 @@ ROOT_FRAME = "enumerate"
 #: Emission-milestone cadence: every N-th emitted clique writes a
 #: flight-recorder breadcrumb when a recorder is attached.
 MILESTONE_EVERY = 256
+
+#: Observation levels whose observers take the per-node recursion
+#: hooks (``on_node``/``on_emit``/``on_expand``/``on_prune``).  Binding
+#: such an observer compiles the ``generic+hooks`` recursion variant;
+#: every other level is lifecycle-only and leaves the run on the
+#: production variant.
+RECURSION_HOOK_LEVELS = ("metrics", "full")
 
 
 def resolve_level(config) -> str:
@@ -150,12 +163,14 @@ class Observer:
         #: into session and bench documents so ``repro.obs diff`` can
         #: refuse cross-variant comparisons.
         self.variant: Optional[str] = None
+        #: Whether the engine binds this observer into the recursion
+        #: (see :data:`RECURSION_HOOK_LEVELS`).  A lifecycle-only
+        #: observer gets its flat counters via ``on_finish`` and never
+        #: sees a per-node hook; called directly, those hooks record
+        #: nothing but flight milestones.
+        self.recursion_hooks = level in RECURSION_HOOK_LEVELS
         self.metrics = MetricsRegistry()
         self._full = level == "full"
-        # ``light`` drops the per-depth histograms: the flat counters
-        # arrive via ``on_finish`` regardless, so light-mode hooks on
-        # the hot path reduce to attribute loads and a no-op branch.
-        self._histograms = level != "light"
         self._sample_every = max(1, int(sample_every))
         self._labels: Optional[List] = None
         self._node_seq = 0
@@ -191,7 +206,7 @@ class Observer:
 
     # -- recursion hooks (hot path) ------------------------------------
     def on_node(self, depth: int, path) -> None:
-        if self._histograms:
+        if self.recursion_hooks:
             self.metrics.observe_depth("nodes", depth)
         if self._full:
             seq = self._node_seq
@@ -206,7 +221,7 @@ class Observer:
                 )
 
     def on_emit(self, depth: int, size: int) -> None:
-        if self._histograms:
+        if self.recursion_hooks:
             self.metrics.observe_depth("emits", depth)
             self.metrics.observe_depth("clique_size", size)
         seq = self._emit_seq = self._emit_seq + 1
@@ -215,7 +230,7 @@ class Observer:
             flight.milestone(outputs=seq)
 
     def on_expand(self, depth: int) -> None:
-        if self._histograms:
+        if self.recursion_hooks:
             self.metrics.observe_depth("expansions", depth)
 
     def on_prune(self, kind: str, depth: int, count: int = 1) -> None:
@@ -223,7 +238,7 @@ class Observer:
         # no histogram entry — the backends reach such no-op sites from
         # different control flow, and "nothing pruned" must look
         # identical either way.
-        if count and self._histograms:
+        if count and self.recursion_hooks:
             self.metrics.observe_depth("prune_" + kind, depth, count)
 
     # -- driver hooks (once per run) -----------------------------------

@@ -138,14 +138,19 @@ def variant_class(config) -> str:
     Resolved through the same env-aware level resolution the engine
     itself uses (``REPRO_SANITIZE``/``REPRO_OBS`` apply when the
     config leaves a level at ``"off"``), so the key says what would
-    actually run.  Hooked and lean variants are counter-identical
-    (REP009/REP013 prove it) but belong to different timing families.
+    actually run: any sanitizer, or an observer at one of the
+    :data:`~repro.obs.observer.RECURSION_HOOK_LEVELS`.  A lifecycle-only
+    ``obs="light"`` run executes the lean variant and is keyed with
+    it.  Hooked and lean variants are counter-identical (REP009/REP013
+    prove it) but belong to different timing families.
     """
+    from repro.obs.observer import RECURSION_HOOK_LEVELS
     from repro.obs.observer import resolve_level as obs_level
     from repro.sanitize.sanitizer import resolve_level as sanitize_level
 
     hooked = (
-        sanitize_level(config) != "off" or obs_level(config) != "off"
+        sanitize_level(config) != "off"
+        or obs_level(config) in RECURSION_HOOK_LEVELS
     )
     return "hooked" if hooked else "lean"
 

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import PivotConfig, PivotEnumerator
 from repro.kernel.enumerate import supports
+from repro.obs.observer import RECURSION_HOOK_LEVELS
 from repro.uncertain import UncertainGraph
 from tests.conftest import (
     EXACT_PROBABILITIES,
@@ -35,9 +36,16 @@ from tests.conftest import (
 
 
 class RecordingObserver:
-    """Observer stand-in: appends one tuple per engine hook call."""
+    """Observer stand-in: appends one tuple per engine hook call.
 
-    def __init__(self):
+    ``recursion_hooks`` mirrors :attr:`repro.obs.observer.Observer
+    .recursion_hooks`: true (the default) stands in for a
+    ``metrics``/``full`` observer, which the engine binds into the
+    recursion; false stands in for a lifecycle-only ``light`` one.
+    """
+
+    def __init__(self, recursion_hooks=True):
+        self.recursion_hooks = recursion_hooks
         self.events = []
 
     def set_labels(self, labels):
@@ -265,7 +273,10 @@ def run_variant_cell(graph, k, eta, config, monkeypatch):
     import repro.obs.observer as observer_mod
     import repro.sanitize.sanitizer as sanitizer_mod
 
-    obs = RecordingObserver() if config.obs != "off" else None
+    obs = (
+        RecordingObserver(config.obs in RECURSION_HOOK_LEVELS)
+        if config.obs != "off" else None
+    )
     san = RecordingSanitizer() if config.sanitize != "off" else None
     with monkeypatch.context() as m:
         if obs is not None:
@@ -284,10 +295,18 @@ def run_variant_cell(graph, k, eta, config, monkeypatch):
     )
 
 
+#: Observer events the run lifecycle fires at every level; a
+#: lifecycle-only (``light``) observer must see nothing else.
+LIFECYCLE_EVENTS = {"gauge", "root", "phase", "finish"}
+
+
 @pytest.mark.parametrize("kpivot", ("off", "plain", "color"))
 @pytest.mark.parametrize(
     "sanitize,obs",
-    (("off", "off"), ("full", "off"), ("off", "full"), ("full", "full")),
+    (
+        ("off", "off"), ("full", "off"), ("off", "full"), ("full", "full"),
+        ("off", "light"), ("full", "light"),
+    ),
 )
 def test_variant_matrix_agrees_with_oracle(
     kpivot, sanitize, obs, monkeypatch
@@ -297,13 +316,15 @@ def test_variant_matrix_agrees_with_oracle(
     The specializer must be invisible: whichever compiled variant a
     (backend, sanitize, obs, kpivot) cell selects, the clique set
     matches the brute-force oracle and both backends' hook streams
-    stay identical event for event where hooks are enabled.
+    stay identical event for event where hooks are enabled.  A
+    ``light`` observer is lifecycle-only, so it never forces the
+    hooked variant on its own.
     """
     graph = random_uncertain_graph(seed=77, n=9, density=0.55)
     k, eta = 2, 0.2
     assert supports(graph, eta)
     oracle = brute_force_maximal_k_eta_cliques(graph, k, eta)
-    hooks_on = sanitize != "off" or obs != "off"
+    hooks_on = sanitize != "off" or obs in RECURSION_HOOK_LEVELS
     cells = {}
     for backend in ("dict", "kernel"):
         config = PivotConfig(
@@ -327,8 +348,10 @@ def test_variant_matrix_agrees_with_oracle(
     assert d_result.stats.__dict__ == k_result.stats.__dict__
     assert d_obs == k_obs
     assert d_san == k_san
-    if obs != "off":
+    if obs in RECURSION_HOOK_LEVELS:
         assert any(event[0] == "node" for event in d_obs)
+    elif obs != "off":
+        assert {event[0] for event in d_obs} == LIFECYCLE_EVENTS
     if sanitize != "off":
         assert ("finish", True) in d_san
 
@@ -343,16 +366,23 @@ def test_wide_scan_variant_on_large_search_graphs():
         graph.add_edge(v, (v + 1) % n, 0.9)
     results = {}
     for backend in ("dict", "kernel"):
-        config = PivotConfig(backend=backend, reduction="off")
-        enumerator = PivotEnumerator(graph, k=1, eta=0.5, config=config)
-        results[backend] = enumerator.run()
-        assert enumerator.backend_used == backend
-        if backend == "kernel":
-            assert enumerator.variant_used == "bitset+wide"
-    assert as_sorted_sets(results["dict"].cliques) == as_sorted_sets(
-        results["kernel"].cliques
-    )
-    assert results["dict"].stats.outputs == n
+        for obs in ("off", "light"):
+            config = PivotConfig(backend=backend, reduction="off", obs=obs)
+            enumerator = PivotEnumerator(graph, k=1, eta=0.5, config=config)
+            results[backend, obs] = enumerator.run()
+            assert enumerator.backend_used == backend
+            # A light observer is lifecycle-only: the kernel keeps the
+            # wide production variant with it.
+            assert enumerator.variant_used == (
+                "bitset+wide" if backend == "kernel" else "generic"
+            )
+    reference = results["dict", "off"]
+    for result in results.values():
+        assert as_sorted_sets(result.cliques) == as_sorted_sets(
+            reference.cliques
+        )
+        assert result.stats.__dict__ == reference.stats.__dict__
+    assert reference.stats.outputs == n
 
 
 def test_recursion_limit_restored_when_build_search_raises(monkeypatch):
@@ -377,3 +407,34 @@ def test_recursion_limit_restored_when_build_search_raises(monkeypatch):
     assert len(calls) == 2
     assert calls[0] > 50
     assert calls[1] == 50
+
+
+@pytest.mark.parametrize("backend", ("dict", "kernel"))
+def test_finished_run_state_is_freed_without_a_gc_pass(backend):
+    """The recursion's self-reference does not outlive the run.
+
+    ``search`` reaches itself through a closure cell; left in place,
+    that cycle pins the closure's state (and, through the sink, every
+    emitted clique) until a full collection runs.
+    """
+    import gc
+    import weakref
+
+    class Sink:
+        def __call__(self, clique):
+            pass
+
+    graph, k, eta, axes = _random_case(3)
+    sink = Sink()
+    freed = weakref.ref(sink)
+    enumerator = PivotEnumerator(
+        graph, k, eta, PivotConfig(backend=backend, **axes), on_clique=sink
+    )
+    gc.disable()
+    try:
+        enumerator.run()
+        assert enumerator.backend_used == backend
+        del enumerator, sink
+        assert freed() is None
+    finally:
+        gc.enable()

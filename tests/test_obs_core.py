@@ -194,7 +194,7 @@ def test_observer_folds_search_stats_and_phases():
 def test_observation_never_changes_results(backend):
     g = small_graph()
     results = {}
-    for level in ("off", "metrics", "full"):
+    for level in ("off", "light", "metrics", "full"):
         config = replace(PMUC_PLUS_CONFIG, backend=backend, obs=level)
         enumerator = PivotEnumerator(g, k=3, eta=0.1, config=config)
         results[level] = enumerator.run()
@@ -202,11 +202,13 @@ def test_observation_never_changes_results(backend):
             assert enumerator.obs is None
     assert (
         results["off"].cliques
+        == results["light"].cliques
         == results["metrics"].cliques
         == results["full"].cliques
     )
     assert (
         results["off"].stats.as_dict()
+        == results["light"].stats.as_dict()
         == results["metrics"].stats.as_dict()
         == results["full"].stats.as_dict()
     )
@@ -231,6 +233,56 @@ def test_registry_counters_reconcile_with_search_stats():
     )
     for phase in ("reduction", "ordering", "recursion", "sanitize"):
         assert metrics.timer(phase) >= 0.0
+
+
+# ----------------------------------------------------------------------
+# phase seconds and lifecycle-only (light) observation
+# ----------------------------------------------------------------------
+PHASES = ("ordering", "recursion", "reduction", "sanitize")
+
+
+def test_phase_seconds_are_recorded_without_an_observer(monkeypatch):
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    enumerator = PivotEnumerator(small_graph(), k=3, eta=0.1)
+    result = enumerator.run()
+    assert enumerator.obs is None
+    assert enumerator.backend_used == "kernel"
+    assert sorted(result.phases) == list(PHASES)
+    assert all(seconds >= 0.0 for seconds in result.phases.values())
+
+
+@pytest.mark.parametrize("backend", ("dict", "kernel"))
+def test_light_observer_is_lifecycle_only(backend):
+    g = small_graph()
+    runs = {}
+    for level in ("light", "metrics", "full"):
+        config = replace(PMUC_PLUS_CONFIG, backend=backend, obs=level)
+        enumerator = PivotEnumerator(g, k=3, eta=0.1, config=config)
+        runs[level] = (enumerator, enumerator.run())
+    light, light_result = runs["light"]
+    # The light run keeps the production variant; per-node levels
+    # still compile the hooked one.
+    assert light.backend_used == backend
+    assert not light.obs.recursion_hooks
+    assert light.variant_used == (
+        "bitset" if backend == "kernel" else "generic"
+    )
+    for level in ("metrics", "full"):
+        assert runs[level][0].obs.recursion_hooks
+        assert runs[level][0].variant_used == "generic+hooks"
+    doc = light.obs.metrics.as_dict()
+    hooked = runs["metrics"][0].obs.metrics.as_dict()
+    # The registry of a hooked run minus its depth histograms (and
+    # wall time): same counters, same gauges, the same four phases.
+    assert doc["counters"] == hooked["counters"]
+    assert doc["gauges"] == hooked["gauges"]
+    assert sorted(doc["gauges"]) == [
+        "max_depth", "roots_total", "vertices_input", "vertices_search"
+    ]
+    assert list(doc["phases"]) == list(PHASES) == list(hooked["phases"])
+    assert doc["depth"] == {}
+    # The observer's timers are the engine's own phase record.
+    assert light.obs.metrics.timers() == light_result.phases
 
 
 # ----------------------------------------------------------------------

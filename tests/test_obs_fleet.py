@@ -1,11 +1,15 @@
 """Fleet aggregation: parallel shards, flight replay parity, CLI views."""
 
 import json
+import pathlib
+import re
 from dataclasses import replace
 
 from repro.core import enumerate_parallel, enumerate_partitioned
 from repro.core.config import PMUC_PLUS_CONFIG
+from repro.core.partition import _accumulate
 from repro.core.pmuc import PivotEnumerator
+from repro.core.stats import EnumerationResult
 from repro.obs.cli import main as obs_main
 from repro.obs.fleet import fleet_summary
 from repro.obs.flight import merge_flight_registries, replay_flight
@@ -57,6 +61,24 @@ class TestPartitionedBreakdown:
         assert sum(s["calls"] for s in merged.shards) == merged.stats.calls
         assert merged.fleet["workers"] == 3
         assert merged.fleet["outputs"] == merged.stats.outputs
+
+    def test_merged_phases_sum_the_shards(self):
+        g = random_uncertain_graph(13, 16, 0.5)
+        merged = enumerate_partitioned(g, 2, 0.4, parts=3)
+        assert sorted(merged.phases) == [
+            "ordering", "recursion", "reduction", "sanitize"
+        ]
+        assert all(seconds >= 0.0 for seconds in merged.phases.values())
+        # The fold itself: per-name sums, names unioned.
+        total = EnumerationResult()
+        for phases in (
+            {"reduction": 0.25, "recursion": 1.0},
+            {"recursion": 2.0, "sanitize": 0.5},
+        ):
+            _accumulate(total, EnumerationResult(phases=phases))
+        assert total.phases == {
+            "reduction": 0.25, "recursion": 3.0, "sanitize": 0.5
+        }
 
     def test_monolithic_result_has_no_fleet(self):
         g = random_uncertain_graph(10, 8, 0.5)
@@ -137,6 +159,15 @@ class TestParallelFlightParity:
         # into comparable counters.
         registry = worker.registry()
         assert registry.counters()["outputs"] == merged.stats.outputs
+        # The engine's phase seconds are logged without an observer,
+        # in the order the phases ran.
+        phases = [e for e in worker.events if e["event"] == "phase"]
+        assert [e["name"] for e in phases] == [
+            "reduction", "ordering", "recursion", "sanitize"
+        ]
+        assert [e["seconds"] for e in phases] == [
+            round(seconds, 6) for seconds in merged.phases.values()
+        ]
 
 
 class TestObsCli:
@@ -189,6 +220,18 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "kernel-backend-speedup" in out
         assert "BENCH_pr6.json" in out
+
+    def test_committed_bench_artifacts_carry_their_pr_stamp(self):
+        # ``trajectory`` orders its rows by the ``pr`` stamp, so a
+        # mis-stamped artifact lands silently in the wrong place.
+        root = pathlib.Path(__file__).resolve().parent.parent
+        paths = sorted(root.glob("BENCH_pr*.json"))
+        assert paths
+        for path in paths:
+            match = re.fullmatch(r"BENCH_pr(\d+)\.json", path.name)
+            assert match, path.name
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert doc["pr"] == int(match.group(1)), path.name
 
     def test_diff_speedup_document_against_itself(self, capsys):
         code = obs_main(["diff", "BENCH_pr6.json", "BENCH_pr6.json"])

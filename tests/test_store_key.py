@@ -22,6 +22,7 @@ from repro.store.key import (
     probability_token,
     reduction_key_for,
     run_key_for,
+    variant_class,
 )
 from repro.uncertain import UncertainGraph
 
@@ -148,6 +149,39 @@ def test_hooked_and_lean_variants_get_distinct_keys():
     assert lean.variant == "lean"
     assert hooked.variant == "hooked"
     assert lean.digest() != hooked.digest()
+
+
+@pytest.mark.parametrize(
+    "overrides,expected",
+    (
+        # Lifecycle-only observation runs the lean variant, so it
+        # shares the lean key instead of filing a second copy.
+        ({"obs": "light"}, "lean"),
+        ({"obs": "metrics"}, "hooked"),
+        ({"obs": "full"}, "hooked"),
+        ({"sanitize": "light"}, "hooked"),
+        ({"sanitize": "light", "obs": "light"}, "hooked"),
+    ),
+)
+def test_variant_class_follows_the_executed_variant(
+    overrides, expected, monkeypatch
+):
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    config = replace(PMUC_PLUS_CONFIG, **overrides)
+    assert variant_class(config) == expected
+    key = run_key_for(figure1_graph(), 3, 0.1, config)
+    assert key.variant == expected
+
+
+def test_light_observation_shares_the_lean_key(monkeypatch):
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    lean = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+    light = run_key_for(
+        figure1_graph(), 3, 0.1, replace(PMUC_PLUS_CONFIG, obs="light")
+    )
+    assert light.digest() == lean.digest()
 
 
 def test_reduction_override_changes_only_that_field():

@@ -105,7 +105,7 @@ def test_hooked_variant_stores_the_same_cliques_under_its_own_key(tmp_path):
     store = RunStore(str(tmp_path / "store"))
     graph, k, eta = figure1_graph(), 3, 0.1
     lean_key, lean_digest, lean = run_and_store(store, graph, k, eta)
-    hooked_config = replace(PMUC_PLUS_CONFIG, obs="light")
+    hooked_config = replace(PMUC_PLUS_CONFIG, obs="metrics")
     hooked_key, hooked_digest, hooked = run_and_store(
         store, graph, k, eta, hooked_config
     )
