@@ -9,7 +9,6 @@ Importing this package registers every rule with
 * :mod:`~repro.analysis.rules.parallel` — REP006
 * :mod:`~repro.analysis.rules.sanitizer` — REP007
 * :mod:`~repro.analysis.rules.obs` — REP008
-* :mod:`~repro.analysis.rules.variants` — REP009
 * :mod:`~repro.analysis.rules.flow_domains` — REP010, REP011
 * :mod:`~repro.analysis.rules.flow_state` — REP012
 * :mod:`~repro.analysis.rules.translation` — REP013, REP014
@@ -27,14 +26,13 @@ from repro.analysis.rules import (
     sanitizer,
     store,
     translation,
-    variants,
 )
 
 #: Bumped whenever rule semantics change in a way that invalidates
 #: cached per-file results (see :mod:`repro.analysis.cache`).  The
 #: cache key also folds in the analysis package sources, so this is a
 #: human-readable escape hatch, not the only invalidation mechanism.
-RULESET_VERSION = "2026.08-store-1"
+RULESET_VERSION = "2026.10-variants-6"
 
 __all__ = [
     "conformance",
@@ -47,6 +45,5 @@ __all__ = [
     "sanitizer",
     "store",
     "translation",
-    "variants",
     "RULESET_VERSION",
 ]

@@ -7,9 +7,13 @@ old dict/kernel mirror: there is exactly one recursion, in
 this rule pins both down on every lint run:
 
 * a backend class subclasses ``StateOps`` without implementing the
-  full protocol surface.  ``validate_state_ops`` catches that at run
-  time, but only on the first run of that backend — the lint catches
-  it on every scan, before any test selects the backend;
+  full protocol surface, or without exactly one hot path
+  (``search_ops`` for the generic recursion shape, ``fast_ops`` for
+  the bitset shape — a backend that carried both would keep a second
+  state algebra that only some runs execute).  ``validate_state_ops``
+  catches that at run time, but only on the first run of that
+  backend — the lint catches it on every scan, before any test
+  selects the backend;
 * someone reintroduces a private copy of the engine recursion outside
   ``src/repro/engine`` — recognized as a self-recursive function that
   carries *both* an M-pivot marker (the ``mpivot_skips`` counter or a
@@ -34,7 +38,7 @@ from typing import Iterator, Optional, Tuple
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
 from repro.analysis.source import SourceFile, terminal_name, walk_functions
-from repro.engine.protocol import PROTOCOL_ATTRS, PROTOCOL_METHODS
+from repro.engine.protocol import HOT_PATHS, PROTOCOL_ATTRS, PROTOCOL_METHODS
 
 #: The protocol base class backends subclass.
 _BASE = "StateOps"
@@ -145,8 +149,9 @@ def _search_markers(func: ast.AST) -> Tuple[bool, bool]:
     "REP005",
     "engine-conformance",
     Severity.ERROR,
-    "backend StateOps classes must implement the full engine protocol, "
-    "and the engine recursion must not be copied outside repro.engine",
+    "backend StateOps classes must implement the full engine protocol "
+    "with exactly one hot path, and the engine recursion must not be "
+    "copied outside repro.engine",
 )
 def check_engine_conformance(src: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(src.tree):
@@ -157,7 +162,17 @@ def check_engine_conformance(src: SourceFile) -> Iterator[Finding]:
         methods, attrs = _class_surface(node)
         missing = [m for m in PROTOCOL_METHODS if m not in methods]
         missing += [a for a in PROTOCOL_ATTRS if a not in attrs]
+        hot = [m for m in HOT_PATHS if m in methods]
+        problems = []
         if missing:
+            problems.append(f"does not define {', '.join(missing)}")
+        if len(hot) != 1:
+            problems.append(
+                "defines both hot paths (search_ops and fast_ops)"
+                if hot
+                else "defines no hot path (search_ops or fast_ops)"
+            )
+        if problems:
             yield Finding(
                 path=src.path,
                 line=node.lineno,
@@ -165,10 +180,11 @@ def check_engine_conformance(src: SourceFile) -> Iterator[Finding]:
                 rule="REP005",
                 severity=Severity.ERROR,
                 message=(
-                    f"class {node.name} subclasses StateOps but does "
-                    f"not define {', '.join(missing)} — a backend must "
-                    "implement the complete engine protocol (see "
-                    "docs/architecture.md for the recipe)"
+                    f"class {node.name} subclasses StateOps but "
+                    f"{' and '.join(problems)} — a backend must "
+                    "implement the complete engine protocol with "
+                    "exactly one hot path (see docs/architecture.md "
+                    "for the recipe)"
                 ),
                 line_text=src.line_text(node.lineno),
             )

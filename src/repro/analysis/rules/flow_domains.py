@@ -466,12 +466,12 @@ def _defines_template(tree: ast.AST) -> bool:
 
 
 def _folded_variants(src: SourceFile) -> List[ast.Module]:
-    """Every distinct AST-folded variant of this file's own template.
+    """Every AST-folded variant of this file's own template.
 
-    Folding the template *from the file's AST* (rather than through
-    ``render_variant``, which re-parses ``inspect.getsource``) keeps
-    the original line numbers, so findings anchor to real source lines
-    and inline suppressions keep working.
+    Folding the template *from the file's AST* (rather than the
+    engine's own copy, parsed from ``inspect.getsource``) keeps the
+    original line numbers, so findings anchor to real source lines and
+    inline suppressions keep working.
     """
     from repro.engine import driver
 
@@ -480,21 +480,15 @@ def _folded_variants(src: SourceFile) -> List[ast.Module]:
         for node in src.tree.body
         if isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC
     )
-    seen: Set[Tuple] = set()
-    variants: List[ast.Module] = []
-    for key in driver.legal_variant_keys():
-        env = driver._flag_env(key)
-        profile = tuple(sorted(env.items()))
-        if profile in seen:
-            continue
-        seen.add(profile)
-        module = ast.Module(
-            body=[copy.deepcopy(template)], type_ignores=[]
-        )
-        driver._Specializer(env).visit(module)
-        ast.fix_missing_locations(module)
-        variants.append(module)
-    return variants
+    return [
+        driver.fold_record(
+            key,
+            template=ast.Module(
+                body=[copy.deepcopy(template)], type_ignores=[]
+            ),
+        ).module
+        for key in driver.legal_variant_keys()
+    ]
 
 
 def _function_units(src: SourceFile) -> List[Tuple[Optional[ast.AST], CFG]]:

@@ -39,7 +39,7 @@ RECURSION_HOOKS = (
 #: sequence, the per-seed progress tick, and the final stats handover.
 #: ``on_root`` is deliberately a *lifecycle* hook (the seed loop of
 #: ``SearchEngine.run``), not a template hook: the folded hooks-off
-#: recursion variants stay zero-branch (REP009) while progress/flight
+#: recursion variants stay zero-branch (REP013) while progress/flight
 #: telemetry still sees every root.
 DRIVER_HOOKS = (
     "hook:on_gauge:vertices_input",

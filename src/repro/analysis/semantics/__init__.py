@@ -2,7 +2,7 @@
 
 Two subsystems live here, both built on the :mod:`repro.analysis.flow`
 core and consumed by the REP013/REP014 rules (plus the re-grounded
-REP006/REP009):
+REP006):
 
 * :mod:`~repro.analysis.semantics.ir` /
   :mod:`~repro.analysis.semantics.validate` — a translation validator

@@ -3,9 +3,8 @@
 ``python -m repro.analysis.semantics`` folds the engine's template for
 every key in ``legal_variant_keys()`` with the production specializer
 and runs the full translation-validation obligations against each.
-Output is one PROVEN/FAILED line per key (flag-distinct profiles are
-validated once and the verdict shared); exit status 1 on any failure,
-with each difference and its source-to-sink trace printed.
+Output is one PROVEN/FAILED line per key; exit status 1 on any
+failure, with each difference and its source-to-sink trace printed.
 """
 
 from __future__ import annotations
@@ -30,17 +29,13 @@ def main(argv: Optional[Sequence[str]] = None,
     for key, diff in validate_template_source(src.tree, src.lines):
         failures.setdefault(key, []).append(diff)
     keys = driver.legal_variant_keys()
-    profile_of = {
-        key: tuple(sorted(driver._flag_env(key).items())) for key in keys
-    }
-    failed_profiles = {profile_of[key] for key in failures}
     proven = 0
     for key in keys:
         label = driver.variant_id(key)
-        ok = profile_of[key] not in failed_profiles
+        ok = key not in failures
         verdict = "PROVEN" if ok else "FAILED"
         proven += ok
-        print(f"{verdict:7s} {label:16s} {key}", file=out)
+        print(f"{verdict:7s} {label:18s} {key}", file=out)
     print(
         f"{proven}/{len(keys)} variant keys proven equivalent to the "
         "template",

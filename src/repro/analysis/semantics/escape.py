@@ -38,6 +38,7 @@ from repro.analysis.flow import (
 )
 from repro.analysis.flow.cfg import Node
 from repro.analysis.source import SourceFile, root_name, terminal_name
+from repro.engine.protocol import HOT_PATHS
 
 #: Pool methods whose first positional argument is a worker function
 #: and whose second is the payload iterable.
@@ -55,9 +56,9 @@ _UNPICKLABLE_CALLS = frozenset(
      "BoundedSemaphore", "socket", "connect"}
 )
 
-#: The engine's per-run closure bundles: bound methods over live
+#: The engine's per-run hot-path bundles: bound methods over live
 #: backend state, never meant to travel.
-_CLOSURE_BUNDLE_CALLS = frozenset({"search_ops", "fast_ops"})
+_CLOSURE_BUNDLE_CALLS = frozenset(HOT_PATHS)
 
 #: Constructors that consume their iterable argument on the calling
 #: side: ``tuple(genexp)`` materializes in the parent, so the stateful
@@ -450,8 +451,9 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
     """Unpicklable taint returned from ``root_state`` implementations.
 
     A class implementing the :class:`~repro.engine.protocol.StateOps`
-    protocol (identified structurally: it defines both ``root_state``
-    and ``search_ops``) hands frontier state to the engine's seed loop;
+    protocol (identified structurally: it defines ``root_state`` and
+    one of the ``HOT_PATHS``, ``search_ops`` or ``fast_ops``) hands
+    frontier state to the engine's seed loop;
     once the work-queue engine ships those states across processes,
     anything unserializable inside them is a crash at dispatch.
     """
@@ -464,7 +466,9 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
             for sub in node.body
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if "root_state" not in methods or "search_ops" not in methods:
+        if "root_state" not in methods or not any(
+            name in methods for name in HOT_PATHS
+        ):
             continue
         func = methods["root_state"]
         analysis = PickleTaint(src.lines, _local_def_names(func))

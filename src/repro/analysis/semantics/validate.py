@@ -22,11 +22,17 @@ sharper messages for the failure modes that matter most:
 * **hook policy** — hooks-on variants must carry exactly the spec
   side's sanitizer/observer hook sites; hooks-off variants must be
   hook-free and must not even reference the ``san``/``obs`` bindings;
+  and every hook site of the template must survive in some hooked
+  variant (a site no ``HOOKS`` key keeps gives REP007/REP008 coverage
+  that no run ever executes);
 * **bitset domain closure** — bitset variants must not reach any
   generic-path backend call (``open_node``/``expand``/``decode``...),
   generic variants must not reach the ``fast_ops`` surface, and a
   bitset-escape taint pass (the REP011 analysis re-run over the folded
   body) must come back clean.
+
+A key whose fold raises or does not compile is reported as a
+difference of its own, never as a crash of the validator.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class Difference:
 
 
 def flag_summary(env: FlagEnv) -> str:
-    """Compact flag rendering for messages (`BITSET+KPIVOT`...)."""
+    """Compact flag rendering for messages (`HOOKS+BITSET`...)."""
     on = [name for name, value in env.items() if value]
     return "+".join(on) if on else "no flags"
 
@@ -579,26 +585,37 @@ def validate_template_source(
     and each variant side is folded by the **production specializer**
     via :func:`repro.engine.driver.fold_record` — the validator checks
     the artifact the engine would actually compile, not a re-creation.
-    Yields ``(key, difference)`` pairs; a clean template yields nothing.
+    A key whose fold raises or does not compile is a difference too,
+    and so is a template hook site that no hooked key keeps.  Yields
+    ``(key, difference)`` pairs; a clean template yields nothing.
     """
     from repro.engine import driver
 
     template = _template_def(tree)
     if template is None:
         return
-    seen_profiles: Set[Tuple] = set()
+    hooked_keys = []
+    kept_hooks: Set[str] = set()
     for key in driver.legal_variant_keys():
-        env = driver._flag_env(key)
-        profile = tuple(sorted(env.items()))
-        if profile in seen_profiles:
-            continue
-        seen_profiles.add(profile)
+        label = driver.variant_id(key)
         module = ast.Module(
             body=[copy.deepcopy(template)], type_ignores=[]
         )
-        record = driver.fold_record(key, template=module)
+        try:
+            record = driver.fold_record(key, template=module)
+            compile(record.module, f"<variant {label}>", "exec")
+        except Exception as error:  # noqa: BLE001 - any failure is the finding
+            yield key, Difference(
+                "fold",
+                f"variant `{label}` no longer folds and compiles from "
+                f"the shared template ({error!r}) — the spec-flag "
+                "environment and the template drifted apart",
+                template.lineno,
+                template.lineno,
+                (),
+            )
+            continue
         variant_func = _template_def(record.module)
-        label = driver.variant_id(key)
         if variant_func is None:
             yield key, Difference(
                 "missing",
@@ -609,10 +626,56 @@ def validate_template_source(
                 (),
             )
             continue
+        if record.env.get("HOOKS"):
+            hooked_keys.append(key)
+            kept_hooks.update(
+                hook_labels_of(normalize_function(variant_func, {}))
+            )
         for diff in validate_variant(
             template, variant_func, record.env, lines, label
         ):
             yield key, diff
+    for diff in _dead_hook_sites(template, kept_hooks, lines):
+        for key in hooked_keys:
+            yield key, diff
+
+
+def _dead_hook_sites(
+    template: ast.AST, kept: Set[str], lines: Sequence[str]
+) -> Iterator[Difference]:
+    """Template hook sites whose label no hooked variant keeps.
+
+    A hook call under a fold guard that every hooked key removes is
+    dead code in production *and* in every sanitized or observed run,
+    so the REP007/REP008 coverage it seems to give is not real.
+    """
+    reported: Set[str] = set()
+    for effect in iter_effects(normalize_function(template, {})):
+        if effect.kind != "hook":
+            continue
+        for label in effect.detail.split(","):
+            if label in kept or label in reported:
+                continue
+            reported.add(label)
+            text = ""
+            if 0 < effect.line <= len(lines):
+                text = lines[effect.line - 1].strip()
+            yield Difference(
+                "hook-dead",
+                f"template hook site `{label}` (line {effect.line}) "
+                "survives in no hooked variant — it sits under a fold "
+                "guard that every HOOKS key removes",
+                effect.line,
+                effect.line,
+                (
+                    {
+                        "line": effect.line,
+                        "col": 0,
+                        "text": text,
+                        "note": "hook site no hooked variant keeps",
+                    },
+                ),
+            )
 
 
 def proven_keys(tree: ast.AST, lines: Sequence[str]) -> Dict[Tuple, int]:
@@ -622,15 +685,6 @@ def proven_keys(tree: ast.AST, lines: Sequence[str]) -> Dict[Tuple, int]:
     counts: Dict[Tuple, int] = {
         key: 0 for key in driver.legal_variant_keys()
     }
-    profile_of = {
-        key: tuple(sorted(driver._flag_env(key).items()))
-        for key in counts
-    }
-    profile_fail: Dict[Tuple, int] = {}
     for key, _diff in validate_template_source(tree, lines):
-        profile_fail[profile_of[key]] = (
-            profile_fail.get(profile_of[key], 0) + 1
-        )
-    for key in counts:
-        counts[key] = profile_fail.get(profile_of[key], 0)
+        counts[key] += 1
     return counts

@@ -7,26 +7,22 @@ Lemmas 3–4), the K-pivot size stop (Lemmas 5–6), emission, and every
 sanitizer/observer hook site — lives in :func:`_search_template`.  The
 template is never executed as written: :func:`build_search` is a
 dispatcher that folds the module-level specialization flags (``HOOKS``,
-``BITSET``, ``KPIVOT``, ...) into the template's AST and compiles one
-recursion **variant** per configuration shape (see
-:func:`variant_key`).  Because every variant is a partial evaluation of
-the same function, the hooked variant provably contains every
-REP007/REP008 hook site, and the hookless variants provably contain
-none — the REP009 lint rule re-renders the variants and checks exactly
-that.
+``BITSET``, ``WIDESCAN``) into the template's AST and compiles one
+recursion **variant** per key (see :func:`variant_key`).  Only what
+changes the recursion's data layout or its hook policy is folded; the
+pivot and pruning switches of :class:`~repro.core.config.PivotConfig`
+are read once per run into closure cells.  Because every variant is a
+partial evaluation of the same function, the hooked variants provably
+contain every REP007/REP008 hook site and the hookless variants
+provably contain none — the REP013 translation validator proves each
+fold against the template.
 
-Three shapes exist:
+Each backend runs one shape, set by the one hot path it defines:
 
 ``generic``
     Devirtualized :class:`~repro.engine.protocol.SearchOps` calls bound
-    as closure cells, zero hook branches.  The production shape of the
-    dict backend.
-``generic+hooks``
-    The same, plus the sanitizer/observer hook sites.  Chosen whenever
-    a sanitizer or a per-node observer (``obs="metrics"``/``"full"``,
-    see :data:`repro.obs.observer.RECURSION_HOOK_LEVELS`) is attached,
-    for either backend.  A ``light`` observer is lifecycle-only: it
-    keeps the production shape below.
+    as closure cells.  The shape of a backend that defines
+    ``search_ops`` (the dict backend).
 ``bitset``
     The hot loop stays in bitset domain end to end: big-int candidate
     sets with per-survivor threshold tests, per-color bit masks with a
@@ -36,9 +32,15 @@ Three shapes exist:
     leaves, where a per-witness ``-log`` sum with the same certainty
     band as the eager path (plus a full per-level exact replay inside
     the band) reproduces the dict backend's decisions bit for bit.
-    Chosen when hooks are off and the backend publishes the
-    ``fast_ops`` capability (:meth:`~repro.engine.protocol.StateOps
-    .fast_ops`).
+    The shape of a backend that defines ``fast_ops`` (the kernel); its
+    ``+wide`` GenerateSet scans set bits instead of the parent list.
+
+Either shape gains the sanitizer/observer hook sites (``+hooks``)
+whenever a sanitizer or a per-node observer (``obs="metrics"``/
+``"full"``, see :data:`repro.obs.observer.RECURSION_HOOK_LEVELS`) is
+attached; hooks never change the shape.  A ``light`` observer is
+lifecycle-only and keeps the hookless variant.  Six keys exist (see
+:func:`legal_variant_keys`).
 
 The run lifecycle (reduction/ordering phases, hook wiring, the seed
 loop, recursion-limit management, counter flushing) lives in
@@ -49,7 +51,7 @@ drift.
 
 Performance notes.  Each variant is compiled once per process and
 instantiated once per run into a closure whose free variables hold the
-backend's hot-path state, the remaining dynamic flags, and the search
+backend's hot-path state, the per-run pruning switches, and the search
 counters — a cell load costs the same as a local, where repeated
 attribute lookups across ~10⁶ calls are a measurable slice of the
 runtime.  Counters are folded into the shared
@@ -86,25 +88,17 @@ class _StopSearch(Exception):
 #: module-level names are compile-time constants: the specializer folds
 #: every ``if`` whose truth they decide and removes the dead branch.
 #: The module-level values are never consulted at runtime — only the
-#: folded variants execute.
+#: folded variants execute.  Only what changes the recursion's data
+#: layout (``BITSET``, ``WIDESCAN``) or its hook policy (``HOOKS``) is
+#: folded; the pivot and pruning switches are per-run closure cells.
 _SPEC_FLAGS = (
-    "HOOKS",        # sanitizer/observer hook sites present
-    "BITSET",       # bitset fast path (fast_ops capability)
-    "HYBRID",       # hybrid pivot rule, inlined (bitset shape only)
-    "KPIVOT",       # K-pivot stops enabled (size or color)
-    "COLOR_BOUND",  # Lemma-6 color bound on top of the size stop
-    "IMPROVED",     # M-pivot periphery: improved re-evaluation
-    "BASIC",        # M-pivot periphery: basic (first cover wins)
-    "WIDESCAN",     # GenerateSet scans set bits, not the parent list
+    "HOOKS",     # sanitizer/observer hook sites present
+    "BITSET",    # bitset fast path (the backend defines fast_ops)
+    "WIDESCAN",  # GenerateSet scans set bits, not the parent list
 )
 
 HOOKS = False
 BITSET = False
-HYBRID = False
-KPIVOT = False
-COLOR_BOUND = False
-IMPROVED = False
-BASIC = False
 WIDESCAN = False
 
 
@@ -116,9 +110,9 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
     the folded variants and is the only legitimate entry point.
 
     ``san`` is the backend's sanitizer adapter (or None) and ``obs``
-    the :class:`~repro.obs.observer.Observer` (or None); every hook
-    fires from exactly one site here, which the REP007/REP008 lint
-    rules pin down statically (and REP009 re-checks per variant).
+    the :class:`~repro.obs.observer.Observer` (or None); the hook sites
+    here are pinned down statically by the REP007/REP008 lint rules
+    and re-proven per variant by REP013.
 
     ``search(r, q, c, x, depth)`` explores the subtree rooted at path
     ``r`` and returns the maximum η-clique strictly longer than ``r``
@@ -147,6 +141,10 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
         select_pivot = fast.select_pivot
         label_of = fast.label_of
         bl = int.bit_length
+        # The hybrid pivot rule is inlined together with the
+        # lower-bound refresh it reads; every other rule is the
+        # backend's ``select_pivot``.
+        hybrid = config.pivot == "hybrid"
     else:
         hot = ops.search_ops()
         open_node = hot.open_node
@@ -155,6 +153,11 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
         expand = hot.expand
         retract = hot.retract
         decode = hot.decode
+    # The pruning switches, read once per run into closure cells.
+    kpivot = config.kpivot != "off"
+    color_bound = config.kpivot == "color"
+    improved = config.mpivot == "improved"
+    basic = config.mpivot == "basic"
     log_domain = ops.log_domain
     sink_call = sink
     limit = -1 if limit is None else limit
@@ -251,7 +254,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                     if outputs == limit:
                         raise _StopSearch
                 if BITSET:
-                    if HYBRID:
+                    if hybrid:
                         for w in r:
                             if lb[w] < rlen:
                                 lb[w] = rlen
@@ -282,10 +285,11 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                 # prune, the inlined-leaf call, the K-pivot stop the
                 # empty work list fires when R ∪ {u} cannot reach k
                 # (``need > 0`` on re-entry), and the returned best
-                # clique ``r + [u]``.  Depth-1 frames keep the general
-                # path: they carry the K-pivot entry check.
+                # clique ``r + [u]``.  The hook sites fire in the
+                # general path's order.  Depth-1 frames keep the
+                # general path: they carry the K-pivot entry check.
                 u = c_list[0]
-                if HYBRID:
+                if hybrid:
                     size = rlen + 1
                     if lb[u] < size:
                         lb[u] = size
@@ -294,10 +298,18 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                 if k - rlen <= 1:
                     # Viable (``need1 <= 0``): open the inlined leaf.
                     expansions += 1
+                    if HOOKS:
+                        if obs is not None:
+                            obs.on_expand(depth)
                     calls += 1
                     depth1 = depth + 1
                     if depth1 > max_depth:
                         max_depth = depth1
+                    if HOOKS:
+                        if san is not None:
+                            san.on_node(depth1)
+                        if obs is not None:
+                            obs.on_node(depth1, r)
                     maximal = True
                     x_child = x & nbr_bits[u]
                     if x_child:
@@ -320,25 +332,38 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                     if maximal:
                         # ``rlen >= k - 1`` holds here, so a maximal
                         # leaf always emits.
+                        if HOOKS:
+                            if san is not None:
+                                san.on_emit(r, q + sv[u], log_domain)
+                            if obs is not None:
+                                obs.on_emit(depth1, rlen + 1)
                         outputs += 1
                         sink_call(frozenset(map(label_of, r)))
                         if outputs == limit:
                             raise _StopSearch
-                        if HYBRID:
+                        if hybrid:
                             for w in r:
                                 if lb[w] < size:
                                     lb[w] = size
                                     cn_lb[w] = cn_base[w] + size
-                    if KPIVOT:
-                        if k - rlen == 1:
-                            kpivot_stops += 1
+                    if kpivot and k - rlen == 1:
+                        kpivot_stops += 1
+                        if HOOKS:
+                            if obs is not None:
+                                obs.on_prune("kpivot", depth)
                 else:
                     size_prunes += 1
-                    if KPIVOT:
+                    if HOOKS:
+                        if obs is not None:
+                            obs.on_prune("size", depth)
+                    if kpivot:
                         kpivot_stops += 1
+                        if HOOKS:
+                            if obs is not None:
+                                obs.on_prune("kpivot", depth)
                 r.pop()
                 return r + [u]
-            if HYBRID:
+            if hybrid:
                 # The lower-bound refresh and the first pivot pass are
                 # fused into one traversal: each element is refreshed
                 # before its ``cn_lb`` is compared, so the first-max
@@ -362,39 +387,38 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
             # work-list/pivot computation — one backend call per node.
             keys, pivot = open_node(c, rlen + 1)
         need = k - rlen
-        if KPIVOT:
-            kpivot_pos = need > 0
-            if kpivot_pos and depth == 1:
-                # The whole candidate set is a K-pivot periphery
-                # (Lemma 5/6): counted plainly it cannot lift R to k,
-                # and the color-class count is the tighter Lemma-6
-                # bound.  Only seed states need this entry check: a
-                # recursive call's ``C`` already passed the parent's
-                # ``expand`` viability test, which is the same bound
-                # (``need1`` there equals ``need`` here) over the same
-                # set — so at ``depth > 1`` the check can never fire
-                # and is hoisted away.  The survivor list is
-                # materialized, so its ``len`` is the Lemma-5 count
-                # (cheaper than a popcount on the bitset); the color
-                # bound ORs per-color bit masks and popcounts once.
-                stop = len(keys) < need
-                if COLOR_BOUND:
-                    if not stop:
-                        if BITSET:
-                            seen = 0
-                            for w in keys:
-                                seen |= color_bit[w]
-                            stop = popcount(seen) < need
-                        else:
-                            stop = not color_reaches(keys, need)
-                if stop:
-                    kpivot_stops += 1
-                    if HOOKS:
-                        if obs is not None:
-                            obs.on_prune("kpivot", depth)
-                    return None
+        # The K-pivot stops bite only while R is short of k.
+        kpivot_pos = kpivot and need > 0
+        if kpivot_pos and depth == 1:
+            # The whole candidate set is a K-pivot periphery (Lemma
+            # 5/6): counted plainly it cannot lift R to k, and the
+            # color-class count is the tighter Lemma-6 bound.  Only
+            # seed states need this entry check: a recursive call's
+            # ``C`` already passed the parent's ``expand`` viability
+            # test, which is the same bound (``need1`` there equals
+            # ``need`` here) over the same set — so at ``depth > 1``
+            # the check can never fire and is hoisted away.  The
+            # survivor list is materialized, so its ``len`` is the
+            # Lemma-5 count (cheaper than a popcount on the bitset);
+            # the color bound ORs per-color bit masks and popcounts
+            # once.
+            stop = len(keys) < need
+            if color_bound and not stop:
+                if BITSET:
+                    seen = 0
+                    for w in keys:
+                        seen |= color_bit[w]
+                    stop = popcount(seen) < need
+                else:
+                    stop = not color_reaches(keys, need)
+            if stop:
+                kpivot_stops += 1
+                if HOOKS:
+                    if obs is not None:
+                        obs.on_prune("kpivot", depth)
+                return None
         if BITSET:
-            if HYBRID:
+            if hybrid:
                 # Second (degree) pass of the hybrid rule, first-max
                 # wins — same vertex as the dict strategy's
                 # ``max``-of-filtered passes.  With one candidate the
@@ -451,48 +475,42 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
             periphery = ()
         p = None
         plen = rlen
-        if KPIVOT:
-            # One flag instead of ``expanded_any and kpivot_pos``:
-            # it stays false until the first expansion and carries
-            # the positivity check with it, so the per-iteration
-            # stop costs a single truth test.
-            kcheck = False
+        # One flag instead of ``expanded_any and kpivot_pos``: it stays
+        # false until the first expansion and carries the positivity
+        # check with it, so the per-iteration stop costs a single truth
+        # test.
+        kcheck = False
         need1 = need - 1
         depth1 = depth + 1
         while True:
-            if KPIVOT:
-                if kcheck:
-                    # The remaining candidate set is a K-pivot
-                    # periphery on its own (Lemma 5/6) — no reliance
-                    # on Q.  The two stopping rules are applied
-                    # independently, never as a merged periphery set
-                    # (whose joint soundness the paper does not
-                    # establish).
+            if kcheck:
+                # The remaining candidate set is a K-pivot periphery on
+                # its own (Lemma 5/6) — no reliance on Q.  The two
+                # stopping rules are applied independently, never as a
+                # merged periphery set (whose joint soundness the paper
+                # does not establish).
+                if BITSET:
+                    stop = n_un < need
+                else:
+                    stop = len(unexpanded) < need
+                if color_bound and not stop:
                     if BITSET:
-                        stop = n_un < need
+                        color_margin -= 1
+                        if color_margin < 0:
+                            seen = 0
+                            for w in unexpanded:
+                                seen |= color_bit[w]
+                            cnt = popcount(seen)
+                            stop = cnt < need
+                            color_margin = cnt - need
                     else:
-                        stop = len(unexpanded) < need
-                    if COLOR_BOUND:
-                        if not stop:
-                            if BITSET:
-                                color_margin -= 1
-                                if color_margin < 0:
-                                    seen = 0
-                                    for w in unexpanded:
-                                        seen |= color_bit[w]
-                                    cnt = popcount(seen)
-                                    stop = cnt < need
-                                    color_margin = cnt - need
-                            else:
-                                stop = not color_reaches(
-                                    unexpanded, need
-                                )
-                    if stop:
-                        kpivot_stops += 1
-                        if HOOKS:
-                            if obs is not None:
-                                obs.on_prune("kpivot", depth)
-                        break
+                        stop = not color_reaches(unexpanded, need)
+                if stop:
+                    kpivot_stops += 1
+                    if HOOKS:
+                        if obs is not None:
+                            obs.on_prune("kpivot", depth)
+                    break
             if BITSET:
                 if not n_un:
                     break
@@ -534,8 +552,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                         if obs is not None:
                             obs.on_prune("mpivot", depth, len(unexpanded))
                     break
-            if KPIVOT:
-                kcheck = kpivot_pos
+            kcheck = kpivot_pos
             r.append(u)
             if BITSET:
                 # GenerateSet (Algorithm 1) in bitset domain: one AND
@@ -608,7 +625,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                     c_next = ()
                 viable = need1 <= 0
                 if not viable and len(c_next) >= need1:
-                    if COLOR_BOUND:
+                    if color_bound:
                         seen = 0
                         cnt = 0
                         for w in c_next:
@@ -695,7 +712,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                             if outputs == limit:
                                 raise _StopSearch
                         if BITSET:
-                            if HYBRID:
+                            if hybrid:
                                 for w in r:
                                     if lb[w] < size:
                                         lb[w] = size
@@ -736,7 +753,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
             # ``branch_best is None`` stands for the un-materialized
             # ``r + [u]`` (length ``blen``); build it only when it
             # actually replaces the periphery or the best ``p``.
-            if IMPROVED or (BASIC and not periphery):
+            if improved or (basic and not periphery):
                 if BITSET:
                     if qlen < blen:
                         if branch_best is None:
@@ -770,92 +787,34 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
 # the specializer
 # ----------------------------------------------------------------------
 def _fold_test(node, env):
-    """Partially evaluate an ``if`` test over the spec-flag names.
+    """The truth value the spec flags give an ``if`` test, else None.
 
-    Returns ``True``/``False`` when the flags decide the test, else an
-    AST with the decided operands removed.  Folding is by *truthiness*
-    over pure operands — exactly the contract of an ``if`` test — so
-    dropping a decided operand from a ``BoolOp`` is sound regardless of
-    its position.
+    Only a bare flag name (or its negation) is decided: a guard that
+    mixes a flag with a runtime test stays unfolded, and the
+    translation validator (REP013) reports it on every variant key.
     """
     if isinstance(node, ast.Name) and node.id in env:
         return bool(env[node.id])
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         inner = _fold_test(node.operand, env)
-        if inner is True:
-            return False
-        if inner is False:
-            return True
-        if inner is node.operand:
-            return node
-        return ast.UnaryOp(op=ast.Not(), operand=inner)
-    if isinstance(node, ast.BoolOp):
-        is_or = isinstance(node.op, ast.Or)
-        residue = []
-        for operand in node.values:
-            value = _fold_test(operand, env)
-            if value is True:
-                if is_or:
-                    return True
-            elif value is False:
-                if not is_or:
-                    return False
-            else:
-                residue.append(value)
-        if not residue:
-            # All operands folded to the neutral element.
-            return not is_or
-        if len(residue) == 1:
-            return residue[0]
-        if len(residue) == len(node.values) and all(
-            a is b for a, b in zip(residue, node.values)
-        ):
-            # Nothing folded — hand back the original node so callers
-            # (and the fold-decision record) can tell this test was
-            # never touched.
-            return node
-        return ast.BoolOp(op=node.op, values=residue)
-    return node
+        return None if inner is None else not inner
+    return None
 
 
 class _Specializer(ast.NodeTransformer):
-    """Fold spec-flag ``if`` statements; leave everything else alone.
-
-    Every decision the fold makes is recorded in :attr:`decisions` as a
-    ``(lineno, test_source, outcome)`` triple — ``outcome`` is ``True``
-    (then-branch spliced), ``False`` (else-branch spliced), or
-    ``"residual"`` (the test was only partially decided).  The record is
-    what :func:`fold_record` hands to the translation validator: it is
-    the specializer's own account of *why* each variant looks the way it
-    does, which the validator re-derives independently and cross-checks.
-    """
+    """Fold spec-flag ``if`` statements; leave everything else alone."""
 
     def __init__(self, env):
         self.env = env
-        self.decisions = []
-
-    def _decide(self, node, outcome):
-        self.decisions.append(
-            (
-                getattr(node, "lineno", 0),
-                ast.unparse(node.test),
-                outcome,
-            )
-        )
 
     def visit_If(self, node):
         self.generic_visit(node)
         test = _fold_test(node.test, self.env)
-        if test is True:
-            self._decide(node, True)
+        if test is None:
+            return node
+        if test:
             return node.body
-        if test is False:
-            self._decide(node, False)
-            return node.orelse or ast.Pass()
-        if test is not node.test:
-            self._decide(node, "residual")
-        node.test = test
-        return node
+        return node.orelse or ast.Pass()
 
 
 #: Modules whose sources define what an enumeration run *means*: the
@@ -906,74 +865,46 @@ def engine_source_manifest():
     return entries
 
 
-def variant_key(ops, config, san=None, obs=None):
-    """The specialization key for one run's configuration.
+def variant_key(ops, san=None, obs=None):
+    """The specialization key for one run: ``(shape, hooks, wide)``.
 
-    ``(shape, hooks, kpivot, mpivot, hybrid, widescan)`` — ``shape``
-    is ``"bitset"`` when hooks are off and the backend publishes the
-    ``fast_ops`` capability, else ``"generic"``; ``hybrid`` and
-    ``widescan`` are normalized to ``False`` for the generic shape
-    (pivot selection and GenerateSet are the backend's there).
-    ``widescan`` is the backend's own call — the kernel asks for the
-    set-bit GenerateSet scan once singleton-mask tests get wide.
+    ``shape`` is ``"bitset"`` when the backend defines the ``fast_ops``
+    hot path and ``"generic"`` when it defines ``search_ops`` (see
+    :mod:`repro.engine.protocol`); hooks never change the shape.
+    ``wide`` is the backend's own call — the kernel asks for the
+    set-bit GenerateSet scan once singleton-mask tests get wide — and
+    is always ``False`` for the generic shape, whose GenerateSet is the
+    backend's.
     """
     hooks = san is not None or obs is not None
-    if not hooks:
-        fast_cap = getattr(ops, "fast_ops", None)
-        if fast_cap is not None:
-            fast = fast_cap()
-            if fast is not None:
-                return (
-                    "bitset",
-                    False,
-                    config.kpivot,
-                    config.mpivot,
-                    config.pivot == "hybrid",
-                    bool(getattr(fast, "wide_scan", False)),
-                )
-    return ("generic", hooks, config.kpivot, config.mpivot, False, False)
+    fast_ops = getattr(ops, "fast_ops", None)
+    if fast_ops is None:
+        return ("generic", hooks, False)
+    return ("bitset", hooks, bool(fast_ops().wide_scan))
 
 
 def variant_id(key):
     """Short human-readable variant name stamped into run records."""
-    shape, hooks = key[0], key[1]
-    wide = len(key) > 5 and key[5]
+    shape, hooks, wide = key
     return shape + ("+hooks" if hooks else "") + ("+wide" if wide else "")
 
 
 def legal_variant_keys():
-    """Every key the dispatcher can produce (the REP009 check space).
-
-    The pivot axes enumerate the :class:`~repro.core.config.PivotConfig`
-    value spaces (``KPIVOT_CHOICES`` / ``MPIVOT_CHOICES``) verbatim —
-    the dispatcher passes the config values through unchanged.
-    """
-    keys = []
-    for kpivot in ("off", "plain", "color"):
-        for mpivot in ("off", "basic", "improved"):
-            for hybrid in (False, True):
-                for wide in (False, True):
-                    keys.append(
-                        ("bitset", False, kpivot, mpivot, hybrid, wide)
-                    )
-            keys.append(("generic", False, kpivot, mpivot, False, False))
-            keys.append(("generic", True, kpivot, mpivot, False, False))
-    return keys
+    """Every key the dispatcher can produce (the REP013 proof space)."""
+    return [
+        ("generic", False, False),
+        ("generic", True, False),
+        ("bitset", False, False),
+        ("bitset", False, True),
+        ("bitset", True, False),
+        ("bitset", True, True),
+    ]
 
 
 def _flag_env(key):
     """Spec-flag assignment for ``key`` (one value per ``_SPEC_FLAGS``)."""
-    shape, hooks, kpivot, mpivot, hybrid, widescan = key
-    return {
-        "HOOKS": hooks,
-        "BITSET": shape == "bitset",
-        "HYBRID": hybrid,
-        "KPIVOT": kpivot != "off",
-        "COLOR_BOUND": kpivot == "color",
-        "IMPROVED": mpivot == "improved",
-        "BASIC": mpivot == "basic",
-        "WIDESCAN": shape == "bitset" and widescan,
-    }
+    shape, hooks, wide = key
+    return {"HOOKS": hooks, "BITSET": shape == "bitset", "WIDESCAN": wide}
 
 
 _TEMPLATE_MODULE = None
@@ -989,26 +920,21 @@ def _template_module():
 
 
 class FoldRecord:
-    """One specialization, with the specializer's own audit trail.
+    """One specialization: the folded module and the flags behind it.
 
-    ``module`` is the folded one-function module AST (same object
-    :func:`render_variant` returns), ``env`` the full spec-flag
-    assignment that produced it, and ``decisions`` the ordered
-    ``(lineno, test_source, outcome)`` triples recorded by
-    :class:`_Specializer` — one per ``if`` the fold decided or
-    simplified.  The translation validator
-    (:mod:`repro.analysis.semantics`) consumes fold records instead of
-    re-implementing the fold: the variant side of every comparison is
-    exactly what the production specializer emitted.
+    ``module`` is the folded one-function module AST and ``env`` the
+    full spec-flag assignment that produced it.  The translation
+    validator (:mod:`repro.analysis.semantics`) consumes fold records
+    instead of re-implementing the fold: the variant side of every
+    comparison is exactly what the production specializer emitted.
     """
 
-    __slots__ = ("key", "env", "module", "decisions")
+    __slots__ = ("key", "env", "module")
 
-    def __init__(self, key, env, module, decisions):
+    def __init__(self, key, env, module):
         self.key = key
         self.env = env
         self.module = module
-        self.decisions = decisions
 
 
 def fold_record(key, template=None):
@@ -1024,27 +950,16 @@ def fold_record(key, template=None):
     module = template if template is not None else copy.deepcopy(
         _template_module()
     )
-    spec = _Specializer(env)
-    spec.visit(module)
+    _Specializer(env).visit(module)
     ast.fix_missing_locations(module)
-    return FoldRecord(key, env, module, tuple(spec.decisions))
-
-
-def render_variant(key):
-    """Fold the template for ``key``; returns a one-function module AST.
-
-    Pure (no compilation, no caching) — this is the surface the REP009
-    lint rule and the tests use to inspect what a variant contains.
-    The fold itself (with its decision trail) is :func:`fold_record`.
-    """
-    return fold_record(key).module
+    return FoldRecord(key, env, module)
 
 
 def compiled_variant(key):
     """The compiled factory for ``key`` (process-wide cache)."""
     factory = _VARIANTS.get(key)
     if factory is None:
-        module = render_variant(key)
+        module = fold_record(key).module
         code = compile(
             module, f"<repro.engine.variant {variant_id(key)}>", "exec"
         )
@@ -1079,7 +994,7 @@ def build_search(ops, config, k, stats, sink, limit, san=None, obs=None):
     with ``search(r, q, c, x, depth)`` as documented on
     :func:`_search_template`.
     """
-    factory = compiled_variant(variant_key(ops, config, san, obs))
+    factory = compiled_variant(variant_key(ops, san, obs))
     return factory(ops, config, k, stats, sink, limit, san, obs)
 
 
@@ -1157,9 +1072,7 @@ class SearchEngine:
             san.on_reduced(vertices)
             san.on_context(color, edges)
             adapter = ops.bind_sanitizer(san)
-        self.variant = variant_id(
-            variant_key(ops, config, adapter, node_obs)
-        )
+        self.variant = variant_id(variant_key(ops, adapter, node_obs))
         if obs is not None:
             obs.variant = self.variant
         # The recursion is at most one level per clique member; make

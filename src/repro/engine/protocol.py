@@ -11,12 +11,23 @@ pivots are scored, and how a recursion path decodes to vertex labels.
 
 A backend is a :class:`StateOps` subclass.  The driver calls its
 *prelude* methods once per run (reduction, ordering, hook wiring, seed
-states) and then asks for a :class:`SearchOps` bundle — plain closures
-the compiled recursion calls millions of times.  ``PROTOCOL_METHODS``
-and ``PROTOCOL_ATTRS`` below are the single source of truth for the
-protocol surface; the REP005 lint rule checks every registered backend
-against them statically, and :func:`validate_state_ops` repeats the
-check at runtime before a search starts.
+states) and then asks for the backend's one **hot path**, which also
+picks the recursion shape the engine compiles for it:
+
+* ``search_ops()`` returns a :class:`SearchOps` bundle — plain closures
+  the ``generic`` recursion calls millions of times (the dict backend);
+* ``fast_ops()`` returns a namespace of raw bitset hot state (bitset
+  adjacency, ``-log`` rows, the shared ``sv`` array, per-color bit
+  masks, popcount, the exact-replay deciders, ...) that the ``bitset``
+  recursion inlines (the kernel).
+
+A backend defines exactly one of the two (:data:`HOT_PATHS`), with or
+without hooks: there is no second state algebra that only hooked runs
+execute.  ``PROTOCOL_METHODS``, ``PROTOCOL_ATTRS`` and ``HOT_PATHS``
+below are the single source of truth for the protocol surface; the
+REP005 lint rule checks every registered backend against them
+statically, and :func:`validate_state_ops` repeats the check at runtime
+before a search starts.
 
 Backend value conventions the engine relies on:
 
@@ -26,9 +37,9 @@ Backend value conventions the engine relies on:
 * ``unit`` is the accumulated probability of a single-vertex clique
   (``1`` for products, ``0.0`` for ``-log`` sums) and ``log_domain``
   tells the sanitizer how to read emitted values.
-* ``expand`` may mutate backend-shared state (the kernel's ``sv``
-  array); the engine guarantees a matching ``retract`` for every
-  ``expand``, including size-pruned branches.
+* ``expand`` may mutate backend-shared state; the engine guarantees a
+  matching ``retract`` for every ``expand``, including size-pruned
+  branches.
 """
 
 from __future__ import annotations
@@ -49,8 +60,11 @@ PROTOCOL_METHODS = (
     "bind_sanitizer",
     "roots",
     "root_state",
-    "search_ops",
 )
+
+#: The hot paths; a backend defines exactly one.  ``search_ops`` runs
+#: the engine's ``generic`` shape, ``fast_ops`` its ``bitset`` shape.
+HOT_PATHS = ("search_ops", "fast_ops")
 
 #: Hot-path operations of the compiled recursion (see
 #: :class:`SearchOps`).
@@ -122,8 +136,10 @@ class SearchOps:
 class StateOps:
     """Abstract base of the backend protocol.
 
-    Subclasses must define the :data:`PROTOCOL_ATTRS` class attributes
-    and implement every :data:`PROTOCOL_METHODS` method.  Instances
+    Subclasses must define the :data:`PROTOCOL_ATTRS` class attributes,
+    implement every :data:`PROTOCOL_METHODS` method, and define exactly
+    one of the :data:`HOT_PATHS` (the base defines neither).  Both are
+    called once per run, after the ``prepare_*`` methods.  Instances
     additionally carry ``graph`` — the original (unreduced) uncertain
     graph, which the driver hands to the sanitizer.
     """
@@ -194,30 +210,6 @@ class StateOps:
         survives the η threshold."""
         raise NotImplementedError
 
-    def search_ops(self) -> SearchOps:
-        """The hot-path :class:`SearchOps` bundle for this run.
-
-        Called once per run, after both ``prepare_*`` methods.
-        """
-        raise NotImplementedError
-
-    def fast_ops(self):
-        """Optional fast-path capability surface (default: absent).
-
-        A backend whose state is bitset-shaped may return a namespace
-        of raw hot-state arrays (bitset adjacency, ``-log`` rows, the
-        shared ``sv`` array, per-color bit masks, popcount, ...) that
-        the engine's specializer inlines into its bitset recursion
-        variant.  Returning ``None`` — the default — keeps the backend
-        on the generic :class:`SearchOps` variant.  This is a
-        capability, not part of :data:`PROTOCOL_METHODS`: backends
-        are complete without it.
-
-        Called after both ``prepare_*`` methods, like
-        :meth:`search_ops`.
-        """
-        return None
-
 
 #: Registered backend factories: ``name -> callable(graph, k, eta,
 #: config) -> StateOps``.  Registration happens at backend-module
@@ -253,7 +245,7 @@ def validate_state_ops(ops) -> None:
     """Runtime conformance check mirrored statically by REP005.
 
     Raises :class:`TypeError` when ``ops`` is missing a protocol
-    method/attribute or its :class:`SearchOps` bundle is incomplete.
+    method/attribute or does not define exactly one hot path.
     """
     missing = [
         attr
@@ -264,6 +256,12 @@ def validate_state_ops(ops) -> None:
         raise TypeError(
             f"{type(ops).__name__} does not implement the StateOps "
             f"protocol: missing {missing}"
+        )
+    hot = [name for name in HOT_PATHS if hasattr(ops, name)]
+    if len(hot) != 1:
+        raise TypeError(
+            f"{type(ops).__name__} must define exactly one hot path of "
+            f"{HOT_PATHS}, defines {hot or 'neither'}"
         )
     if not hasattr(ops, "graph"):
         raise TypeError(

@@ -4,7 +4,8 @@ This module is the **kernel backend** of the shared search engine
 (:mod:`repro.engine`): the recursion control flow runs once, in
 :func:`repro.engine.driver.build_search`, and this module supplies the
 state algebra over the :class:`~repro.kernel.compact.CompactGraph`
-representation:
+representation as one ``fast_ops`` namespace, which the engine's
+``bitset`` recursion inlines on every kernel run, hooked or not:
 
 * ``C`` and ``X`` are **bitsets** (Python big-ints).  The
   ``GenerateSet`` kernel of Algorithm 1 becomes one word-parallel
@@ -43,7 +44,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.exceptions import KernelBackendError
 from repro.core.stats import EnumerationResult
-from repro.engine.protocol import SearchOps, StateOps, register_backend
+from repro.engine.protocol import StateOps, register_backend
 from repro.kernel.compact import CompactGraph, bit_count
 from repro.kernel.reduction import (
     greedy_coloring_ids,
@@ -59,15 +60,6 @@ from repro.uncertain.graph import UncertainGraph
 #: ``1e-12 * (1 + |total|)`` for any feasible recursion depth; the
 #: guard is ~1000x wider.
 REL_GUARD = 1e-9
-
-#: Ascending bit offsets of every byte value.  The hot loops iterate a
-#: candidate bitset as ``bits.to_bytes(..., "little")`` plus one table
-#: lookup per non-zero byte: the byte scan runs at C speed, zero bytes
-#: cost one truth test, and no per-bit big-int arithmetic
-#: (``b & -b`` / ``bit_length``) is needed at all.
-_BYTE_BITS = tuple(
-    tuple(i for i in range(8) if v >> i & 1) for v in range(256)
-)
 
 
 def supports(graph: UncertainGraph, eta) -> bool:
@@ -96,12 +88,13 @@ def effective_backend(graph: UncertainGraph, eta, config) -> str:
 class KernelStateOps(StateOps):
     """Bitset/log-domain state algebra for the search engine.
 
-    The candidate handle is ``None`` when empty, else a mutable
-    two-slot list ``[c_bits, c_list]`` (bitset plus its ascending-id
-    survivor list — the invariant ``c_bits == 0  <=>  c_list == []``
-    makes ``None`` the only falsy form).  The exclusion handle is the
-    bare bitset.  ``expand`` mutates the shared ``sv`` array for every
-    survivor; ``retract`` restores it from the survivor lists.
+    The candidate handle is ``None`` when empty, else a two-slot
+    ``[c_bits, c_list]`` pair (bitset plus its ascending-id survivor
+    list — the invariant ``c_bits == 0  <=>  c_list == []`` makes
+    ``None`` the only falsy form).  The exclusion handle is the bare
+    bitset.  The one hot path is :meth:`fast_ops`: every run, hooked or
+    not, executes the engine's bitset recursion, which inlines these
+    arrays and keeps the shared ``sv`` array in step with ``R``.
     """
 
     name = "kernel"
@@ -124,7 +117,6 @@ class KernelStateOps(StateOps):
         # enough that exact replays are rare.
         self._guard = REL_GUARD * (2.0 + 2.0 * self._nl_eta)
         self._config = config
-        self._hybrid = config.pivot == "hybrid"
         # Populated by the prepare_* prelude:
         self._cg: CompactGraph = CompactGraph([])
         self._cg_red: Optional[CompactGraph] = None
@@ -334,7 +326,7 @@ class KernelStateOps(StateOps):
         return True
 
     def fast_ops(self) -> SimpleNamespace:
-        """Raw bitset hot state for the engine's specialized variant.
+        """Raw bitset hot state for the engine's bitset recursion.
 
         Everything the bitset recursion template needs, as one flat
         namespace the specializer binds to locals: the shared ``sv``
@@ -346,33 +338,21 @@ class KernelStateOps(StateOps):
         """
         if self._fast is not None:
             return self._fast
-        lb = self._lb
         deg = self._deg
         colnum = self._colnum
-        cn_lb = self._cn_lb
-        deg_cn = self._deg_cn
-        k = self._k
-        label_of = self._cg.labels.__getitem__
         pivot_name = self._config.pivot
 
-        if pivot_name == "hybrid":
-            def select_pivot(keys):
-                v = max(keys, key=cn_lb.__getitem__)
-                if lb[v] > k:
-                    return v
-                return max(keys, key=deg_cn.__getitem__)
-        elif pivot_name == "degree":
+        if pivot_name == "degree":
             def select_pivot(keys):
                 return max(keys, key=deg.__getitem__)
         elif pivot_name == "color":
             def select_pivot(keys):
                 return max(keys, key=colnum.__getitem__)
-        else:  # "first"
+        else:
+            # "first"; the template inlines the "hybrid" rule (fused
+            # with the lower-bound refresh) and never calls this.
             def select_pivot(keys):
                 return keys[0]
-
-        def decode(r):
-            return frozenset(map(label_of, r))
 
         # Past ~512 vertices a singleton-mask membership test costs
         # many 30-bit words, so ask the engine for the wide-scan
@@ -383,10 +363,10 @@ class KernelStateOps(StateOps):
             sv=self._sv,
             nbr_bits=self._cg.nbr_bits,
             nlogr=self._nlogr,
-            lb=lb,
-            cn_lb=cn_lb,
+            lb=self._lb,
+            cn_lb=self._cn_lb,
             cn_base=self._cn_base,
-            deg_cn=deg_cn,
+            deg_cn=self._deg_cn,
             color_bit=[1 << cw for cw in self._color],
             bit_at=[1 << i for i in range(self._cg.n)],
             hi_base=self._hi_base,
@@ -395,216 +375,11 @@ class KernelStateOps(StateOps):
             exact_x_member=self._exact_x_member,
             popcount=bit_count,
             select_pivot=select_pivot,
-            decode=decode,
-            # The bitset template inlines ``decode`` at its emit sites
-            # (one ``map`` over the label table, no closure hop), so
-            # the raw label getter is published alongside it.
-            label_of=label_of,
+            # The template decodes an emitted path with one ``map``
+            # over the label table.
+            label_of=self._cg.labels.__getitem__,
         )
         return self._fast
-
-    def search_ops(self) -> SearchOps:
-        """Compile the hot-path closures over this run's arrays.
-
-        Everything the ops read — graph arrays, pivot tables,
-        guard-band constants — is captured in closure cells once per
-        run.  Cell loads cost the same as locals, whereas ``self._x``
-        attribute lookups repeated across ~10⁶ calls are a measurable
-        slice of the runtime.
-        """
-        k = self._k
-        hybrid = self._hybrid
-        color_bound = self._config.kpivot == "color"
-        pivot_name = self._config.pivot
-        lb = self._lb
-        cn_lb = self._cn_lb
-        cn_base = self._cn_base
-        deg_cn = self._deg_cn
-        deg = self._deg
-        colnum = self._colnum
-        nbr_bits = self._cg.nbr_bits
-        nlogr = self._nlogr
-        hi_base = self._hi_base
-        guard2 = self._guard2
-        sv = self._sv
-        exact_accept = self._exact_accept
-        bl = int.bit_length
-        # Distinct-color counting uses a bitmask accumulator instead of
-        # a set; pre-shifting each vertex's color bit makes the count
-        # one subscript + two bit-ops per element.
-        color_bit = [1 << cw for cw in self._color]
-        # Per-base copies of the byte table holding absolute ids
-        # (``byte_ids[base >> 3][byte]``).  Ids above 256 fall outside
-        # CPython's small-int cache, so computing ``base + off`` per
-        # scanned candidate would allocate a fresh int every time;
-        # interning the sums once turns the innermost loop into pure
-        # tuple iteration.
-        byte_ids = tuple(
-            tuple(
-                tuple(base + off for off in bits) for bits in _BYTE_BITS
-            )
-            for base in range(0, self._cg.n, 8)
-        )
-        label_of = self._cg.labels.__getitem__
-
-        if hybrid:
-            def select_pivot(keys):
-                # The dict strategy's two ``max``-of-filtered passes
-                # resolve ties by first occurrence; ``max`` over the
-                # fused keys selects the identical vertex.
-                v = max(keys, key=cn_lb.__getitem__)
-                if lb[v] > k:
-                    return v
-                return max(keys, key=deg_cn.__getitem__)
-        elif pivot_name == "degree":
-            def select_pivot(keys):
-                return max(keys, key=deg.__getitem__)
-        elif pivot_name == "color":
-            def select_pivot(keys):
-                return max(keys, key=colnum.__getitem__)
-        else:  # "first"
-            def select_pivot(keys):
-                return keys[0]
-
-        if hybrid:
-            def lb_refresh(vertices, size):
-                for w in vertices:
-                    if lb[w] < size:
-                        lb[w] = size
-                        cn_lb[w] = cn_base[w] + size
-        else:
-            # The lower bound is consumed only by the hybrid pivot
-            # strategy (the dict path refreshes unconditionally, but
-            # the values are dead under every other strategy).
-            def lb_refresh(vertices, size):
-                return None
-
-        def open_node(c, size):
-            # Ids are rank-ordered and ``expand`` emits survivors in
-            # ascending id order, so the survivor list is already the
-            # sorted work list of the dict backend.
-            keys = c[1]
-            lb_refresh(keys, size)
-            if len(keys) == 1:
-                return keys, keys[0]
-            return keys, select_pivot(keys)
-
-        def color_reaches(vertices, need):
-            seen = 0
-            cnt = 0
-            for w in vertices:
-                cb = color_bit[w]
-                if not seen & cb:
-                    seen |= cb
-                    cnt += 1
-                    if cnt == need:
-                        return True
-            return False
-
-        def expand(u, c, x, nlq, r, need1):
-            # --- GenerateSet (Algorithm 1): one AND per set, then an
-            # additive threshold test per survivor.  ``s_new`` below
-            # ``lo`` is a certain accept, above ``hi`` a certain
-            # reject; the narrow band in between replays the dict
-            # backend's exact float decision.  Survivors restore the
-            # shared ``sv`` array by subtracting the same term in
-            # ``retract``; each add/sub pair can leave an ulp-sized
-            # residue, but cumulative drift stays orders of magnitude
-            # inside the guard band, where decisions defer to
-            # ``_exact_accept`` anyway.
-            nlq_new = nlq + sv[u]
-            nbr = nbr_bits[u]
-            nlog_u = nlogr[u]
-            hi = hi_base - nlq_new
-            lo = hi - guard2
-            c_new = c[0] & nbr
-            c_next: List[int] = []
-            keep = c_next.append
-            if c_new:
-                # Skip straight to the first set byte: candidate ranks
-                # cluster high for late seeds, and scanning the
-                # leading zero bytes every call adds up.
-                bb = (bl(c_new & -c_new) - 1) >> 3
-                scan = c_new >> (bb << 3)
-                for byte in scan.to_bytes((bl(scan) + 7) >> 3, "little"):
-                    if byte:
-                        for w in byte_ids[bb][byte]:
-                            s_new = sv[w] + nlog_u[w]
-                            if s_new < lo or (
-                                s_new <= hi and exact_accept(w, r)
-                            ):
-                                sv[w] = s_new
-                                keep(w)
-                            else:
-                                c_new ^= 1 << w
-                    bb += 1
-            viable = need1 <= 0
-            if not viable and len(c_next) >= need1:
-                if color_bound:
-                    seen = 0
-                    cnt = 0
-                    for w in c_next:
-                        cb = color_bit[w]
-                        if not seen & cb:
-                            seen |= cb
-                            cnt += 1
-                            if cnt == need1:
-                                break
-                    viable = cnt >= need1
-                else:
-                    viable = True
-            if not viable:
-                # A size-pruned branch never reads X; hand retract an
-                # empty restore token.
-                return nlq_new, (
-                    [c_new, c_next] if c_new else None
-                ), 0, (), False
-            x_new = x & nbr
-            if x_new:
-                x_list: List[int] = []
-                keep_x = x_list.append
-                bb = (bl(x_new & -x_new) - 1) >> 3
-                scan = x_new >> (bb << 3)
-                for byte in scan.to_bytes((bl(scan) + 7) >> 3, "little"):
-                    if byte:
-                        for w in byte_ids[bb][byte]:
-                            s_new = sv[w] + nlog_u[w]
-                            if s_new < lo or (
-                                s_new <= hi and exact_accept(w, r)
-                            ):
-                                sv[w] = s_new
-                                keep_x(w)
-                            else:
-                                x_new ^= 1 << w
-                    bb += 1
-            else:
-                x_list = ()
-            return nlq_new, (
-                [c_new, c_next] if c_new else None
-            ), x_new, x_list, True
-
-        def retract(u, c, x, c_child, x_token):
-            nlog_u = nlogr[u]
-            if c_child is not None:
-                for w in c_child[1]:
-                    sv[w] -= nlog_u[w]
-            if x_token:
-                for w in x_token:
-                    sv[w] -= nlog_u[w]
-            c[0] &= ~(1 << u)
-            return c, x | 1 << u
-
-        def decode(r):
-            return frozenset(map(label_of, r))
-
-        return SearchOps(
-            open_node=open_node,
-            lb_refresh=lb_refresh,
-            color_reaches=color_reaches,
-            expand=expand,
-            retract=retract,
-            decode=decode,
-        )
 
 
 register_backend("kernel", KernelStateOps)

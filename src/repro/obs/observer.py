@@ -37,7 +37,7 @@ loop (feeds the progress estimator and flight heartbeats — see
 ``on_finish(stats)`` which folds the flat
 :class:`~repro.core.stats.SearchStats` counters into the registry.
 ``on_root`` lives in the run lifecycle, not the recursion template,
-so REP009's guarantee is untouched: hooks-off compiled variants carry
+so REP013's hook policy is untouched: hooks-off compiled variants carry
 no progress or flight branches (REP008 covers the lifecycle site).
 
 Levels: ``"light"`` is lifecycle-only — flat counters, gauges, phase
@@ -76,9 +76,9 @@ MILESTONE_EVERY = 256
 
 #: Observation levels whose observers take the per-node recursion
 #: hooks (``on_node``/``on_emit``/``on_expand``/``on_prune``).  Binding
-#: such an observer compiles the ``generic+hooks`` recursion variant;
-#: every other level is lifecycle-only and leaves the run on the
-#: production variant.
+#: such an observer compiles the hooked variant of the backend's shape
+#: (``generic+hooks`` or ``bitset+hooks``); every other level is
+#: lifecycle-only and leaves the run on the production variant.
 RECURSION_HOOK_LEVELS = ("metrics", "full")
 
 

@@ -364,12 +364,18 @@ class IdSanitizer:
         self._inner.on_emit([labels[i] for i in r], value, log_domain)
 
     def on_cover(self, depth: int, r, unexpanded, periphery) -> None:
+        # The bitset recursion hands ``Q`` over as a bitset of ids.
         labels = self._labels
+        cover = set()
+        while periphery:
+            low = periphery & -periphery
+            periphery ^= low
+            cover.add(labels[low.bit_length() - 1])
         self._inner.on_cover(
             depth,
             [labels[i] for i in r],
             [labels[i] for i in unexpanded],
-            {labels[i] for i in periphery},
+            cover,
         )
 
 

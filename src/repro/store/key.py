@@ -141,8 +141,8 @@ def variant_class(config) -> str:
     actually run: any sanitizer, or an observer at one of the
     :data:`~repro.obs.observer.RECURSION_HOOK_LEVELS`.  A lifecycle-only
     ``obs="light"`` run executes the lean variant and is keyed with
-    it.  Hooked and lean variants are counter-identical (REP009/REP013
-    prove it) but belong to different timing families.
+    it.  Hooked and lean variants are counter-identical (REP013
+    proves it) but belong to different timing families.
     """
     from repro.obs.observer import RECURSION_HOOK_LEVELS
     from repro.obs.observer import resolve_level as obs_level

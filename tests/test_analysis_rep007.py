@@ -82,11 +82,12 @@ def test_rep007_fires_when_the_cover_hook_is_dropped():
 
 
 def test_rep007_fires_when_every_node_hook_is_dropped():
-    # The recursion has two on_node sites (the entry and the inlined
-    # no-candidate leaf); coverage is only lost when both go.
+    # The recursion has three on_node sites (the entry, the inlined
+    # no-candidate leaf and the singleton-candidate shortcut);
+    # coverage is only lost when all of them go.
     text = ENGINE_DRIVER.read_text()
     mutant = _neutralize(text, "san.on_node(depth)")
-    mutant = _neutralize(mutant, "san.on_node(depth1)")
+    mutant = _neutralize(mutant, "san.on_node(depth1)", count=2)
     found = _rep007_findings(mutant)
     assert len(found) == 1
     assert "hook:on_node" in found[0].message

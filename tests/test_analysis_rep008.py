@@ -67,8 +67,10 @@ def test_rep008_silent_on_the_committed_engine():
 # recursion hook deletions fire
 # ----------------------------------------------------------------------
 def test_rep008_fires_when_the_expand_hook_is_dropped():
+    # Two sites: the general expansion and the singleton-candidate
+    # shortcut.
     mutant = _neutralize(
-        ENGINE_DRIVER.read_text(), "obs.on_expand(depth)"
+        ENGINE_DRIVER.read_text(), "obs.on_expand(depth)", count=2
     )
     found = _rep008_findings(mutant)
     assert len(found) == 1
@@ -78,7 +80,7 @@ def test_rep008_fires_when_the_expand_hook_is_dropped():
 
 
 def test_rep008_fires_when_the_mpivot_prune_hook_is_dropped():
-    # The kpivot prune has two sites but mpivot has one; the detail
+    # The kpivot prune has four sites but mpivot has one; the detail
     # suffix keeps the kinds separate, so losing the single mpivot
     # site cannot hide behind a surviving kpivot hook.
     mutant = _neutralize(
@@ -91,8 +93,9 @@ def test_rep008_fires_when_the_mpivot_prune_hook_is_dropped():
 
 
 def test_rep008_fires_when_the_size_prune_hook_is_dropped():
+    # Two sites: the general path and the singleton-candidate shortcut.
     mutant = _neutralize(
-        ENGINE_DRIVER.read_text(), 'obs.on_prune("size", depth)'
+        ENGINE_DRIVER.read_text(), 'obs.on_prune("size", depth)', count=2
     )
     found = _rep008_findings(mutant)
     assert len(found) == 1
@@ -100,10 +103,12 @@ def test_rep008_fires_when_the_size_prune_hook_is_dropped():
 
 
 def test_rep008_fires_when_both_kpivot_prune_sites_are_dropped():
+    # Both general-path sites (the depth-1 entry check and the loop
+    # stop) plus the two of the singleton-candidate shortcut.
     mutant = _neutralize(
         ENGINE_DRIVER.read_text(),
         'obs.on_prune("kpivot", depth)',
-        count=2,
+        count=4,
     )
     found = _rep008_findings(mutant)
     assert len(found) == 1

@@ -38,8 +38,8 @@ def test_registry_has_the_full_catalog():
     assert ids == sorted(ids)
     assert set(ids) == {
         "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-        "REP007", "REP008", "REP009", "REP010", "REP011", "REP012",
-        "REP013", "REP014", "REP015",
+        "REP007", "REP008", "REP010", "REP011", "REP012", "REP013",
+        "REP014", "REP015",
     }
 
 

@@ -19,6 +19,7 @@ from repro.analysis.registry import get_rule
 from repro.analysis.rules.conformance import find_engine_anchors
 from repro.analysis.runner import analyze, collect_files, parse_files, run_rules
 from repro.analysis.source import SourceFile
+from repro.engine.protocol import PROTOCOL_METHODS
 
 REPO = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO / "src" / "repro"
@@ -90,6 +91,30 @@ def test_rep005_fires_on_an_incomplete_stateops_subclass():
     assert "HalfOps" in found[0].message
     assert "prepare_reduction" in found[0].message
     assert "log_domain" in found[0].message
+
+
+@pytest.mark.parametrize(
+    "hot_paths,verdict",
+    (
+        (("search_ops", "fast_ops"), "defines both hot paths"),
+        ((), "defines no hot path"),
+    ),
+)
+def test_rep005_requires_exactly_one_hot_path(hot_paths, verdict):
+    body = "".join(
+        f"    def {name}(self):\n        return None\n"
+        for name in PROTOCOL_METHODS + hot_paths
+    )
+    text = (
+        "from repro.engine.protocol import StateOps\n"
+        "class TwoPathOps(StateOps):\n"
+        "    name = 'two'\n"
+        "    log_domain = False\n"
+        "    unit = 1\n" + body
+    )
+    found = _rep005_findings("src/repro/core/two.py", text)
+    assert len(found) == 1
+    assert verdict in found[0].message
 
 
 def test_rep005_fires_on_a_recursion_copy_outside_the_engine():

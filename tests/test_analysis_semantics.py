@@ -27,6 +27,7 @@ from repro.analysis.semantics import (
     proven_keys,
 )
 from repro.analysis.source import SourceFile
+from repro.engine.driver import legal_variant_keys
 
 REPO = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO / "src" / "repro"
@@ -83,7 +84,7 @@ def test_guards_equivalent_truth_table():
 # ----------------------------------------------------------------------
 # the specializer's fold records
 # ----------------------------------------------------------------------
-def test_fold_record_exposes_decisions_and_compiles():
+def test_fold_record_exposes_env_and_compiles():
     from repro.engine import driver
 
     key = next(
@@ -93,23 +94,30 @@ def test_fold_record_exposes_decisions_and_compiles():
     record = driver.fold_record(key)
     assert record.key == key
     assert record.env == driver._flag_env(key)
-    assert record.decisions
-    assert {d[2] for d in record.decisions} <= {True, False, "residual"}
     compile(record.module, "<fold probe>", "exec")
-    # Untouched boolean tests must not be recorded as residual folds.
-    for _line, test_text, outcome in record.decisions:
-        if outcome == "residual":
-            assert any(flag in test_text for flag in driver._SPEC_FLAGS)
 
 
-def test_fold_record_records_residual_mixed_guards():
+def test_legal_variant_keys_fold_only_layout_and_hooks():
     from repro.engine import driver
 
-    key = next(
-        k for k in driver.legal_variant_keys() if k[3] == "basic"
-    )
-    record = driver.fold_record(key)
-    assert any(d[2] == "residual" for d in record.decisions)
+    assert driver._SPEC_FLAGS == ("HOOKS", "BITSET", "WIDESCAN")
+    assert [driver.variant_id(k) for k in driver.legal_variant_keys()] == [
+        "generic",
+        "generic+hooks",
+        "bitset",
+        "bitset+wide",
+        "bitset+hooks",
+        "bitset+hooks+wide",
+    ]
+
+
+@pytest.mark.parametrize("key", legal_variant_keys())
+def test_every_legal_key_compiles_to_a_callable_factory(key):
+    from repro.engine import driver
+
+    factory = driver.compiled_variant(key)
+    assert callable(factory)
+    assert driver.variant_id(key).startswith(key[0])
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +144,103 @@ def test_rep013_is_silent_off_anchor():
         src = SourceFile.read(str(SRC_REPRO / rel))
         kept, _ = run_rules([src], [get_rule("REP013")])
         assert kept == [], rel
+
+
+# ----------------------------------------------------------------------
+# REP013 hook coverage and fold failures on the engine driver
+# ----------------------------------------------------------------------
+ENGINE_DRIVER = SRC_REPRO / "engine" / "driver.py"
+
+
+def driver_rep013_findings(text=None):
+    src = (
+        SourceFile(str(ENGINE_DRIVER), text)
+        if text is not None
+        else SourceFile.read(str(ENGINE_DRIVER))
+    )
+    kept, _ = run_rules([src], [get_rule("REP013")])
+    return kept
+
+
+def test_rep013_flags_a_hook_site_no_hooked_variant_keeps():
+    # The on_expand site only survives under BITSET off and WIDESCAN
+    # on, which no legal key has: the hook kind is missing from every
+    # hooked variant although the template still spells it out.
+    kept = findings_for(
+        """
+        def _search_template(ops, san=None, obs=None):
+            def search(r, depth):
+                if HOOKS:
+                    if obs is not None:
+                        obs.on_node(depth, r)
+                if not BITSET:
+                    if WIDESCAN:
+                        if HOOKS:
+                            if obs is not None:
+                                obs.on_expand(depth)
+                return None
+
+            return search
+        """,
+        "REP013",
+    )
+    assert len(kept) == 1, [f.format_text() for f in kept]
+    assert "`obs:hook:on_expand`" in kept[0].message
+    assert "survives in no hooked variant" in kept[0].message
+    assert kept[0].line == 11
+
+
+def test_rep013_fires_when_production_variants_keep_hooks(monkeypatch):
+    # Simulate a broken fold: every key folds the hooked body.
+    from repro.engine import driver
+
+    real_fold = driver.fold_record
+
+    def hooked_fold(key, template=None):
+        shape, _hooks, wide = key
+        module = real_fold((shape, True, wide), template=template).module
+        return driver.FoldRecord(key, driver._flag_env(key), module)
+
+    monkeypatch.setattr(driver, "fold_record", hooked_fold)
+    kept = driver_rep013_findings()
+    assert any("hookless variant" in f.message for f in kept)
+
+
+def test_rep013_reports_a_key_whose_fold_raises(monkeypatch):
+    from repro.engine import driver
+
+    def broken_fold(key, template=None):
+        raise KeyError("NEW_FLAG")
+
+    monkeypatch.setattr(driver, "fold_record", broken_fold)
+    kept = driver_rep013_findings()
+    assert kept
+    assert all("no longer folds and compiles" in f.message for f in kept)
+    assert "NEW_FLAG" in kept[0].message
+    src = SourceFile.read(str(ENGINE_DRIVER))
+    assert all(proven_keys(src.tree, src.lines).values())
+
+
+def test_mixed_flag_guard_is_reported_on_every_key():
+    # The specializer folds bare flags only; a guard mixing a flag with
+    # a runtime test stays in every variant, where the validator's own
+    # folder disagrees with it.
+    text = ENGINE_DRIVER.read_text()
+    original = (
+        "        if BITSET:\n"
+        "            if depth == 1:\n"
+        "                r_bits = bit_at[r[0]]\n"
+    )
+    assert text.count(original) == 1
+    mutant = text.replace(
+        original,
+        "        if BITSET and depth == 1:\n"
+        "            r_bits = bit_at[r[0]]\n",
+    )
+    src = SourceFile(str(ENGINE_DRIVER), mutant)
+    counts = proven_keys(src.tree, src.lines)
+    assert all(counts.values()), counts
+    assert driver_rep013_findings(mutant)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +356,26 @@ def test_frontier_escape_catches_all_three_legs():
         "frontier state leaves root_state here"
     )
     assert all(f.fingerprint for f in kept)
+
+
+def test_rep014_frontier_check_sees_fast_ops_backends():
+    # A backend is recognized by root_state plus either hot path; the
+    # kernel defines fast_ops only.
+    kept = findings_for(
+        """
+        class BitsetOps:
+            def root_state(self, v):
+                seed = lambda w: (w, v)
+                return (seed, 0)
+
+            def fast_ops(self):
+                return self
+        """,
+        "REP014",
+    )
+    assert len(kept) == 1, [f.format_text() for f in kept]
+    assert "root_state" in kept[0].message
+    assert "lambda" in kept[0].message
 
 
 def test_rep014_is_silent_on_shipped_parallel_paths():

@@ -335,13 +335,11 @@ def test_variant_matrix_agrees_with_oracle(
         )
         assert enumerator.backend_used == backend
         assert as_sorted_sets(result.cliques) == oracle
-        if hooks_on:
-            # Hooks force the generic shape on either backend.
-            assert enumerator.variant_used == "generic+hooks"
-        else:
-            assert enumerator.variant_used == (
-                "bitset" if backend == "kernel" else "generic"
-            )
+        # Each backend keeps its one shape; hooks only add the sites.
+        assert enumerator.variant_used == (
+            ("bitset" if backend == "kernel" else "generic")
+            + ("+hooks" if hooks_on else "")
+        )
         cells[backend] = (result, obs_events, san_events)
     d_result, d_obs, d_san = cells["dict"]
     k_result, k_obs, k_san = cells["kernel"]
@@ -383,6 +381,31 @@ def test_wide_scan_variant_on_large_search_graphs():
         )
         assert result.stats.__dict__ == reference.stats.__dict__
     assert reference.stats.outputs == n
+
+
+def test_backends_define_exactly_one_hot_path():
+    """The kernel has no second, hooks-only state algebra."""
+    from repro.core.pmuc import DictStateOps
+    from repro.engine.protocol import StateOps, validate_state_ops
+    from repro.kernel.enumerate import KernelStateOps
+
+    graph, k, eta, axes = _random_case(2)
+    config = PivotConfig(**axes)
+    assert not hasattr(KernelStateOps, "search_ops")
+    assert not hasattr(DictStateOps, "fast_ops")
+    validate_state_ops(KernelStateOps(graph, k, eta, config))
+    validate_state_ops(DictStateOps(graph, k, eta, config))
+
+    class BothPaths(KernelStateOps):
+        def search_ops(self):
+            raise AssertionError("never called")
+
+    with pytest.raises(TypeError, match="exactly one hot path"):
+        validate_state_ops(BothPaths(graph, k, eta, config))
+    bare = StateOps()
+    bare.graph = graph
+    with pytest.raises(TypeError, match="neither"):
+        validate_state_ops(bare)
 
 
 def test_recursion_limit_restored_when_build_search_raises(monkeypatch):

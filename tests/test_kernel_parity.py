@@ -12,6 +12,7 @@ out of scope for the kernel and must fall back to the dict path
 silently.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -19,8 +20,14 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PMUC_PLUS_CONFIG, PivotConfig, PivotEnumerator
+from repro.core.config import (
+    KPIVOT_CHOICES,
+    MPIVOT_CHOICES,
+    PIVOT_CHOICES,
+)
 from repro.kernel.enumerate import supports
 from repro.uncertain import UncertainGraph
+from tests.conftest import brute_force_maximal_k_eta_cliques
 
 CONFIGS = (
     PMUC_PLUS_CONFIG,
@@ -151,6 +158,102 @@ def test_float_boundary_exactness():
         for config in CONFIGS:
             dict_result, kernel_result = assert_parity(g, 2, eta, config)
             assert set(kernel_result.cliques) == expected
+
+
+#: Edge probabilities whose products are exact floats on the fuzzer's
+#: graphs: with at most 8 vertices a clique has at most 28 edges, and
+#: ``3**28 < 2**53``, so every product the dict backend forms is exact.
+BOUNDARY_PROBABILITIES = (0.5, 0.75, 1.0)
+
+
+@st.composite
+def boundary_cases(draw):
+    """A graph with one planted clique and an η at (or one ulp beside)
+    its probability, so threshold tests land inside ``REL_GUARD``."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    planted = order[: draw(st.integers(2, n))]
+    prob = st.sampled_from(BOUNDARY_PROBABILITIES)
+    g = UncertainGraph()
+    for v in range(n):
+        g.add_vertex(v)
+    base = Fraction(1)
+    for i, u in enumerate(planted):
+        for v in planted[i + 1:]:
+            p = draw(prob)
+            g.add_edge(u, v, p)
+            base *= Fraction(p)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v) and draw(st.booleans()):
+                g.add_edge(u, v, draw(prob))
+    eta = float(base)
+    step = draw(st.sampled_from((-1, 0, 1)))
+    if step and eta < 1.0:
+        eta = math.nextafter(eta, 2.0 * step)
+    config = PivotConfig(
+        kpivot=draw(st.sampled_from(KPIVOT_CHOICES)),
+        mpivot=draw(st.sampled_from(MPIVOT_CHOICES)),
+        pivot=draw(st.sampled_from(PIVOT_CHOICES)),
+    )
+    return g, draw(st.integers(1, len(planted))), eta, config
+
+
+def test_rel_guard_boundary_fuzz(monkeypatch):
+    """Kernel (hooked and not) == dict == the exact ``Fraction`` oracle
+    when clique products sit on the η threshold, and the in-band exact
+    replays actually ran."""
+    from repro.kernel.enumerate import KernelStateOps
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    replays = {}
+
+    def counting(name):
+        real = getattr(KernelStateOps, name)
+
+        def counted(self, w, r):
+            replays[name] = replays.get(name, 0) + 1
+            return real(self, w, r)
+
+        return counted
+
+    for name in ("_exact_accept", "_exact_x_member"):
+        monkeypatch.setattr(KernelStateOps, name, counting(name))
+
+    @given(boundary_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(case):
+        g, k, eta, config = case
+        exact = UncertainGraph()
+        for v in g.vertices():
+            exact.add_vertex(v)
+        for u, v, p in g.edges():
+            exact.add_edge(u, v, Fraction(p))
+        oracle = {
+            frozenset(c)
+            for c in brute_force_maximal_k_eta_cliques(
+                exact, k, Fraction(eta)
+            )
+        }
+        runs = []
+        for backend, sanitize, variant in (
+            ("dict", "off", "generic"),
+            ("kernel", "off", "bitset"),
+            ("kernel", "full", "bitset+hooks"),
+        ):
+            enumerator = PivotEnumerator(
+                g, k=k, eta=eta,
+                config=replace(config, backend=backend, sanitize=sanitize),
+            )
+            result = enumerator.run()
+            assert enumerator.variant_used == variant
+            assert set(result.cliques) == oracle
+            runs.append(result.stats.__dict__)
+        assert runs[0] == runs[1] == runs[2]
+
+    check()
+    assert set(replays) == {"_exact_accept", "_exact_x_member"}, replays
 
 
 def test_observer_metrics_match_across_backends():
