@@ -234,6 +234,7 @@ def enumerate_parallel(
                 "k": k,
                 "eta": repr(eta),
                 "parts": parts,
+                "phases": merged.phases,
                 "shards": merged.shards,
                 "fleet": {
                     name: value

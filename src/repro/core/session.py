@@ -28,7 +28,6 @@ becomes the service layer's reuse surface:
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional
 
 from dataclasses import replace
@@ -89,6 +88,9 @@ class CliqueQuerySession:
         self._config = replace(config, reduction="off")
         self._store = store
         self._fingerprint = dataset_fingerprint
+        #: The first query's RunKey; only ``k`` and the env-dependent
+        #: ``variant`` change after it.
+        self._slice_key = None
         #: Store interaction counts for this session (queries answered
         #: from the store / enumerated live; reduction cache reuse).
         self.query_hits = 0
@@ -152,15 +154,17 @@ class CliqueQuerySession:
         ``"peel"`` runs but effort counters are procedure-specific —
         the key keeps the two replay surfaces separate.
         """
-        from repro.store.key import graph_fingerprint, run_key_for
+        from repro.store.key import run_key_for, variant_class
 
-        if self._fingerprint is None:
-            self._fingerprint = graph_fingerprint(self._graph)
-        return run_key_for(
-            self._graph, k, self._eta, self._config,
-            procedure="slice",
-            dataset_fingerprint=self._fingerprint,
-            reduction="triangle",
+        if self._slice_key is None:
+            self._slice_key = run_key_for(
+                self._graph, k, self._eta, self._config,
+                procedure="slice",
+                dataset_fingerprint=self._fingerprint,
+                reduction="triangle",
+            )
+        return replace(
+            self._slice_key, k=k, variant=variant_class(self._config)
         )
 
     def query(
@@ -180,30 +184,28 @@ class CliqueQuerySession:
             return PivotEnumerator(
                 reduced, k, self._eta, self._config, on_clique
             ).run()
+        return self.lookup(k)[2]
+
+    def lookup(self, k: int) -> tuple:
+        """``query(k)`` through the store: ``(key, record, result, hit)``.
+
+        ``record`` is the stored one on a hit and the one just written
+        on a miss, so callers never read the entry back.
+        """
         key = self.query_key(k)
         stored = self._store.get_run(key)
         if stored is not None and stored.cliques is not None:
             self.query_hits += 1
-            return stored.result()
+            return key, stored.record, stored.result(), True
         self.query_misses += 1
-        from repro.store.records import stamped_record
+        from repro.store.records import run_stamped
 
-        reduced = self.reduced_graph(k)
-        enumerator = PivotEnumerator(reduced, k, self._eta, self._config)
-        start = time.perf_counter()
-        result = enumerator.run()
-        seconds = time.perf_counter() - start
-        record = stamped_record(
-            "session",
-            seconds,
-            len(result.cliques),
-            result.stats.as_dict(),
-            extra={"k": k, "eta": repr(self._eta)},
-            backend=enumerator.backend_used,
-            variant=enumerator.variant_used,
+        enumerator = PivotEnumerator(
+            self.reduced_graph(k), k, self._eta, self._config
         )
+        result, record = run_stamped("session", enumerator, k, self._eta)
         self._store.put_run(key, record, cliques=result.cliques)
-        return result
+        return key, record, result, False
 
     def size_profile(self, k_values) -> Dict[int, int]:
         """Number of maximal cliques per ``k`` (a Fig.-3-style sweep)."""

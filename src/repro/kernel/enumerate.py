@@ -38,6 +38,7 @@ caller falls back to the dict backend.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import log
 from types import SimpleNamespace
 from typing import Callable, List, Optional, Sequence
@@ -66,8 +67,11 @@ def supports(graph: UncertainGraph, eta) -> bool:
     """True when ``graph``/``eta`` can run on the kernel backend."""
     if not isinstance(eta, (float, int)):
         return False
+    # Adjacency maps, not edges(), which normalizes and dedups each edge.
+    numeric = repeat((float, int))
     return all(
-        isinstance(p, (float, int)) for _u, _v, p in graph.edges()
+        all(map(isinstance, graph.neighbors(v).values(), numeric))
+        for v in graph
     )
 
 
@@ -125,8 +129,6 @@ class KernelStateOps(StateOps):
         self._color: List[int] = []
         self._colnum: List[int] = []
         self._lb: List[int] = []
-        #: Cached :meth:`fast_ops` namespace (rebuilt per prepare).
-        self._fast: Optional[SimpleNamespace] = None
 
     # -- prelude: reduction, ordering, coloring — all on int ids -------
     def _reduce_ids(self, cg: CompactGraph) -> CompactGraph:
@@ -204,7 +206,6 @@ class KernelStateOps(StateOps):
             self._nlogr = self._cg.nlog
         self._hi_base = self._nl_eta + self._guard
         self._guard2 = self._guard + self._guard
-        self._fast = None
 
     def search_size(self) -> int:
         return self._cg.n
@@ -333,11 +334,10 @@ class KernelStateOps(StateOps):
         array, bitset adjacency, dense ``-log`` rows, the fused pivot
         keys, per-color bit masks for the Lemma-6 popcount bound,
         per-vertex bit singletons, the guard-band constants, and the
-        exact-replay deciders.  Cached until the next ``prepare_*``
-        (which rebuilds the underlying arrays).
+        exact-replay deciders.  Never cached on ``self``: its bound
+        methods would close a cycle that keeps a finished run's graph
+        and O(n²) ``-log p`` rows alive until a full collection.
         """
-        if self._fast is not None:
-            return self._fast
         deg = self._deg
         colnum = self._colnum
         pivot_name = self._config.pivot
@@ -358,7 +358,7 @@ class KernelStateOps(StateOps):
         # many 30-bit words, so ask the engine for the wide-scan
         # GenerateSet variant (set-bit extraction) instead of the
         # parent-list walk that wins on narrow graphs.
-        self._fast = SimpleNamespace(
+        return SimpleNamespace(
             wide_scan=self._cg.n > 512,
             sv=self._sv,
             nbr_bits=self._cg.nbr_bits,
@@ -379,7 +379,6 @@ class KernelStateOps(StateOps):
             # over the label table.
             label_of=self._cg.labels.__getitem__,
         )
-        return self._fast
 
 
 register_backend("kernel", KernelStateOps)

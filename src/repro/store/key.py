@@ -52,7 +52,7 @@ from repro.uncertain.graph import UncertainGraph, normalize_edge
 #: that must orphan existing entries (the hashed engine sources cover
 #: engine changes automatically; this is the escape hatch for store
 #: changes).
-STORE_VERSION = "2026.08-store-1"
+STORE_VERSION = "2026.10-store-2"
 
 _engine_salt_memo: Optional[str] = None
 

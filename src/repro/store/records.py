@@ -9,6 +9,8 @@ at full precision.  That logic now lives exactly once:
 * :func:`stamped_record` — build a :class:`RunRecord` with the
   backend/variant stamps and the :func:`repro.obs.runtime.run_env`
   fingerprint merged into ``extra``;
+* :func:`run_stamped` — run an enumerator and stamp its record, phase
+  seconds included (the service's and the sessions' store misses);
 * :func:`document_stamp` — the document-level ``env`` block for
   benchmark artifacts (speedup documents, trajectory meta), so every
   artifact ``repro.obs diff`` reads says where it ran.
@@ -16,6 +18,7 @@ at full precision.  That logic now lives exactly once:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -72,6 +75,22 @@ def stamped_record(
     merged.update(run_env())
     return RunRecord(
         label, seconds, num_cliques, dict(stats or {}), merged
+    )
+
+
+def run_stamped(label: str, enumerator, k: int, eta) -> tuple:
+    """Run ``enumerator``: ``(result, record)``, phases in ``extra``."""
+    start = time.perf_counter()
+    result = enumerator.run()
+    seconds = time.perf_counter() - start
+    return result, stamped_record(
+        label,
+        seconds,
+        len(result.cliques),
+        result.stats.as_dict(),
+        extra={"k": k, "eta": repr(eta), "phases": result.phases},
+        backend=enumerator.backend_used,
+        variant=enumerator.variant_used,
     )
 
 

@@ -23,7 +23,6 @@ a reduction run consecutively (responses return in input order).
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -37,7 +36,7 @@ from repro.store.key import (
     graph_fingerprint,
     run_key_for,
 )
-from repro.store.records import RunRecord, stamped_record
+from repro.store.records import RunRecord, run_stamped
 from repro.store.store import RunStore
 
 
@@ -56,12 +55,6 @@ class ServiceOutcome:
         return self.result.stats.as_dict()
 
 
-@dataclass
-class _SessionEntry:
-    session: CliqueQuerySession
-    fingerprint: str
-
-
 class EnumerationService:
     """Store-backed enumeration with reduction sharing."""
 
@@ -72,7 +65,7 @@ class EnumerationService:
     ):
         self.store = store
         self.config = config
-        self._sessions: Dict[tuple, _SessionEntry] = {}
+        self._sessions: Dict[tuple, CliqueQuerySession] = {}
 
     # ------------------------------------------------------------------
     def enumerate(
@@ -100,18 +93,8 @@ class EnumerationService:
                 record=stored.record,
                 result=stored.result(),
             )
-        enumerator = PivotEnumerator(graph, k, eta, config)
-        start = time.perf_counter()
-        result = enumerator.run()
-        seconds = time.perf_counter() - start
-        record = stamped_record(
-            label,
-            seconds,
-            len(result.cliques),
-            result.stats.as_dict(),
-            extra={"k": k, "eta": repr(eta)},
-            backend=enumerator.backend_used,
-            variant=enumerator.variant_used,
+        result, record = run_stamped(
+            label, PivotEnumerator(graph, k, eta, config), k, eta
         )
         digest = self.store.put_run(key, record, cliques=result.cliques)
         return ServiceOutcome(
@@ -138,18 +121,12 @@ class EnumerationService:
             else graph_fingerprint(graph)
         )
         memo = (fingerprint, canonical_eta(eta), config)
-        entry = self._sessions.get(memo)
-        if entry is None:
-            entry = _SessionEntry(
-                session=CliqueQuerySession(
-                    graph, eta, config,
-                    store=self.store,
-                    dataset_fingerprint=fingerprint,
-                ),
-                fingerprint=fingerprint,
+        if memo not in self._sessions:
+            self._sessions[memo] = CliqueQuerySession(
+                graph, eta, config,
+                store=self.store, dataset_fingerprint=fingerprint,
             )
-            self._sessions[memo] = entry
-        return entry.session
+        return self._sessions[memo]
 
     def query(
         self,
@@ -163,18 +140,7 @@ class EnumerationService:
         session = self.session(
             graph, eta, config, dataset_fingerprint=dataset_fingerprint
         )
-        key = session.query_key(k)
-        hits_before = session.query_hits
-        result = session.query(k)
-        hit = session.query_hits > hits_before
-        stored = self.store.get_run(key, with_cliques=False)
-        record = (
-            stored.record
-            if stored is not None
-            else stamped_record(
-                "session", 0.0, len(result.cliques), result.stats.as_dict()
-            )
-        )
+        key, record, result, hit = session.lookup(k)
         return ServiceOutcome(
             key=key,
             digest=key.digest(),

@@ -4,16 +4,22 @@ Layout (two-level fan-out keeps directory listings short, like the
 analysis cache)::
 
     <root>/runs/<digest[:2]>/<digest>/
-        MANIFEST.json       # {"format": 1, "files": {name: sha256}}
+        MANIFEST.json       # {"format": 2, "files": {name: sha256}}
         key.json            # the RunKey fields
-        record.json         # the RunRecord (label/seconds/stats/extra)
-        cliques.jsonl       # one sorted JSON array per clique
+        record.json         # the RunRecord (label/seconds/stats/extra,
+                            # extra["phases"]: the run's phase seconds)
+        cliques.jsonl       # vertex table, then one id row per clique
         violation.json      # only for sanitized runs that failed
         artifacts/<name>    # registered files (flight logs, traces)
     <root>/reductions/<digest[:2]>/<digest>/
         MANIFEST.json
-        core.jsonl          # per-vertex (Top_k, η)-core shells
-        triangle.jsonl      # per-edge (Top_k, η)-triangle shells
+        core.jsonl          # vertex table, then its shells in table order
+        triangle.jsonl      # vertex table, then one [i, j, shell] per edge
+
+Each ``.jsonl`` line 1 is the vertex table in ``repr`` order; later
+rows name vertices by table id.  Ids follow ``repr`` rank, so clique
+rows in (size, ids) order keep the canonical order of
+``EnumerationResult.as_sorted_sets``: equal clique sets, equal bytes.
 
 **Crash safety** — every entry is staged in a temporary directory and
 published with one atomic ``os.rename``; a crashed writer leaves only
@@ -24,9 +30,10 @@ entries are content-addressed (same key ⇒ byte-identical payload).
 **Corruption degrades to a miss** — every read re-hashes each file
 against the manifest; a flipped byte, a truncated tail (the flight
 recorder's tolerance pattern applied to storage: damaged tails must
-never poison a replay) or a missing file makes ``get`` return None.
-A run store must never fail an enumeration — it can only fail to
-shortcut one.
+never poison a replay), a missing file, content that does not decode
+(an out-of-range table id included) or an entry of another store
+format makes ``get`` return None.  A run store must never fail an
+enumeration — it can only fail to shortcut one.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from repro.store.records import RunRecord
 #: Default store location, relative to the working directory.
 DEFAULT_STORE_DIR = ".repro-store"
 
-_STORE_FORMAT = 1
+_STORE_FORMAT = 2
 
 _MANIFEST = "MANIFEST.json"
 
@@ -54,23 +61,45 @@ def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _clique_lines(cliques) -> List[str]:
-    """Canonical JSONL body for a clique set.
+def _vertex_table(vertices) -> Tuple[list, Dict[object, int]]:
+    """The ``repr``-ordered vertex table and each vertex's id in it."""
+    table = sorted(vertices, key=repr)
+    return table, {vertex: i for i, vertex in enumerate(table)}
 
-    Cliques sort by (size, member reprs) — the same canonical order as
-    ``EnumerationResult.as_sorted_sets`` — and members sort by repr
-    inside each line, so identical clique sets serialize to identical
-    bytes regardless of enumeration order.
-    """
-    rows = []
-    for clique in cliques:
-        members = sorted(clique, key=repr)
-        rows.append((len(members), [repr(m) for m in members], members))
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return [
-        json.dumps(members, default=str, sort_keys=True)
-        for _size, _reprs, members in rows
-    ]
+
+def _table_lines(table: list, rows: List[List[int]]) -> bytes:
+    """The table line, then one line per row.  Rows are flat int lists,
+    so ``"], ["`` only ever separates two of them: one ``json.dumps``
+    plus a replace costs half of one ``json.dumps`` per row."""
+    body = json.dumps(rows)[1:-1].replace("], [", "]\n[")
+    head = json.dumps(table, default=str, sort_keys=True)
+    return (head + "\n" + (body + "\n" if body else "")).encode()
+
+
+def _parse_table_lines(blob: bytes) -> Tuple[list, list]:
+    """Inverse of :func:`_table_lines`; raises ValueError on damage.
+    Rows hold no negative number, and a negative id would index the
+    table from its end: any ``-`` in them is damage."""
+    head, _, body = blob.decode().partition("\n")
+    if "-" in body:
+        raise ValueError("negative number in table rows")
+    table = [_freeze(vertex) for vertex in json.loads(head)]
+    rows = json.loads("[" + body.rstrip("\n").replace("\n", ",") + "]")
+    return table, rows
+
+
+def _encode_cliques(cliques) -> bytes:
+    table, index = _vertex_table(set().union(*cliques))
+    rows = [sorted(map(index.__getitem__, clique)) for clique in cliques]
+    # Two stable sorts: ids, then size — the (size, ids) order.
+    rows.sort()
+    rows.sort(key=len)
+    return _table_lines(table, rows)
+
+
+def _decode_cliques(blob: bytes) -> List[frozenset]:
+    table, rows = _parse_table_lines(blob)
+    return [frozenset(map(table.__getitem__, row)) for row in rows]
 
 
 def _freeze(vertex):
@@ -102,6 +131,7 @@ class StoredRun:
 
         result = EnumerationResult()
         result.cliques.extend(self.cliques or [])
+        result.phases = dict(self.record.extra.get("phases") or {})
         known = set(SearchStats().as_dict())
         result.stats = SearchStats(
             **{
@@ -227,10 +257,7 @@ class RunStore:
             ).encode(),
         }
         if cliques is not None:
-            body = "\n".join(_clique_lines(cliques))
-            files["cliques.jsonl"] = (
-                (body + "\n") if body else ""
-            ).encode()
+            files["cliques.jsonl"] = _encode_cliques(cliques)
         if violation is not None:
             files["violation.json"] = (
                 json.dumps(violation, default=str, indent=2, sort_keys=True)
@@ -239,11 +266,9 @@ class RunStore:
         self._publish("runs", digest, files)
         return digest
 
-    def get_run(
-        self, key: RunKey, with_cliques: bool = True
-    ) -> Optional[StoredRun]:
+    def get_run(self, key: RunKey) -> Optional[StoredRun]:
         """The stored run for ``key``, or None (miss/corrupt)."""
-        stored = self._load_run(key.digest(), with_cliques=with_cliques)
+        stored = self._load_run(key.digest(), with_cliques=True)
         if stored is None:
             self.misses += 1
             return None
@@ -287,20 +312,14 @@ class RunStore:
                 stats=dict(raw.get("stats", {})),
                 extra=dict(raw.get("extra", {})),
             )
-        except (ValueError, KeyError, TypeError):
+            cliques = None
+            if with_cliques and "cliques.jsonl" in files:
+                cliques = _decode_cliques(files["cliques.jsonl"])
+            violation = None
+            if "violation.json" in files:
+                violation = json.loads(files["violation.json"])
+        except (ValueError, KeyError, TypeError, IndexError):
             return None
-        cliques = None
-        if with_cliques and "cliques.jsonl" in files:
-            cliques = []
-            for line in files["cliques.jsonl"].decode().splitlines():
-                if not line.strip():
-                    continue
-                cliques.append(
-                    frozenset(_freeze(v) for v in json.loads(line))
-                )
-        violation = None
-        if "violation.json" in files:
-            violation = json.loads(files["violation.json"])
         artifacts = {
             name[len("artifacts/"):]: os.path.join(
                 self.run_dir(digest), name
@@ -383,24 +402,19 @@ class RunStore:
     ) -> str:
         """Persist one (core, triangle) decomposition pair."""
         digest = key.digest()
-        core_rows = sorted(
-            (json.dumps([v, shell], default=str)
-             for v, shell in core_shell.items()),
-        )
+        core_table, _ = _vertex_table(core_shell)
+        core_rows = [[core_shell[v] for v in core_table]]
+        table, index = _vertex_table(set().union(*triangle_shell))
         triangle_rows = sorted(
-            (json.dumps([e[0], e[1], shell], default=str)
-             for e, shell in triangle_shell.items()),
+            [index[u], index[v], shell]
+            for (u, v), shell in triangle_shell.items()
         )
         files = {
             "reduction_key.json": (
                 json.dumps(key.as_dict(), indent=2, sort_keys=True) + "\n"
             ).encode(),
-            "core.jsonl": (
-                ("\n".join(core_rows) + "\n") if core_rows else ""
-            ).encode(),
-            "triangle.jsonl": (
-                ("\n".join(triangle_rows) + "\n") if triangle_rows else ""
-            ).encode(),
+            "core.jsonl": _table_lines(core_table, core_rows),
+            "triangle.jsonl": _table_lines(table, triangle_rows),
         }
         self._publish("reductions", digest, files)
         return digest
@@ -415,19 +429,15 @@ class RunStore:
             self.misses += 1
             return None
         try:
-            core_shell: Dict[object, int] = {}
-            for line in files["core.jsonl"].decode().splitlines():
-                if not line.strip():
-                    continue
-                vertex, shell = json.loads(line)
-                core_shell[_freeze(vertex)] = shell
-            triangle_shell: Dict[Tuple[object, object], int] = {}
-            for line in files["triangle.jsonl"].decode().splitlines():
-                if not line.strip():
-                    continue
-                u, v, shell = json.loads(line)
-                triangle_shell[(_freeze(u), _freeze(v))] = shell
-        except (ValueError, KeyError, TypeError):
+            core_table, (shells,) = _parse_table_lines(files["core.jsonl"])
+            if len(shells) != len(core_table):
+                raise ValueError("core shells do not match their table")
+            core_shell = dict(zip(core_table, shells))
+            table, rows = _parse_table_lines(files["triangle.jsonl"])
+            triangle_shell = {
+                (table[i], table[j]): shell for i, j, shell in rows
+            }
+        except (ValueError, KeyError, TypeError, IndexError):
             self.misses += 1
             return None
         self.hits += 1

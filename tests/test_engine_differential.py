@@ -461,3 +461,33 @@ def test_finished_run_state_is_freed_without_a_gc_pass(backend):
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_finished_kernel_ops_are_freed_without_a_gc_pass(monkeypatch):
+    """Nothing the recursion binds refers back to the kernel's state
+    algebra, so its graph and dense ``-log p`` rows go with the run."""
+    import gc
+    import weakref
+
+    from repro.kernel.enumerate import KernelStateOps
+
+    built = []
+    real = KernelStateOps.prepare_reduction
+
+    def spy(self, reduced_graph):
+        built.append(weakref.ref(self))
+        return real(self, reduced_graph)
+
+    monkeypatch.setattr(KernelStateOps, "prepare_reduction", spy)
+    graph, k, eta, axes = _random_case(3)
+    enumerator = PivotEnumerator(
+        graph, k, eta, PivotConfig(backend="kernel", **axes)
+    )
+    gc.disable()
+    try:
+        enumerator.run()
+        assert enumerator.backend_used == "kernel"
+        assert len(built) == 1
+        assert built[0]() is None
+    finally:
+        gc.enable()

@@ -1,18 +1,23 @@
 """Store round-trips: what goes in comes back, or misses cleanly.
 
-Three families:
+Four families:
 
 * **round-trip** — a stored run replays with the producing run's exact
   clique set and counters, on random graphs (hypothesis) and across
   both backends (whose runs live under *different* keys but must store
   *identical* clique bytes);
+* **the codec** — the vertex-table encoding round-trips mixed labels,
+  is canonical (one set, one byte string) and keeps the (size, member
+  reprs) order;
 * **corruption-as-miss** — any damage (flipped byte, truncated tail,
-  missing file, tampered key) makes ``get_run`` return None, never an
+  missing file, tampered key, undecodable content, an entry of the
+  previous store format) makes ``get_run`` return None, never an
   exception and never wrong data; a re-put heals the entry;
 * **reductions** — the shared decomposition cache round-trips its
   shell maps exactly, including tuple vertices.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -20,7 +25,8 @@ from fractions import Fraction
 
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import PMUC_PLUS_CONFIG
 from repro.core.pmuc import PivotEnumerator
@@ -31,7 +37,7 @@ from repro.reduction import (
 )
 from repro.store.key import reduction_key_for, run_key_for
 from repro.store.records import stamped_record
-from repro.store.store import RunStore
+from repro.store.store import RunStore, _decode_cliques, _encode_cliques
 from repro.uncertain import UncertainGraph
 from tests.conftest import EXACT_PROBABILITIES, as_sorted_sets
 
@@ -136,6 +142,39 @@ def test_violation_round_trips_without_a_clique_set(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# the codec
+# ----------------------------------------------------------------------
+vertex_labels = st.recursive(
+    st.integers(-3, 12) | st.sampled_from(["1", "2", "10", "a", ""]),
+    lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sets(st.frozensets(vertex_labels, min_size=1, max_size=5), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@example({frozenset({1, "1", (1, "1")}), frozenset({"1", (1, (2,))})}, None)
+@example(set(), None)
+def test_clique_codec_round_trips_mixed_labels_canonically(cliques, rng):
+    ordered = list(cliques)
+    blob = _encode_cliques(ordered)
+    # JSON lines: the vertex table, then one line per clique.
+    assert blob.count(b"\n") == 1 + len(cliques)
+    decoded = _decode_cliques(blob)
+    # Ids follow repr rank: rows come back in the canonical order.
+    assert decoded == sorted(
+        cliques, key=lambda c: (len(c), sorted(map(repr, c)))
+    )
+    if rng is not None:
+        rng.shuffle(ordered)
+        rebuilt = [frozenset(rng.sample(list(c), len(c))) for c in ordered]
+        assert _encode_cliques(rebuilt) == blob
+
+
+# ----------------------------------------------------------------------
 # corruption degrades to a miss (and heals on re-put)
 # ----------------------------------------------------------------------
 def corrupt(path, how):
@@ -176,26 +215,88 @@ def test_every_damage_mode_is_a_miss_and_reput_heals(tmp_path):
             ), (name, how)
 
 
+def write_entry(entry, files, store_format=None):
+    """Write ``files`` into ``entry`` with a manifest that matches them.
+
+    Files already in the manifest keep their hashes; ``store_format``
+    replaces the manifest's format number.
+    """
+    manifest_path = os.path.join(entry, "MANIFEST.json")
+    manifest = {"files": {}}
+    if os.path.exists(manifest_path):
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    if store_format is not None:
+        manifest["format"] = store_format
+    os.makedirs(entry, exist_ok=True)
+    for name, body in files.items():
+        with open(os.path.join(entry, name), "wb") as handle:
+            handle.write(body)
+        manifest["files"][name] = hashlib.sha256(body).hexdigest()
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+
+
 def test_tampered_key_file_is_a_miss(tmp_path):
     """A key.json rewritten (with a matching manifest) to different
     fields must not serve under the requested key."""
     store = RunStore(str(tmp_path / "store"))
     key, digest, _ = run_and_store(store, figure1_graph(), 3, 0.1)
-    entry = store.run_dir(digest)
     forged = dict(key.as_dict(), k=99)
     body = (json.dumps(forged, indent=2, sort_keys=True) + "\n").encode()
-    with open(os.path.join(entry, "key.json"), "wb") as handle:
-        handle.write(body)
-    manifest_path = os.path.join(entry, "MANIFEST.json")
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    import hashlib
-
-    manifest["files"]["key.json"] = hashlib.sha256(body).hexdigest()
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    write_entry(store.run_dir(digest), {"key.json": body})
     assert store.get_run(key) is None
     assert store.misses >= 1
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("cliques.jsonl", b"[1, 2\n"),
+        ("cliques.jsonl", b'[1, 2, 3]\n[0, 3]\n'),
+        ("cliques.jsonl", b'[1, 2, 3]\n[-1, 0]\n'),
+        ("violation.json", b"{not json\n"),
+    ],
+    ids=["cliques-unparsable", "id-past-table", "id-negative", "violation"],
+)
+def test_undecodable_entry_is_a_miss(tmp_path, name, body):
+    """Content that matches its manifest but does not decode is damage."""
+    store = RunStore(str(tmp_path / "store"))
+    key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+    store.put_run(
+        key,
+        stamped_record("test", 0.1, 1),
+        cliques=[frozenset({1, 2})],
+        violation={"check": "maximality"},
+    )
+    write_entry(store.run_dir(key.digest()), {name: body})
+    assert store.get_run(key) is None
+    assert store.get_by_digest(key.digest()) is None
+
+
+def test_format_1_entry_is_a_miss_everywhere(tmp_path):
+    """An entry left by the previous store format never reaches the
+    decoder: not by key, not by digest, not in listings."""
+    store = RunStore(str(tmp_path / "store"))
+    key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+    record = {
+        "label": "old", "seconds": 0.1, "num_cliques": 2,
+        "stats": {}, "extra": {},
+    }
+    write_entry(
+        store.run_dir(key.digest()),
+        {
+            "key.json": json.dumps(key.as_dict(), sort_keys=True).encode(),
+            "record.json": json.dumps(record, sort_keys=True).encode(),
+            "cliques.jsonl": b"[1, 2, 3]\n[2, 3, 4]\n",
+        },
+        store_format=1,
+    )
+    assert store.get_run(key) is None
+    assert store.get_by_digest(key.digest()) is None
+    assert store.get_by_digest(key.digest()[:12]) is None
+    assert not store.has(key)
+    assert store.list_runs() == []
 
 
 def test_missing_store_directory_is_just_a_miss(tmp_path):
@@ -222,6 +323,28 @@ def test_reduction_cache_round_trips_shell_maps(tmp_path):
     assert loaded[1] == triangle_shell
     # No cross-eta service.
     assert store.get_reduction(reduction_key_for(graph, 0.05)) is None
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("core.jsonl", b'[1, 2]\n[3]\n'),
+        ("triangle.jsonl", b'[1, 2]\n[0, 2, 1]\n'),
+        ("triangle.jsonl", b'[1, 2]\n[-1, 0, 1]\n'),
+    ],
+    ids=["core-shell-count", "id-past-table", "id-negative"],
+)
+def test_undecodable_reduction_is_a_miss(tmp_path, name, body):
+    store = RunStore(str(tmp_path / "store"))
+    graph, eta = figure1_graph(), 0.1
+    key = reduction_key_for(graph, eta)
+    digest = store.put_reduction(
+        key,
+        topk_core_decomposition(graph, eta),
+        top_triangle_decomposition(graph, eta),
+    )
+    write_entry(store._entry_dir("reductions", digest), {name: body})
+    assert store.get_reduction(key) is None
 
 
 def test_corrupted_reduction_is_a_miss(tmp_path):

@@ -2,8 +2,8 @@
 
 The load-bearing claim is **zero engine recursion on a cache hit** —
 pinned here by making enumerator construction itself the tripwire —
-plus reduction sharing across sessions and the JSON-lines protocol's
-ordering/error contracts.
+plus one key and one store read per request, reduction sharing across
+sessions and the JSON-lines protocol's ordering/error contracts.
 """
 
 import json
@@ -12,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 import repro.core.session as session_module
+import repro.kernel.enumerate as kernel_enumerate
 from repro.core.config import PMUC_PLUS_CONFIG
+from repro.core.partition import enumerate_parallel
 from repro.core.session import CliqueQuerySession
 from repro.datasets.figure1 import figure1_graph
 from repro.store.key import graph_fingerprint
@@ -115,6 +117,71 @@ def test_service_sessions_are_memoized_per_dataset_eta_config(store):
     c = service.session(figure1_graph(), 0.05)
     assert a is b
     assert a is not c
+
+
+def test_hit_replays_the_phases_of_the_miss_that_stored_it(store):
+    service = EnumerationService(store)
+    graph = figure1_graph()
+    for answer in (service.enumerate, service.query):
+        miss = answer(graph, 3, 0.1)
+        hit = answer(graph, 3, 0.1)
+        assert (miss.hit, hit.hit) == (False, True)
+        assert set(miss.result.phases) == {
+            "reduction", "ordering", "recursion", "sanitize",
+        }
+        assert hit.result.phases == miss.result.phases
+    live = enumerate_parallel(graph, 3, 0.1, parts=1, store=store)
+    replay = enumerate_parallel(graph, 3, 0.1, parts=1, store=store)
+    assert live.phases and replay.phases == live.phases
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Every store read/write and every ``supports()`` walk, in order."""
+    seen = []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("get_run", "put_run", "get_by_digest", "has"):
+        count(RunStore, name)
+    count(kernel_enumerate, "supports")
+    return seen
+
+
+def test_slice_requests_build_one_key_and_read_the_store_once(store, calls):
+    service = EnumerationService(store)
+    graph = figure1_graph()
+    first = service.query(graph, 3, 0.1)
+    # The session's one key walk, then the kernel run's own check.
+    assert calls == ["supports", "get_run", "supports", "put_run"]
+    assert first.record.num_cliques == len(first.result.cliques)
+    del calls[:]
+    miss = service.query(graph, 4, 0.1)
+    assert not miss.hit
+    assert calls == ["get_run", "supports", "put_run"]
+    del calls[:]
+    hit = service.query(graph, 4, 0.1)
+    assert hit.hit and calls == ["get_run"]
+    assert hit.record.seconds == miss.record.seconds
+    assert hit.digest == miss.digest == miss.key.digest()
+
+
+def test_peel_requests_read_the_store_once(store, calls):
+    service = EnumerationService(store)
+    graph = figure1_graph()
+    miss = service.enumerate(graph, 3, 0.1)
+    assert not miss.hit
+    assert calls == ["supports", "get_run", "supports", "put_run"]
+    del calls[:]
+    hit = service.enumerate(graph, 3, 0.1)
+    assert hit.hit and calls == ["supports", "get_run"]
 
 
 # ----------------------------------------------------------------------
