@@ -38,7 +38,7 @@ from repro.core.pmuc import PivotEnumerator
 from repro.core.stats import EnumerationResult
 from repro.reduction.topk_core import topk_core_decomposition
 from repro.reduction.topk_triangle import top_triangle_decomposition
-from repro.uncertain.graph import UncertainGraph
+from repro.uncertain.graph import UncertainGraph, normalize_edge
 
 
 class CliqueQuerySession:
@@ -141,9 +141,16 @@ class CliqueQuerySession:
         core = self._graph.subgraph(core_vertices)
         if k == 2:
             return core
-        surviving = {
-            e for e, shell in self._triangle_shell.items() if shell >= k - 2
-        }
+        # The core's edge-scan order, not the shell dict's: that is
+        # removal order when computed and store order when loaded, and
+        # the slice's vertex order steers coloring tie-breaks and with
+        # them the run's effort counters.
+        shell = self._triangle_shell
+        surviving = [
+            e
+            for e in (normalize_edge(u, v) for u, v, _p in core.edges())
+            if shell[e] >= k - 2
+        ]
         return core.edge_subgraph(surviving)
 
     def query_key(self, k: int):

@@ -137,12 +137,13 @@ class KernelStateOps(StateOps):
         k = self._k
         if mode == "off" or k < 2:
             return cg
-        reduced = cg.induced(topk_core_ids(cg, k - 1, self._eta))
+        core = topk_core_ids(cg, k - 1, self._eta)
         if mode == "triangle" and k >= 3:
-            reduced = reduced.edge_induced(
-                topk_triangle_edge_ids(reduced, k - 2, self._eta)
+            # Peel inside the core's vertex set: no induced copy.
+            return cg.edge_induced(
+                topk_triangle_edge_ids(cg, k - 2, self._eta, core)
             )
-        return reduced
+        return cg.induced(core)
 
     def prepare_reduction(self, reduced_graph) -> None:
         if reduced_graph is not None:

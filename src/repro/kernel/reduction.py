@@ -17,10 +17,11 @@ documented in :class:`repro.kernel.compact.CompactGraph`.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
-from repro.kernel.compact import CompactGraph
+from repro.kernel.compact import CompactGraph, bit_count
 
 
 def prefix_count(sorted_desc: List[float], eta: float) -> int:
@@ -72,90 +73,181 @@ def topk_core_ids(cg: CompactGraph, k: int, eta: float) -> List[int]:
 # ----------------------------------------------------------------------
 # (Top_k, eta)-triangle
 # ----------------------------------------------------------------------
-def _top_degree(open_probs: Dict[int, float], p_e: float, eta: float) -> int:
-    # Fast path: when the product over *all* open triangles clears η
-    # with margin, every descending prefix clears it too (factors are
-    # ≤ 1, and float partial products are non-increasing regardless of
-    # order), so the answer is the triangle count — no sort needed.
-    # The 1e-9 relative band dwarfs any order-dependent rounding drift
-    # (≤ ~2m·2⁻⁵³ for m factors); in-band cases fall through to the
-    # exact sorted scan, so every count matches it.
-    product = p_e
-    for p in open_probs.values():
-        product = product * p
-    if product >= eta + eta * 1e-9:
-        return len(open_probs)
-    product = p_e
-    count = 0
-    for p in sorted(open_probs.values(), reverse=True):
-        product = product * p
-        if product >= eta:
-            count += 1
-        else:
-            break
-    return count
+#: Recheck keys of the value peel outside the values' range [0, 1]:
+#: ``key < 0`` marks a failed (queued) edge, ``key > 1`` a fast one.
+_FAIL = -1.0
+_FAST = 2.0
 
 
 def topk_triangle_edge_ids(
-    cg: CompactGraph, k: int, eta: float
+    cg: CompactGraph,
+    k: int,
+    eta: float,
+    within: Optional[Sequence[int]] = None,
 ) -> List[Tuple[int, int]]:
     """Surviving edges of the maximal ``(Top_k, η)``-triangle subgraph.
 
-    Edges are canonical id pairs (label-ordered, see
+    ``within`` (ascending ids, default all) restricts the peel to the
+    subgraph it induces, so ``topk_triangle_edge_ids(cg, k, eta,
+    core)`` equals the peel of ``cg.induced(core)`` without building
+    it.  Edges are canonical id pairs (label-ordered, see
     :meth:`CompactGraph.normalize_pair`) in deterministic edge-scan
-    order, ready for :meth:`CompactGraph.edge_induced`.  Common
-    neighborhoods come from one bitset ``&`` per edge — the dominant
-    cost of Algorithm 4 — instead of a hash-join of adjacency dicts.
+    order, ready for :meth:`CompactGraph.edge_induced`.
+
+    The peel keeps no per-edge triangle tables.  ``live[v]`` is the
+    bitset of ``v``'s surviving edges, so the open triangles of edge
+    ``(a, c)`` are exactly ``live[a] & live[c]``, and an apex's value
+    ``p(a, x) * p(c, x)`` is recomputed when needed.  The top triangle
+    degree never exceeds the open-triangle count, so a first pass
+    peels on popcounts alone; only its survivors get a value verdict.
+    Deleting the edges in either pass can only lower other degrees,
+    and the maximal subgraph is unique, so the two passes in sequence
+    reach the same survivors as any single peel.
     """
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
+    n = cg.n
+    ids: Sequence[int] = range(n) if within is None else within
+    bit_at = [1 << i for i in range(n)]
+    mask = 0
+    for i in ids:
+        mask |= bit_at[i]
+    live = [bits & mask for bits in cg.nbr_bits]
+    nbr_ids = cg.nbr_ids
+    if k:
+        queue = [
+            (i, j)
+            for i in ids
+            for j in nbr_ids[i]
+            if j > i
+            and live[i] & bit_at[j]
+            and bit_count(live[i] & live[j]) < k
+        ]
+        _peel_counts(live, bit_at, queue, k)
+        _peel_values(cg, live, bit_at, ids, k, eta)
+    normalize = cg.normalize_pair
+    return [
+        normalize(i, j)
+        for i in ids
+        for j in nbr_ids[i]
+        if j > i and live[i] & bit_at[j]
+    ]
+
+
+def _peel_counts(
+    live: List[int], bit_at: List[int], queue: List[Tuple[int, int]], k: int
+) -> None:
+    """Delete the queued edges and every edge left with < k triangles.
+
+    Deleting ``(u, v)`` takes exactly one open triangle from each side
+    edge ``(u, w)``/``(v, w)``, so a side's count passes ``k - 1`` once:
+    queueing on that value queues every edge at most once.
+    """
+    below = k - 1
+    while queue:
+        u, v = queue.pop()
+        live[u] ^= bit_at[v]
+        live[v] ^= bit_at[u]
+        lu = live[u]
+        lv = live[v]
+        common = lu & lv
+        while common:
+            w = common.bit_length() - 1
+            common ^= bit_at[w]
+            lw = live[w]
+            if bit_count(lu & lw) == below:
+                queue.append((u, w))
+            if bit_count(lv & lw) == below:
+                queue.append((v, w))
+
+
+def _peel_values(
+    cg: CompactGraph,
+    live: List[int],
+    bit_at: List[int],
+    ids: Sequence[int],
+    k: int,
+    eta: float,
+) -> None:
+    """Peel the live edges whose top triangle degree is below ``k``.
+
+    The degree is the longest prefix of the descending open-triangle
+    values whose product with ``p(e)`` stays >= η.  Factors are <= 1,
+    so float prefix products never increase and "degree >= k" is
+    exactly "the k-th prefix product >= η" — the only question asked.
+    Each verdict leaves one recheck key per edge: the k-th largest
+    value, or ``_FAST`` when the product over *all* open triangles
+    clears η with a 1e-9 relative band (every prefix then clears it
+    too; the band dwarfs the order-dependent rounding drift of
+    ~2m·2⁻⁵³, and in-band cases take the sorted scan).  Losing a value
+    below the key leaves the first k values, hence the verdict,
+    unchanged; a fast edge keeps clearing the band as factors leave,
+    so it rechecks only its count.
+    """
     prob = cg.prob
     nbr_ids = cg.nbr_ids
-    nbr_probs = cg.nbr_probs
-    tri: Dict[Tuple[int, int], Dict[int, float]] = {}
-    for i, j, _p in cg.edges_in_insertion_order():
-        e = cg.normalize_pair(i, j)
-        pi, pj = prob[i], prob[j]
-        # Hash-join through the sparser endpoint: its neighbor
-        # probabilities ride along with the ids, so each common
-        # neighbor costs one dict probe — against bitset extraction
-        # plus two probe lookups.  Swapping the endpoints only swaps
-        # the operands of one float multiply, which IEEE rounds
-        # identically, and ``opens`` order is irrelevant — degrees
-        # sort its values and the maximal triangle subgraph is unique
-        # regardless of peel order.
-        if len(pi) <= len(pj):
-            ids_a, probs_a, other = nbr_ids[i], nbr_probs[i], pj
-        else:
-            ids_a, probs_a, other = nbr_ids[j], nbr_probs[j], pi
-        opens: Dict[int, float] = {}
-        for w, pw in zip(ids_a, probs_a):
-            if w in other:
-                opens[w] = pw * other[w]
-        tri[e] = opens
-    tdeg = {e: _top_degree(tri[e], prob[e[0]][e[1]], eta) for e in tri}
-    queue = [e for e, t in tdeg.items() if t < k]
-    removed = set()
+    eta_hi = eta + eta * 1e-9
+    kth = k - 1
+
+    def verdict(a: int, c: int) -> float:
+        common = live[a] & live[c]
+        if bit_count(common) < k:
+            return _FAIL
+        pa = prob[a]
+        pc = prob[c]
+        values = []
+        while common:
+            x = common.bit_length() - 1
+            common ^= bit_at[x]
+            values.append(pa[x] * pc[x])
+        p_e = pa[c]
+        if prod(values, start=p_e) >= eta_hi:
+            return _FAST
+        # prod multiplies left to right in IEEE doubles: this is the
+        # float the dict path's sorted scan reaches after k factors.
+        values.sort(reverse=True)
+        return values[kth] if prod(values[:k], start=p_e) >= eta else _FAIL
+
+    # One key per edge, mirrored so either endpoint's row reads it.  An
+    # edge is queued once, when its key turns _FAIL, and never revisited.
+    keys: List[Dict[int, float]] = [{} for _ in live]
+    queue = []
+    for i in ids:
+        row = keys[i]
+        for j in nbr_ids[i]:
+            if j > i and live[i] & bit_at[j]:
+                row[j] = keys[j][i] = key = verdict(i, j)
+                if key < 0.0:
+                    queue.append((i, j))
     while queue:
-        e = queue.pop()
-        if e in removed:
-            continue
-        removed.add(e)
-        u, v = e
-        for w in list(tri[e]):
-            for side in (cg.normalize_pair(u, w), cg.normalize_pair(v, w)):
-                if side in removed:
+        u, v = queue.pop()
+        live[u] ^= bit_at[v]
+        live[v] ^= bit_at[u]
+        lu = live[u]
+        lv = live[v]
+        common = lu & lv
+        while common:
+            w = common.bit_length() - 1
+            common ^= bit_at[w]
+            row = keys[w]
+            pw = prob[w]
+            lw = live[w]
+            # Side (a, w) lost the triangle at apex ``lost``.
+            for a, lost in ((u, v), (v, u)):
+                key = row[a]
+                if key < 0.0:
                     continue
-                apex = v if side == cg.normalize_pair(u, w) else u
-                tri[side].pop(apex, None)
-                if tdeg[side] >= k:
-                    tdeg[side] = _top_degree(
-                        tri[side], prob[side[0]][side[1]], eta
-                    )
-                    if tdeg[side] < k:
-                        queue.append(side)
-        tri[e] = {}
-    return [e for e in tdeg if e not in removed]
+                if key > 1.0:
+                    if bit_count(live[a] & lw) >= k:
+                        continue
+                    key = _FAIL
+                elif prob[a][lost] * pw[lost] < key:
+                    continue
+                else:
+                    key = verdict(a, w)
+                row[a] = keys[a][w] = key
+                if key < 0.0:
+                    queue.append((a, w))
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Runs the modules repro-lint's REP001 audit touched — USCAN clustering
 (including the first-match border attachment), the peeling baselines,
-the ``(Top_k, η)``-core reduction and Bron–Kerbosch — in fresh
+the ``(Top_k, η)``-core reduction and Bron–Kerbosch — plus a
+multi-query session's k-sweep in fresh
 interpreters under two different ``PYTHONHASHSEED`` values and asserts
 byte-identical output.  String vertices are essential: their hashes
 (and therefore raw set iteration order) change with the seed, which is
@@ -23,6 +24,7 @@ import random
 from repro.baselines.ukcore import k_eta_core_vertices
 from repro.baselines.uktruss import k_gamma_truss
 from repro.baselines.uscan import uscan
+from repro.core.session import CliqueQuerySession
 from repro.deterministic.bron_kerbosch import bron_kerbosch_pivot
 from repro.deterministic.graph import Graph
 from repro.reduction.topk_core import topk_core_vertices
@@ -49,6 +51,18 @@ out = {
     # Yield order pins the recursion tree, not just the clique set.
     "bk": [sorted(c) for c in bron_kerbosch_pivot(dg)],
 }
+
+# A session k-sweep: each slice's vertex order steers the coloring
+# tie-breaks, so its effort counters pin the slice order.
+rng = random.Random(3)
+names = ["node-%02d" % i for i in range(40)]
+sg = UncertainGraph()
+for i, u in enumerate(names):
+    for v in names[i + 1:]:
+        if rng.random() < 0.4:
+            sg.add_edge(u, v, round(0.6 + 0.4 * rng.random(), 3))
+session = CliqueQuerySession(sg, eta=0.2)
+out["session"] = [session.query(k).stats.__dict__ for k in (3, 4, 5)]
 print(json.dumps(out, sort_keys=True))
 """
 

@@ -218,6 +218,17 @@ def test_engine_salt_is_memoized_and_folded_into_every_key():
     assert key.salt == engine_salt()
 
 
+def test_engine_salt_covers_the_drivers_that_shape_stored_counters():
+    """The partition's chunking sets the effort counters of
+    ``peel/parts=N`` runs and the session's slice those of ``slice``
+    runs, so a change to either must retire the runs they stored."""
+    from repro.engine.driver import engine_source_manifest
+
+    names = [name for name, _source in engine_source_manifest()]
+    assert "repro.core.partition" in names
+    assert "repro.core.session" in names
+
+
 # ----------------------------------------------------------------------
 # reduction keys
 # ----------------------------------------------------------------------

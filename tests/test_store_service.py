@@ -7,6 +7,7 @@ sessions and the JSON-lines protocol's ordering/error contracts.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from repro.datasets.figure1 import figure1_graph
 from repro.store.key import graph_fingerprint
 from repro.store.service import EnumerationService, ServeLoop, parse_eta
 from repro.store.store import RunStore
+from repro.uncertain.graph import UncertainGraph
 from tests.conftest import as_sorted_sets
 
 
@@ -72,6 +74,30 @@ def test_second_session_reuses_the_stored_reduction(store):
     assert as_sorted_sets(second.query(3).cliques) == as_sorted_sets(
         first.query(3).cliques
     )
+
+
+def test_computed_and_store_loaded_sessions_slice_alike(store):
+    """A session that loads its decompositions from the store slices
+    exactly the graph that computing them gives — same vertex order,
+    same edge order — so a slice run's coloring tie-breaks, and with
+    them its effort counters, do not depend on where the
+    decompositions came from."""
+    rng = random.Random(3)
+    names = ["node-%02d" % i for i in range(40)]
+    graph = UncertainGraph()
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            if rng.random() < 0.4:
+                graph.add_edge(u, v, round(0.6 + 0.4 * rng.random(), 3))
+    computed = CliqueQuerySession(graph, 0.2, store=store)
+    loaded = CliqueQuerySession(graph, 0.2, store=store)
+    assert (computed.reduction_reused, loaded.reduction_reused) == (
+        False, True,
+    )
+    for k in (3, 4, 5, 6):
+        ours, theirs = computed.reduced_graph(k), loaded.reduced_graph(k)
+        assert ours.vertices() == theirs.vertices()
+        assert list(ours.edges()) == list(theirs.edges())
 
 
 def test_sessions_without_store_behave_as_before(store):
