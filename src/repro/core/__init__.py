@@ -29,7 +29,7 @@ from repro.core.session import CliqueQuerySession
 from repro.core.verify import VerificationReport, verify_enumeration
 from repro.core.pmuc import PivotEnumerator, pmuc, pmuc_plus, reduce_graph
 from repro.core.pivot import PivotContext, STRATEGIES, get_strategy
-from repro.core.stats import EnumerationResult, SearchStats
+from repro.core.stats import CliqueList, EnumerationResult, SearchStats
 
 __all__ = [
     "ALGORITHMS",
@@ -62,6 +62,7 @@ __all__ = [
     "PivotContext",
     "STRATEGIES",
     "get_strategy",
+    "CliqueList",
     "EnumerationResult",
     "SearchStats",
 ]

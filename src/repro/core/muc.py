@@ -75,7 +75,7 @@ def muc(
     if limit is not None and limit < 1:
         raise ParameterError(f"limit must be positive, got {limit!r}")
     result = EnumerationResult()
-    sink = on_clique if on_clique is not None else result.cliques.append
+    sink = on_clique if on_clique is not None else result.cliques.sink()
 
     def emit(members: List[Vertex]) -> None:
         result.stats.outputs += 1

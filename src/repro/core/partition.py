@@ -260,7 +260,9 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
 
     Returns the chunk's own :class:`EnumerationResult` plus its
     breakdown dict; everything is built locally and *returned* — spawn
-    workers share nothing with the parent (REP006/REP014).
+    workers share nothing with the parent (REP006/REP014).  On the
+    kernel the result's cliques are still id rows over the shared
+    ordering, so they cross the pipe as small int tuples.
     """
     reduced, k, eta, config, chunk, order, shard, flight_path = job
     recorder = None
@@ -335,7 +337,12 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
 def _merge_outcomes(
     outcomes: Sequence[Tuple[EnumerationResult, Dict[str, object]]]
 ) -> EnumerationResult:
-    """Fold per-chunk outcomes into one result with a fleet view."""
+    """Fold per-chunk outcomes into one result with a fleet view.
+
+    Every chunk relabels the same reduced graph in the same shipped
+    order, so kernel chunks share one label table and their id rows
+    concatenate without building a set.
+    """
     from repro.obs.fleet import fleet_summary
 
     merged = EnumerationResult()

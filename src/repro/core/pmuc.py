@@ -118,6 +118,10 @@ class DictStateOps(StateOps):
     def bind_sanitizer(self, san):
         return san
 
+    def bind_sink(self, sink, cliques):
+        # ``decode`` is ``frozenset``: the reference keeps its sets.
+        return cliques.sink() if sink is None else sink
+
     def roots(self, seeds):
         if seeds is None:
             return self._order
@@ -224,9 +228,7 @@ class PivotEnumerator:
         self._eta = eta
         self._config = config
         self._result = EnumerationResult()
-        self._sink = (
-            on_clique if on_clique is not None else self._result.cliques.append
-        )
+        self._on_clique = on_clique
         self._ctx: PivotContext = PivotContext({}, {}, {}, {}, k)
         self._rank: Dict[Vertex, int] = {}
         self._search_graph = graph
@@ -302,7 +304,7 @@ class PivotEnumerator:
             self._eta,
             self._config,
             self._result,
-            self._sink,
+            self._on_clique,
             self._limit,
         )
         self.backend_used = "dict"
@@ -336,7 +338,7 @@ class PivotEnumerator:
             self._eta,
             self._config,
             self._result,
-            self._sink,
+            self._on_clique,
             self._limit,
         )
 

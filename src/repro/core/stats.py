@@ -9,7 +9,10 @@ reduction directly instead of relying on wall-clock noise.
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import eq
 
 
 @dataclass
@@ -65,9 +68,169 @@ class SearchStats:
         }
 
 
+class CliqueList(MutableSequence):
+    """The cliques of a result: a ``list[frozenset]`` kept as id rows.
+
+    A *row-backed* list holds a vertex ``table`` and one id row per
+    clique (a tuple or list of table ids) and builds a clique's
+    frozenset each time that clique is read.  Producers that think in
+    ids — the kernel's default sink, a store hit, a parallel worker —
+    therefore never build sets that nobody reads: a caller that only
+    takes ``len`` pays for none.  A *set-backed* list (no table) holds
+    the cliques themselves, exactly like a plain list.
+
+    Both kinds index, slice, iterate, compare (order-sensitively, with
+    lists and with each other), concatenate with ``+``, pickle and edit
+    like a list.  ``pop``, ``del``, ``clear`` and ``reverse`` keep the
+    rows; an edit that a row cannot express (``append``, ``insert``,
+    item assignment, ``sort``) first turns a row-backed list
+    set-backed, building every clique once.  It is not a ``list``
+    subclass and has no ``<``/``>`` or ``*``; ``list(cliques)`` gives
+    a plain list.
+    """
+
+    __slots__ = ("_table", "_items")
+    __hash__ = None
+
+    def __init__(self, cliques=()):
+        self._table = None
+        self._items = list(cliques)
+
+    @classmethod
+    def of_rows(cls, table, rows) -> "CliqueList":
+        """A list over ``table`` that adopts ``rows`` (not copied).
+
+        ``table`` is a label sequence and each row a sequence of ids
+        into it; ``table=None`` makes ``rows`` the cliques themselves.
+        """
+        self = cls.__new__(cls)
+        self._table = table
+        self._items = rows
+        return self
+
+    def id_rows(self):
+        """``(table, rows)`` of a row-backed list, else None."""
+        return None if self._table is None else (self._table, self._items)
+
+    def sink(self, table=None):
+        """A callable that appends one clique per call.
+
+        Each call passes an id row over ``table``, or with ``table``
+        None the clique itself.  The fast path — an empty list, or one
+        already over ``table`` — is the items list's own ``append``,
+        which builds no set; a list holding other cliques first turns
+        set-backed and then builds each passed row's set.
+        """
+        if self._items and self._table is not table:
+            self._set_backed()
+            if table is not None:
+                label_of = table.__getitem__
+                append = self._items.append
+                return lambda row: append(frozenset(map(label_of, row)))
+        self._table = table
+        return self._items.append
+
+    def _set_backed(self) -> None:
+        """Build every clique in place (the rows list object stays)."""
+        if self._table is not None:
+            self._items[:] = list(self)
+            self._table = None
+
+    # -- reading -------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        if self._table is None:
+            return iter(self._items)
+        return map(frozenset, map(map, repeat(self._table.__getitem__),
+                                  self._items))
+
+    def __getitem__(self, index):
+        item = self._items[index]
+        if isinstance(index, slice):
+            return CliqueList.of_rows(self._table, item)
+        if self._table is None:
+            return item
+        return frozenset(map(self._table.__getitem__, item))
+
+    def __eq__(self, other):
+        if not isinstance(other, (CliqueList, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return (CliqueList.of_rows, (self._table, self._items))
+
+    def copy(self) -> "CliqueList":
+        return CliqueList.of_rows(self._table, list(self._items))
+
+    __copy__ = copy
+
+    # -- editing -------------------------------------------------------
+    def __setitem__(self, index, value) -> None:
+        self._set_backed()
+        self._items[index] = value
+
+    def __delitem__(self, index) -> None:
+        del self._items[index]
+
+    def insert(self, index, clique) -> None:
+        self._set_backed()
+        self._items.insert(index, clique)
+
+    def append(self, clique) -> None:
+        self._set_backed()
+        self._items.append(clique)
+
+    def extend(self, cliques) -> None:
+        """Append ``cliques``; rows over an equal table join as rows."""
+        other = cliques.id_rows() if isinstance(cliques, CliqueList) else None
+        if other is not None and (
+            not self._items
+            or (self._table is not None and self._table == other[0])
+        ):
+            if not self._items:
+                self._table = other[0]
+            self._items.extend(other[1])
+            return
+        self._set_backed()
+        self._items.extend(cliques)
+
+    def clear(self) -> None:
+        del self._items[:]
+
+    def reverse(self) -> None:
+        self._items.reverse()
+
+    def sort(self, *, key=None, reverse=False) -> None:
+        self._set_backed()
+        self._items.sort(key=key, reverse=reverse)
+
+    def __add__(self, other):
+        if not isinstance(other, (CliqueList, list)):
+            return NotImplemented
+        joined = self.copy()
+        joined.extend(other)
+        return joined
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return CliqueList(other) + self
+
+
 @dataclass
 class EnumerationResult:
     """Outcome of an enumeration run: the cliques plus search counters.
+
+    ``cliques`` is a :class:`CliqueList` — it reads like a list of
+    frozensets, but the kernel's default sink, a store hit and the
+    parallel workers fill it with id rows, and each clique's frozenset
+    is built only when that clique is read.
 
     Monolithic runs leave ``shards``/``fleet`` empty.  The partitioned
     and parallel drivers (:mod:`repro.core.partition`) fill them: one
@@ -83,7 +246,7 @@ class EnumerationResult:
     them over shards.  Wall time is never part of result equality.
     """
 
-    cliques: list = field(default_factory=list)
+    cliques: CliqueList = field(default_factory=CliqueList)
     stats: SearchStats = field(default_factory=SearchStats)
     shards: list = field(default_factory=list)
     fleet: dict = field(default_factory=dict)

@@ -138,7 +138,6 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
         exact_x_member = fast.exact_x_member
         popcount = fast.popcount
         select_pivot = fast.select_pivot
-        label_of = fast.label_of
         bl = int.bit_length
         # The hybrid pivot rule is inlined together with the
         # lower-bound refresh it reads; every other rule is the
@@ -244,10 +243,10 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                             obs.on_emit(depth, rlen)
                     outputs += 1
                     if BITSET:
-                        # ``decode`` devirtualized: one map over the
-                        # label table instead of a closure hop per
-                        # emitted clique.
-                        sink_call(frozenset(map(label_of, r)))
+                        # The bitset shape emits the rank-id path as a
+                        # tuple; the backend's ``bind_sink`` decides
+                        # whether it ever becomes a set of labels.
+                        sink_call(tuple(r))
                     else:
                         sink_call(decode(r))
                     if outputs == limit:
@@ -337,7 +336,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                             if obs is not None:
                                 obs.on_emit(depth1, rlen + 1)
                         outputs += 1
-                        sink_call(frozenset(map(label_of, r)))
+                        sink_call(tuple(r))
                         if outputs == limit:
                             raise _StopSearch
                         if hybrid:
@@ -705,7 +704,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                                     obs.on_emit(depth1, rlen + 1)
                             outputs += 1
                             if BITSET:
-                                sink_call(frozenset(map(label_of, r)))
+                                sink_call(tuple(r))
                             else:
                                 sink_call(decode(r))
                             if outputs == limit:
@@ -1010,7 +1009,10 @@ class SearchEngine:
     flush.  It is constructed fresh per run by the enumerator facades
     (:class:`~repro.core.pmuc.PivotEnumerator`,
     :class:`~repro.kernel.enumerate.KernelEnumerator`), which own
-    argument validation and backend selection.
+    argument validation and backend selection.  ``sink`` is the
+    caller's streaming callback, or None to collect into
+    ``result.cliques`` (the backend binds either, see
+    ``StateOps.bind_sink``).
     """
 
     __slots__ = ("ops", "k", "eta", "config", "result", "sink",
@@ -1068,6 +1070,7 @@ class SearchEngine:
         ops.prepare_ordering(order)
         ordering_s = perf_counter() - start
         ops.bind_observer(node_obs)
+        sink = ops.bind_sink(self.sink, self.result.cliques)
         if obs is not None:
             obs.on_gauge("vertices_search", ops.search_size())
         adapter = None
@@ -1109,7 +1112,7 @@ class SearchEngine:
             # ``repro.engine.driver.build_search`` to exercise the
             # sanitizer end to end.
             search, flush = build_search(
-                ops, config, self.k, self.result.stats, self.sink,
+                ops, config, self.k, self.result.stats, sink,
                 self.limit, adapter, node_obs
             )
             try:

@@ -58,6 +58,7 @@ PROTOCOL_METHODS = (
     "context",
     "bind_observer",
     "bind_sanitizer",
+    "bind_sink",
     "roots",
     "root_state",
 )
@@ -110,7 +111,9 @@ class SearchOps:
         ``u`` moved from the candidate set to the exclusion set.
         Called exactly once per ``expand``, viable or not.
     ``decode(r)``
-        The emitted ``frozenset`` of vertex labels for path ``r``.
+        The argument the recursion emits for path ``r`` (see
+        :meth:`StateOps.bind_sink`): the dict backend's ``frozenset``
+        of vertex labels.
     """
 
     __slots__ = SEARCH_OPS
@@ -193,6 +196,19 @@ class StateOps:
 
         Backends whose recursion works on translated ids wrap ``san``
         in an id→label adapter here; others return it unchanged.
+        """
+        raise NotImplementedError
+
+    def bind_sink(self, sink, cliques):
+        """Return the callable the recursion emits each clique into.
+
+        The recursion emits the backend's own form of a clique —
+        ``decode(r)`` on the generic shape, the id tuple ``tuple(r)``
+        on the bitset shape.  ``sink`` is the caller's streaming
+        callback, which receives frozensets of vertex labels, or None:
+        collect into ``cliques``, the run's
+        :class:`~repro.core.stats.CliqueList`, in whatever form it
+        can hold without building sets.
         """
         raise NotImplementedError
 

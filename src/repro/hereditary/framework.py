@@ -50,6 +50,7 @@ class _PivotFramework:
         self._prop = prop
         self._use_pivot = use_pivot
         self._result = result
+        self._emit = result.cliques.sink()
 
     def run(self) -> None:
         universe = self._prop.universe()
@@ -74,7 +75,7 @@ class _PivotFramework:
         stats.observe_depth(depth)
         if not c and not x:
             self._result.stats.outputs += 1
-            self._result.cliques.append(frozenset(r))
+            self._emit(frozenset(r))
             return list(r)
         if not c:
             return best if len(best) > len(r) else list(r)

@@ -238,6 +238,16 @@ class KernelStateOps(StateOps):
 
         return IdSanitizer(san, self._cg.labels)
 
+    def bind_sink(self, sink, cliques):
+        # The recursion emits rank-id tuples.  Collected, they stay id
+        # rows over the rank-ordered label table; a caller's sink gets
+        # each clique as a frozenset of labels.
+        labels = self._cg.labels
+        if sink is None:
+            return cliques.sink(labels)
+        label_of = labels.__getitem__
+        return lambda row: sink(frozenset(map(label_of, row)))
+
     def roots(self, seeds):
         n = self._cg.n
         if seeds is None:
@@ -376,9 +386,6 @@ class KernelStateOps(StateOps):
             exact_x_member=self._exact_x_member,
             popcount=bit_count,
             select_pivot=select_pivot,
-            # The template decodes an emitted path with one ``map``
-            # over the label table.
-            label_of=self._cg.labels.__getitem__,
         )
 
 
@@ -402,7 +409,7 @@ class KernelEnumerator:
         eta,
         config,
         result: EnumerationResult,
-        sink: Callable[[frozenset], None],
+        sink: Optional[Callable[[frozenset], None]],
         limit: Optional[int],
     ):
         # Raises KernelBackendError for non-float eta.

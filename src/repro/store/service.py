@@ -23,7 +23,7 @@ a reduction run consecutively (responses return in input order).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -35,6 +35,7 @@ from repro.store.key import (
     canonical_eta,
     graph_fingerprint,
     run_key_for,
+    variant_class,
 )
 from repro.store.records import RunRecord, run_stamped
 from repro.store.store import RunStore
@@ -66,6 +67,18 @@ class EnumerationService:
         self.store = store
         self.config = config
         self._sessions: Dict[tuple, CliqueQuerySession] = {}
+        #: The first ``peel`` key per ``(fingerprint, η, config)``.
+        self._peel_keys: Dict[tuple, RunKey] = {}
+
+    @staticmethod
+    def _memo(graph, eta, config, dataset_fingerprint) -> tuple:
+        """``(fingerprint, η token, config)``: what a key shares across k."""
+        fingerprint = (
+            dataset_fingerprint
+            if dataset_fingerprint is not None
+            else graph_fingerprint(graph)
+        )
+        return fingerprint, canonical_eta(eta), config
 
     # ------------------------------------------------------------------
     def enumerate(
@@ -77,13 +90,23 @@ class EnumerationService:
         label: str = "enumerate",
         dataset_fingerprint: Optional[str] = None,
     ) -> ServiceOutcome:
-        """Run (or replay) one direct ``peel``-procedure enumeration."""
+        """Run (or replay) one direct ``peel``-procedure enumeration.
+
+        The key is built once per ``(fingerprint, η, config)``: its
+        ``backend`` walks every edge.  Only ``k`` and the env-dependent
+        ``variant`` change per request, as in
+        :meth:`~repro.core.session.CliqueQuerySession.query_key`.
+        """
         config = config if config is not None else self.config
-        key = run_key_for(
-            graph, k, eta, config,
-            procedure="peel",
-            dataset_fingerprint=dataset_fingerprint,
-        )
+        memo = self._memo(graph, eta, config, dataset_fingerprint)
+        base = self._peel_keys.get(memo)
+        if base is None:
+            base = self._peel_keys[memo] = run_key_for(
+                graph, k, eta, config,
+                procedure="peel",
+                dataset_fingerprint=memo[0],
+            )
+        key = replace(base, k=k, variant=variant_class(config))
         stored = self.store.get_run(key)
         if stored is not None and stored.cliques is not None:
             return ServiceOutcome(
@@ -115,16 +138,11 @@ class EnumerationService:
         (or loaded from the store's reduction cache) exactly once.
         """
         config = config if config is not None else self.config
-        fingerprint = (
-            dataset_fingerprint
-            if dataset_fingerprint is not None
-            else graph_fingerprint(graph)
-        )
-        memo = (fingerprint, canonical_eta(eta), config)
+        memo = self._memo(graph, eta, config, dataset_fingerprint)
         if memo not in self._sessions:
             self._sessions[memo] = CliqueQuerySession(
                 graph, eta, config,
-                store=self.store, dataset_fingerprint=fingerprint,
+                store=self.store, dataset_fingerprint=memo[0],
             )
         return self._sessions[memo]
 

@@ -46,6 +46,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.stats import CliqueList, EnumerationResult, SearchStats
 from repro.store.key import ReductionKey, RunKey
 from repro.store.records import RunRecord
 
@@ -76,19 +77,27 @@ def _table_lines(table: list, rows: List[List[int]]) -> bytes:
     return (head + "\n" + (body + "\n" if body else "")).encode()
 
 
+#: Every byte a rows body may hold.  Rows are flat arrays of
+#: non-negative integers, so anything else is damage: a ``-`` (a
+#: negative id indexes the table from its end), JSON ``true``
+#: (``table[True]`` is ``table[1]``), a float, a string, an object.
+_ROW_BYTES = b"0123456789, []\n"
+
+
 def _parse_table_lines(blob: bytes) -> Tuple[list, list]:
-    """Inverse of :func:`_table_lines`; raises ValueError on damage.
-    Rows hold no negative number, and a negative id would index the
-    table from its end: any ``-`` in them is damage."""
-    head, _, body = blob.decode().partition("\n")
-    if "-" in body:
-        raise ValueError("negative number in table rows")
-    table = [_freeze(vertex) for vertex in json.loads(head)]
-    rows = json.loads("[" + body.rstrip("\n").replace("\n", ",") + "]")
+    """Inverse of :func:`_table_lines`; raises ValueError on damage."""
+    head, _, body = blob.partition(b"\n")
+    if body.translate(None, _ROW_BYTES):
+        raise ValueError("table rows hold more than non-negative integers")
+    table = [_freeze(vertex) for vertex in json.loads(head.decode())]
+    rows = json.loads(b"[" + body.rstrip(b"\n").replace(b"\n", b",") + b"]")
     return table, rows
 
 
 def _encode_cliques(cliques) -> bytes:
+    # One pass builds each clique once: a row-backed CliqueList
+    # builds a fresh set on every read, and the cliques are read twice.
+    cliques = list(cliques)
     table, index = _vertex_table(set().union(*cliques))
     rows = [sorted(map(index.__getitem__, clique)) for clique in cliques]
     # Two stable sorts: ids, then size — the (size, ids) order.
@@ -97,9 +106,24 @@ def _encode_cliques(cliques) -> bytes:
     return _table_lines(table, rows)
 
 
-def _decode_cliques(blob: bytes) -> List[frozenset]:
+def _decode_cliques(blob: bytes) -> CliqueList:
+    """The stored cliques as the parsed id rows over the vertex table.
+
+    Builds no clique set; raises ValueError on damage.  Past the byte
+    check of :func:`_parse_table_lines`, C-level passes check every
+    row: a row that is not a flat list cannot join the id set, an
+    empty row is falsy, and the largest id must index the table.
+    """
     table, rows = _parse_table_lines(blob)
-    return [frozenset(map(table.__getitem__, row)) for row in rows]
+    try:
+        ids = set().union(*rows)
+    except TypeError as error:
+        raise ValueError("table rows are not flat id rows") from error
+    if not all(rows):
+        raise ValueError("empty table row")
+    if ids and max(ids) >= len(table):
+        raise ValueError("table id outside the table")
+    return CliqueList.of_rows(table, rows)
 
 
 def _freeze(vertex):
@@ -116,7 +140,7 @@ class StoredRun:
     digest: str
     key: RunKey
     record: RunRecord
-    cliques: Optional[List[frozenset]] = None
+    cliques: Optional[CliqueList] = None
     violation: Optional[Dict[str, object]] = None
     artifacts: Dict[str, str] = field(default_factory=dict)
 
@@ -125,12 +149,13 @@ class StoredRun:
 
         The counters are the *producing run's* counters, replayed
         verbatim — a cache hit reports exactly the effort the stored
-        run spent, not zero and not a recomputation.
+        run spent, not zero and not a recomputation.  The result
+        adopts this entry's clique list, still id rows: a hit builds a
+        clique's set only when the caller reads that clique.
         """
-        from repro.core.stats import EnumerationResult, SearchStats
-
         result = EnumerationResult()
-        result.cliques.extend(self.cliques or [])
+        if self.cliques is not None:
+            result.cliques = self.cliques
         result.phases = dict(self.record.extra.get("phases") or {})
         known = set(SearchStats().as_dict())
         result.stats = SearchStats(

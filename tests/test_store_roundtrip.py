@@ -255,9 +255,16 @@ def test_tampered_key_file_is_a_miss(tmp_path):
         ("cliques.jsonl", b"[1, 2\n"),
         ("cliques.jsonl", b'[1, 2, 3]\n[0, 3]\n'),
         ("cliques.jsonl", b'[1, 2, 3]\n[-1, 0]\n'),
+        ("cliques.jsonl", b'[1, 2, 3]\n[true, 0]\n'),
+        ("cliques.jsonl", b'[1, 2, 3]\n[1.0, 0]\n'),
+        ("cliques.jsonl", b'[1, 2, 3]\n[0]\n[ ]\n'),
+        ("cliques.jsonl", b'[1, 2, 3]\n[[0], 1]\n'),
         ("violation.json", b"{not json\n"),
     ],
-    ids=["cliques-unparsable", "id-past-table", "id-negative", "violation"],
+    ids=[
+        "cliques-unparsable", "id-past-table", "id-negative", "id-bool",
+        "id-float", "row-empty", "row-nested", "violation",
+    ],
 )
 def test_undecodable_entry_is_a_miss(tmp_path, name, body):
     """Content that matches its manifest but does not decode is damage."""
@@ -331,8 +338,13 @@ def test_reduction_cache_round_trips_shell_maps(tmp_path):
         ("core.jsonl", b'[1, 2]\n[3]\n'),
         ("triangle.jsonl", b'[1, 2]\n[0, 2, 1]\n'),
         ("triangle.jsonl", b'[1, 2]\n[-1, 0, 1]\n'),
+        ("triangle.jsonl", b'[1, 2]\n[true, 0, 1]\n'),
+        ("triangle.jsonl", b'[1, 2]\n[1.0, 0, 1]\n'),
     ],
-    ids=["core-shell-count", "id-past-table", "id-negative"],
+    ids=[
+        "core-shell-count", "id-past-table", "id-negative", "id-bool",
+        "id-float",
+    ],
 )
 def test_undecodable_reduction_is_a_miss(tmp_path, name, body):
     store = RunStore(str(tmp_path / "store"))

@@ -204,10 +204,16 @@ def test_peel_requests_read_the_store_once(store, calls):
     graph = figure1_graph()
     miss = service.enumerate(graph, 3, 0.1)
     assert not miss.hit
+    # The one key walk per (graph, eta, config), then the run's check.
     assert calls == ["supports", "get_run", "supports", "put_run"]
     del calls[:]
+    other = service.enumerate(graph, 4, 0.1)
+    assert not other.hit and other.key.k == 4
+    assert calls == ["get_run", "supports", "put_run"]
+    del calls[:]
     hit = service.enumerate(graph, 3, 0.1)
-    assert hit.hit and calls == ["supports", "get_run"]
+    assert hit.hit and calls == ["get_run"]
+    assert hit.key == miss.key
 
 
 # ----------------------------------------------------------------------
