@@ -8,13 +8,7 @@ the published artifact.
 Record stamping (backend/variant/env fingerprints, full-precision
 seconds) lives in :mod:`repro.store.records` — one writer shared by
 every producer; :class:`RunRecord` is re-exported here for
-compatibility.  Every timed entry point accepts ``store=`` (a
-:class:`~repro.store.store.RunStore`): when given, the run's cliques
-and counters are persisted under its canonical
-:class:`~repro.store.key.RunKey`.  Benchmarks still *execute* every
-run — a stored timing must never be served as a fresh measurement —
-persistence only publishes the measured run for ``repro.store query``
-and for cache-hitting consumers (sessions, the service layer).
+compatibility.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ __all__ = [
     "timed_enumeration",
     "timed_config_enumeration",
     "sanitized_config_enumeration",
-    "timed_parallel_enumeration",
     "peak_memory_bytes",
     "format_table",
     "print_table",
@@ -58,17 +51,6 @@ def timed_enumeration(
     return RunRecord(label, elapsed, count[0], result.stats.as_dict())
 
 
-def _persist(store, graph, k, eta, config, record, cliques,
-             violation=None, procedure: str = "peel") -> Optional[str]:
-    """Publish one measured run under its canonical key (best effort)."""
-    if store is None:
-        return None
-    from repro.store.key import run_key_for
-
-    key = run_key_for(graph, k, eta, config, procedure=procedure)
-    return store.put_run(key, record, cliques=cliques, violation=violation)
-
-
 def timed_config_enumeration(
     label: str,
     graph: UncertainGraph,
@@ -77,7 +59,6 @@ def timed_config_enumeration(
     config: PivotConfig,
     sanitize: Optional[str] = None,
     obs: Optional[str] = None,
-    store=None,
 ) -> RunRecord:
     """Time one :class:`PivotConfig`-driven enumeration.
 
@@ -86,20 +67,16 @@ def timed_config_enumeration(
     measured time, which is the point — the harness is how sanitizer
     overhead is quantified.  ``obs`` (``"off"``/``"metrics"``/
     ``"full"``) likewise overrides the observability level — the same
-    mechanism quantifies observer overhead.  With ``store``, the run
-    (cliques + counters) is persisted under its canonical key.
+    mechanism quantifies observer overhead.
     """
     if sanitize is not None:
         config = replace(config, sanitize=sanitize)
     if obs is not None:
         config = replace(config, obs=obs)
     count = [0]
-    cliques: Optional[List[frozenset]] = [] if store is not None else None
 
-    def sink(clique: frozenset) -> None:
+    def sink(_clique: frozenset) -> None:
         count[0] += 1
-        if cliques is not None:
-            cliques.append(clique)
 
     enumerator = PivotEnumerator(graph, k, eta, config, on_clique=sink)
     start = time.perf_counter()
@@ -108,7 +85,7 @@ def timed_config_enumeration(
     # ``backend_used``, not ``config.backend``: the kernel silently
     # falls back to dict on unsupported inputs, and the row must say
     # what actually ran (the diff gate refuses cross-backend rows).
-    record = stamped_record(
+    return stamped_record(
         label,
         elapsed,
         count[0],
@@ -116,8 +93,6 @@ def timed_config_enumeration(
         backend=enumerator.backend_used,
         variant=enumerator.variant_used,
     )
-    _persist(store, graph, k, eta, config, record, cliques)
-    return record
 
 
 def sanitized_config_enumeration(
@@ -127,44 +102,35 @@ def sanitized_config_enumeration(
     eta,
     config: PivotConfig,
     sanitize: str = "full",
-    store=None,
 ) -> RunRecord:
     """A sanitized run that records violations instead of raising.
 
     On a violation the record carries ``extra["violation"]`` (the
     serialized :class:`~repro.sanitize.report.ViolationReport` dict,
     replayable via :func:`repro.sanitize.replay`) and the clique count
-    reached before the check fired.  With ``store``, the violation
-    report is persisted alongside the run so ``repro.store query show``
-    can hand back a replayable reproduction.
+    reached before the check fired.
     """
     config = replace(config, sanitize=sanitize)
     count = [0]
-    cliques: Optional[List[frozenset]] = [] if store is not None else None
 
-    def sink(clique: frozenset) -> None:
+    def sink(_clique: frozenset) -> None:
         count[0] += 1
-        if cliques is not None:
-            cliques.append(clique)
 
     enumerator = PivotEnumerator(graph, k, eta, config, on_clique=sink)
     start = time.perf_counter()
     extra: Dict[str, object] = {"sanitize": sanitize}
-    violation_dict = None
     try:
         result = enumerator.run()
         stats = result.stats.as_dict()
     except SanitizerViolation as violation:
         stats = {}
-        cliques = None  # partial output: never publish as the result set
-        violation_dict = (
+        extra["violation"] = (
             violation.report.as_dict()
             if violation.report is not None
             else {"message": str(violation)}
         )
-        extra["violation"] = violation_dict
     elapsed = time.perf_counter() - start
-    record = stamped_record(
+    return stamped_record(
         label,
         elapsed,
         count[0],
@@ -172,65 +138,6 @@ def sanitized_config_enumeration(
         extra=extra,
         backend=enumerator.backend_used,
         variant=enumerator.variant_used,
-    )
-    _persist(
-        store, graph, k, eta, config, record, cliques,
-        violation=violation_dict,
-    )
-    return record
-
-
-def timed_parallel_enumeration(
-    label: str,
-    graph: UncertainGraph,
-    k: int,
-    eta,
-    parts: int = 2,
-    processes: Optional[int] = None,
-    config: Optional[PivotConfig] = None,
-    flight_dir: Optional[str] = None,
-    store=None,
-) -> RunRecord:
-    """Time one multi-process enumeration, keeping the fleet view.
-
-    The record's counters are the *merged* cross-worker stats; the
-    per-shard breakdown and the imbalance/utilization summary of
-    :func:`repro.obs.fleet.fleet_summary` land in ``extra`` (as
-    ``shards`` / ``fleet``) so the fan-out survives into bench
-    artifacts instead of collapsing to one summed row.  ``store`` is
-    forwarded to :func:`~repro.core.partition.enumerate_parallel`,
-    which keys the run under procedure ``peel/parts=N`` (parallel
-    counters depend on the chunking).
-    """
-    from repro.core.config import PMUC_PLUS_CONFIG
-    from repro.core.partition import enumerate_parallel
-
-    if config is None:
-        config = PMUC_PLUS_CONFIG
-    start = time.perf_counter()
-    result = enumerate_parallel(
-        graph, k, eta,
-        parts=parts, processes=processes, config=config,
-        flight_dir=flight_dir, store=store,
-    )
-    elapsed = time.perf_counter() - start
-    extra: Dict[str, object] = {
-        "parts": parts,
-        "shards": result.shards,
-        "fleet": {
-            key: value
-            for key, value in sorted(result.fleet.items())
-            if key != "metrics"
-        },
-    }
-    if flight_dir is not None:
-        extra["flight_dir"] = flight_dir
-    return stamped_record(
-        label,
-        elapsed,
-        len(result.cliques),
-        result.stats.as_dict(),
-        extra=extra,
     )
 
 

@@ -30,7 +30,7 @@ Gauges are deliberately outside the byte-identity check: per-worker
 ``roots_total`` / phase wall times legitimately differ across
 processes.  Counters are the deterministic surface.
 
-Usage (the CI ``obs-parallel`` job)::
+Usage (the CI ``gates`` job)::
 
     PYTHONPATH=src python -m repro.bench.parallel_gate \
         --flight-dir obs-artifacts --timeline-out obs-artifacts/trace.jsonl
@@ -79,33 +79,14 @@ def run_gate(
     obs: str = "light",
     flight_dir: str = "obs-artifacts",
     timeline_out: Optional[str] = None,
-    store=None,
 ) -> List[str]:
-    """Run both enumerations and return the list of failures (empty=ok).
-
-    ``store`` persists the parallel run (clique set, merged counters,
-    shard breakdown) under its ``peel/parts=N`` RunKey and registers
-    the flight logs as artifacts of that run.  The gate needs a *live*
-    fan-out, so a store that would answer the key from cache is a
-    failure — point ``--store`` at a fresh directory.
-    """
+    """Run both enumerations and return the list of failures (empty=ok)."""
     spec = next(w for w in WORKLOADS if w["name"] == workload)
     graph = build_graph(spec["params"])  # type: ignore[index]
     k, eta = spec["k"], spec["eta"]
     config = replace(PMUC_PLUS_CONFIG, obs=obs)
 
     failures: List[str] = []
-    if store is not None:
-        from repro.store.key import run_key_for
-
-        if store.has(run_key_for(
-            graph, k, eta, config, procedure="peel/parts=%d" % parts
-        )):
-            failures.append(
-                "store already holds this run key; the gate needs a "
-                "live parallel run (use a fresh --store directory)"
-            )
-            return failures
 
     # Flight recorders append (crash-safety contract); a stale log from
     # a previous gate run would replay as two concatenated streams.
@@ -120,7 +101,7 @@ def run_gate(
     parallel = enumerate_parallel(
         graph, k, eta,
         parts=parts, processes=processes, config=config,
-        flight_dir=flight_dir, store=store,
+        flight_dir=flight_dir,
     )
     single_cliques = set(map(frozenset, single.cliques))
     parallel_cliques = set(map(frozenset, parallel.cliques))
@@ -248,24 +229,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="PATH",
         help="also write the per-worker Chrome trace to PATH",
     )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist the parallel run into the run store at DIR and "
-            "register the flight logs as its artifacts (must be a "
-            "fresh store: the gate asserts a live fan-out)"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.parts < 2:
         parser.error("--parts must be at least 2 (the gate is about fan-out)")
-    store = None
-    if args.store is not None:
-        from repro.store.store import RunStore
-
-        store = RunStore(args.store)
     failures = run_gate(
         workload=args.workload,
         parts=args.parts,
@@ -273,7 +239,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs=args.obs,
         flight_dir=args.flight_dir,
         timeline_out=args.timeline_out,
-        store=store,
     )
     for failure in failures:
         print("GATE FAILURE: %s" % failure)

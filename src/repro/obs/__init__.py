@@ -16,7 +16,6 @@ from repro.obs.fleet import (
     render_fleet,
     render_tail,
     render_timeline,
-    render_trajectory,
 )
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
@@ -66,7 +65,6 @@ __all__ = [
     "render_path",
     "render_tail",
     "render_timeline",
-    "render_trajectory",
     "replay_flight",
     "resolve_level",
     "run_env",

@@ -22,22 +22,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="summarize a trace (JSONL), metrics document, bench "
-        "trajectory, speedup document, or flight log",
+        help="summarize a trace (JSONL), session metrics document, or "
+        "flight log",
     )
     report.add_argument("path", help="artifact file to summarize")
-    report.add_argument(
-        "--verbose",
-        action="store_true",
-        help="include per-run metric breakdowns for bench trajectories",
-    )
 
     diff = sub.add_parser(
         "diff",
         help="compare two runs; exit 1 on regression beyond threshold",
     )
-    diff.add_argument("baseline", help="baseline metrics/bench document")
-    diff.add_argument("current", help="current metrics/bench document")
+    diff.add_argument("baseline", help="baseline session metrics document")
+    diff.add_argument("current", help="current session metrics document")
     diff.add_argument(
         "--time-threshold",
         type=float,
@@ -56,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only-common",
         action="store_true",
         help="compare only runs present in both documents (gate a "
-        "partial --quick re-run against a full baseline); an empty "
+        "partial re-run against a full baseline); an empty "
         "intersection still fails",
     )
 
@@ -97,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "paths", nargs="+", help="flight logs (parent and/or workers)"
     )
-
-    trajectory = sub.add_parser(
-        "trajectory",
-        help="one-line-per-artifact history over committed "
-        "BENCH_*.json documents",
-    )
-    trajectory.add_argument(
-        "paths", nargs="+", help="bench artifact files"
-    )
     return parser
 
 
@@ -113,8 +99,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
         try:
-            sys.stdout.write(render_path(args.path, verbose=args.verbose))
-        except OSError as error:
+            sys.stdout.write(render_path(args.path))
+        except (OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         return 0
@@ -149,15 +135,6 @@ def main(argv=None) -> int:
 
         try:
             sys.stdout.write(render_fleet(load_flights(args.paths)))
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        return 0
-    if args.command == "trajectory":
-        from repro.obs.fleet import render_trajectory
-
-        try:
-            sys.stdout.write(render_trajectory(args.paths))
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

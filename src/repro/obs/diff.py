@@ -1,9 +1,9 @@
 """Trace-diff regression gating: compare two observation artifacts.
 
 ``python -m repro.obs diff BASELINE CURRENT`` aligns the runs of two
-metrics/bench documents by key (``workload/backend`` for bench
-trajectories and kernel-speedup documents, ``run<i>/<backend>`` for
-session documents) and flags:
+session metrics documents (``repro.obs/metrics-v1``, written to
+``PATH.metrics.json`` by ``--trace-out PATH``) by their
+``run<i>/<backend>`` key and flags:
 
 * a **missing run** — a key present in the baseline but not in the
   current document;
@@ -13,9 +13,10 @@ session documents) and flags:
   ``expansions``, ...) grew beyond ``--counter-threshold`` (default
   2%; counters are deterministic for a fixed workload, so the slack
   only absorbs intentional small algorithm changes);
-* a **time regression** — ``seconds`` grew beyond ``--time-threshold``
-  (default 50%; wall-clock comparisons cross machines, so the gate is
-  generous by design and the counters carry the precision).
+* a **time regression** — the run's summed phase seconds grew beyond
+  ``--time-threshold`` (default 50%; wall-clock comparisons cross
+  machines, so the gate is generous by design and the counters carry
+  the precision).
 
 Documents are refused outright (exit 2, like any unusable input) when
 the two sides ran on disjoint backends — dict-vs-kernel wall clocks are
@@ -65,8 +66,8 @@ class Series:
     ``variant`` the stamped recursion variant (either None on
     artifacts predating the stamps); :func:`compare` refuses to gate
     one backend's or variant's numbers against another's.  ``env`` is
-    the run's own python/platform fingerprint when the record carries
-    one (harness records stamp it per run) — :func:`compare` warns
+    the run's own python/platform fingerprint when the run carries
+    one — :func:`compare` warns
     **once per distinct drift per invocation** when aligned runs
     crossed machines, never once per compared row.
     """
@@ -84,74 +85,27 @@ class Series:
         self.env = env or {}
 
 
-def _run_env(run: Dict[str, object]) -> Dict[str, str]:
-    """Per-run python/platform fingerprint keys, if stamped."""
-    source = run.get("env")
-    if not isinstance(source, dict):
-        source = run
-    return {
-        key: str(source[key])
-        for key in ("platform", "python")
-        if isinstance(source.get(key), str)
-    }
-
-
 def extract_series(kind: str, payload) -> List[Series]:
     """Comparable series from a loaded artifact (see ``load_artifact``)."""
-    if kind == "bench":
-        series = []
-        for run in payload.get("runs", []):
-            counters = dict(run.get("stats", {}))
-            counters.pop("max_depth", None)
-            if not counters:
-                counters = dict(
-                    run.get("metrics", {}).get("counters", {})
-                )
-            series.append(Series(
-                "%s/%s" % (run.get("workload"), run.get("backend")),
-                run.get("seconds"),
-                counters,
-                run.get("backend"),
-                run.get("variant"),
-                _run_env(run),
-            ))
-        return series
-    if kind == "metrics":
-        series = []
-        for run in payload.get("runs", []):
-            metrics = run.get("metrics", {})
-            phases = metrics.get("phases", {})
-            seconds = sum(phases.values()) if phases else None
-            series.append(Series(
-                "run%s/%s" % (run.get("index"), run.get("backend")),
-                seconds,
-                dict(metrics.get("counters", {})),
-                run.get("backend"),
-                run.get("variant"),
-                _run_env(run),
-            ))
-        return series
-    if kind == "speedup":
-        series = []
-        for record in payload.get("workloads", []):
-            best = record.get("best_s", {}) or {}
-            variants = record.get("variants", {}) or {}
-            counters = {}
-            if record.get("outputs") is not None:
-                counters["outputs"] = record.get("outputs")
-            for backend in sorted(best):
-                series.append(Series(
-                    "%s/%s" % (record.get("name"), backend),
-                    best.get(backend),
-                    dict(counters),
-                    backend,
-                    variants.get(backend),
-                ))
-        return series
-    raise ValueError(
-        "trace JSONL files carry no comparable counters; diff the "
-        "metrics document or bench trajectory instead"
-    )
+    if kind != "metrics":
+        raise ValueError(
+            "%s files carry no comparable counters; diff the session "
+            "metrics documents (PATH.metrics.json) instead" % kind
+        )
+    series = []
+    for run in payload.get("runs", []):
+        metrics = run.get("metrics", {})
+        phases = metrics.get("phases", {})
+        seconds = sum(phases.values()) if phases else None
+        series.append(Series(
+            "run%s/%s" % (run.get("index"), run.get("backend")),
+            seconds,
+            dict(metrics.get("counters", {})),
+            run.get("backend"),
+            run.get("variant"),
+            env_of(run),
+        ))
+    return series
 
 
 def load_series(path: str) -> List[Series]:
@@ -160,24 +114,20 @@ def load_series(path: str) -> List[Series]:
     return extract_series(kind, payload)
 
 
-def document_env(payload) -> Dict[str, str]:
-    """The python/platform fingerprint of a loaded document, if any.
+def env_of(record) -> Dict[str, str]:
+    """The python/platform fingerprint under ``record["env"]``, if any.
 
-    Looks at the top-level ``env`` dict (session metrics documents,
-    speedup documents) and falls back to fingerprint keys inside
-    ``meta`` (bench trajectories).  Documents predating the stamp
-    return an empty dict and never trigger the warning.
+    A session stamps it on the whole document; a run may carry its
+    own.  Records predating the stamp return an empty dict and never
+    trigger the warning.
     """
-    if not isinstance(payload, dict):
-        return {}
-    env = payload.get("env")
-    source = env if isinstance(env, dict) else payload.get("meta", {})
-    if not isinstance(source, dict):
+    env = record.get("env") if isinstance(record, dict) else None
+    if not isinstance(env, dict):
         return {}
     return {
-        key: str(source[key])
+        key: str(env[key])
         for key in ("platform", "python")
-        if source.get(key) is not None
+        if env.get(key) is not None
     }
 
 
@@ -211,8 +161,8 @@ def compare(
 
     ``only_common`` downgrades a baseline run missing from the current
     document from a regression to a log line — for gating a *partial*
-    re-run (e.g. CI's ``--quick`` slice) against a full committed
-    baseline.  Runs present on both sides are still fully compared.
+    re-run against a full baseline.  Runs present on both sides are
+    still fully compared.
     """
     base_backends = {s.backend for s in baseline if s.backend}
     run_backends = {s.backend for s in current if s.backend}
@@ -346,7 +296,7 @@ def diff_paths(
         only_common=only_common,
     )
     warning = platform_warning(
-        document_env(base_payload), document_env(run_payload)
+        env_of(base_payload), env_of(run_payload)
     )
     if warning is not None and warning not in lines:
         # The document-level stamp usually restates the per-run drift

@@ -1,4 +1,4 @@
-"""Fleet views: aggregate per-worker flight logs and bench history.
+"""Fleet views: aggregate per-worker flight logs.
 
 The flight recorder (:mod:`repro.obs.flight`) leaves one JSONL stream
 per process; this module turns a set of them into the operator-facing
@@ -12,9 +12,7 @@ views:
   (``python -m repro.obs timeline flight-*.jsonl``; open in
   ``chrome://tracing`` / Perfetto);
 * :func:`render_tail` — a human-readable event listing of one stream
-  (``python -m repro.obs tail flight.jsonl``);
-* :func:`render_trajectory` — a one-line-per-artifact history over
-  committed ``BENCH_*.json`` documents.
+  (``python -m repro.obs tail flight.jsonl``).
 
 Timestamps inside one stream are relative to that process's start;
 streams of different processes are not clock-synchronized (the
@@ -274,61 +272,3 @@ def _fmt_field(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
 
-
-# -- trajectory (bench-artifact history) -----------------------------
-def trajectory_rows(paths: Sequence[str]) -> List[List[str]]:
-    """One summary row per bench artifact, ordered by PR number."""
-    from repro.obs.report import load_artifact
-
-    rows = []
-    for path in paths:
-        kind, payload = load_artifact(path)
-        if kind == "speedup":
-            summary = payload.get("summary", {})
-            workloads = payload.get("workloads", [])
-            rows.append([
-                path,
-                str(payload.get("pr", "-")),
-                str(payload.get("bench", kind)),
-                str(len(workloads)),
-                str(sum(int(w.get("outputs", 0)) for w in workloads)),
-                "%sx best" % summary.get("best_speedup", "-"),
-            ])
-        elif kind in ("bench", "metrics"):
-            runs = payload.get("runs", [])
-            outputs = 0
-            for run in runs:
-                stats = run.get("stats") or {}
-                metrics = run.get("metrics") or {}
-                counters = metrics.get("counters") or {}
-                outputs += int(
-                    stats.get("outputs", counters.get("outputs", 0)) or 0
-                )
-            rows.append([
-                path,
-                str(payload.get("pr", "-")),
-                str(payload.get("bench", kind)),
-                str(len(runs)),
-                str(outputs),
-                "-",
-            ])
-        else:
-            rows.append([path, "-", kind, "-", "-", "-"])
-
-    def sort_key(row):
-        try:
-            return (0, int(row[1]), row[0])
-        except ValueError:
-            return (1, 0, row[0])
-
-    return sorted(rows, key=sort_key)
-
-
-def render_trajectory(paths: Sequence[str]) -> str:
-    """The bench-history table over one or more artifact files."""
-    from repro.obs.report import _table
-
-    return "\n".join(_table(
-        ["artifact", "pr", "bench", "runs", "outputs", "headline"],
-        trajectory_rows(paths),
-    )) + "\n"

@@ -7,38 +7,36 @@ produces and picks the right renderer by sniffing the content:
   :class:`~repro.obs.session.ObsSession`) — per-phase times, counters,
   gauges, and the per-depth histogram table with derived branching
   factors;
-* a **bench trajectory** (``repro.obs/bench-v1``, e.g. the checked-in
-  ``BENCH_pr4.json``) — one line per workload × backend plus the same
-  per-run breakdowns;
-* a **speedup document** (``kernel-backend-speedup``, e.g. the
-  checked-in ``BENCH_pr6.json``) — per-workload backend timings and
-  the headline speedup summary;
 * a **flight log** (``repro.obs/flight-v1`` JSONL, see
   :mod:`repro.obs.flight`) — rendered as its event listing;
 * a **JSONL trace** (Chrome trace events) — span totals and sampled
   instant counts.
+
+Anything else is refused with a ``ValueError`` naming these kinds.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs.metrics import DEPTH_METRICS, MetricsRegistry
+from repro.obs.session import METRICS_SCHEMA
 from repro.obs.tracer import read_jsonl
 
-BENCH_SCHEMA = "repro.obs/bench-v1"
-
-#: The ``bench`` tag of the kernel-speedup documents (``BENCH_pr6.json``
-#: and friends) — pretty-printed JSON without the bench-v1 schema tag.
-SPEEDUP_BENCH = "kernel-backend-speedup"
+ARTIFACT_KINDS = (
+    "a repro.obs/metrics-v1 session document, a repro.obs/flight-v1 "
+    "log, or a Chrome-trace JSONL stream"
+)
 
 
 def load_artifact(path: str) -> Tuple[str, object]:
     """Read ``path`` and classify it.
 
-    Returns ``("metrics", doc)``, ``("bench", doc)``,
-    ``("speedup", doc)``, ``("flight", log)`` or ``("trace", events)``.
+    Returns ``("metrics", doc)``, ``("flight", log)`` or
+    ``("trace", events)``, and raises ``ValueError`` on anything else.
+    An empty file is an empty trace: a session that observed no run
+    writes one.
     """
     with open(path) as handle:
         text = handle.read()
@@ -49,19 +47,12 @@ def load_artifact(path: str) -> Tuple[str, object]:
         except ValueError:
             doc = None
         if isinstance(doc, dict):
-            schema = doc.get("schema", "")
             if "event" in doc:
                 # A one-record flight log parses as a single object.
                 from repro.obs.flight import replay_flight
 
                 return "flight", replay_flight(path)
-            if schema == BENCH_SCHEMA:
-                return "bench", doc
-            if doc.get("bench") == SPEEDUP_BENCH or (
-                "workloads" in doc and "runs" not in doc
-            ):
-                return "speedup", doc
-            if "runs" in doc or "merged" in doc:
+            if doc.get("schema") == METRICS_SCHEMA:
                 return "metrics", doc
         if doc is None and _looks_like_flight(stripped):
             # Multi-line flight log: the single-object parse above
@@ -69,7 +60,19 @@ def load_artifact(path: str) -> Tuple[str, object]:
             from repro.obs.flight import replay_flight
 
             return "flight", replay_flight(path)
-    return "trace", read_jsonl(text)
+    try:
+        events = read_jsonl(text)
+        is_trace = all(
+            isinstance(event, dict) and "ph" in event for event in events
+        )
+    except ValueError:
+        is_trace = False
+    if not is_trace:
+        raise ValueError(
+            "%s is not an observation artifact; expected %s"
+            % (path, ARTIFACT_KINDS)
+        )
+    return "trace", events
 
 
 def _looks_like_flight(text: str) -> bool:
@@ -203,86 +206,6 @@ def render_metrics(doc: Dict[str, object]) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-def render_bench(doc: Dict[str, object], verbose: bool = False) -> str:
-    """Summary of a ``repro.obs/bench-v1`` trajectory document."""
-    lines: List[str] = []
-    meta = doc.get("meta", {})
-    if meta:
-        lines.append(
-            "bench trajectory: "
-            + ", ".join(
-                "%s=%s" % (k, meta[k]) for k in sorted(meta)
-            )
-        )
-    rows = []
-    for run in doc.get("runs", []):
-        stats = run.get("stats", {})
-        rows.append([
-            "%s/%s" % (run.get("workload"), run.get("backend")),
-            _fmt(run.get("seconds")),
-            str(run.get("num_cliques")),
-            str(stats.get("calls", "-")),
-            str(stats.get("expansions", "-")),
-        ])
-    if rows:
-        lines.extend(_table(
-            ["run", "seconds", "cliques", "calls", "expansions"], rows
-        ))
-    if verbose:
-        for run in doc.get("runs", []):
-            metrics = run.get("metrics")
-            if not metrics:
-                continue
-            lines.append("")
-            lines.append(
-                "%s/%s:" % (run.get("workload"), run.get("backend"))
-            )
-            registry = MetricsRegistry.from_dict(metrics)
-            lines.extend("  " + t for t in _registry_sections(registry))
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def render_speedup(doc: Dict[str, object]) -> str:
-    """Summary of a ``kernel-backend-speedup`` document."""
-    lines: List[str] = []
-    header = ["speedup bench: %s" % doc.get("bench", "?")]
-    if doc.get("pr") is not None:
-        header.append("pr=%s" % doc.get("pr"))
-    env = doc.get("env") or {}
-    for key in sorted(env):
-        header.append("%s=%s" % (key, env[key]))
-    lines.append(", ".join(header))
-    rows = []
-    for record in doc.get("workloads", []):
-        best = record.get("best_s", {})
-        rows.append([
-            str(record.get("name")),
-            str(record.get("outputs", "-")),
-            _fmt(best.get("dict", "-")),
-            _fmt(best.get("kernel", "-")),
-            _fmt(record.get("speedup_best", "-")),
-            _fmt(record.get("speedup_median", "-")),
-        ])
-    if rows:
-        lines.extend(_table(
-            ["workload", "cliques", "dict_best_s", "kernel_best_s",
-             "speedup_best", "speedup_median"],
-            rows,
-        ))
-    summary = doc.get("summary", {})
-    if summary:
-        lines.append(
-            "summary: best %sx (target %sx, met=%s, parity_ok=%s)"
-            % (
-                summary.get("best_speedup", "-"),
-                summary.get("speedup_target", "-"),
-                summary.get("target_met", "-"),
-                summary.get("parity_ok", "-"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def render_trace(events: List[Dict[str, object]]) -> str:
     """Summary of a Chrome-trace-event JSONL stream."""
     span_dur: Dict[Tuple[object, str], int] = {}
@@ -335,15 +258,11 @@ def _lane_suffix(lanes: Dict[object, str], tid) -> str:
     return " [%s]" % label if label else ""
 
 
-def render_path(path: str, verbose: bool = False) -> str:
+def render_path(path: str) -> str:
     """Load ``path`` and render the matching summary."""
     kind, payload = load_artifact(path)
     if kind == "metrics":
         return render_metrics(payload)
-    if kind == "bench":
-        return render_bench(payload, verbose=verbose)
-    if kind == "speedup":
-        return render_speedup(payload)
     if kind == "flight":
         # Imported lazily in both directions (fleet borrows _table).
         from repro.obs.fleet import render_tail

@@ -33,7 +33,7 @@ from repro.store.key import (
     run_key_for,
     variant_class,
 )
-from repro.store.records import RunRecord, document_stamp, stamped_record
+from repro.store.records import RunRecord, stamped_record
 from repro.store.service import EnumerationService, ServeLoop, parse_eta
 from repro.store.store import DEFAULT_STORE_DIR, RunStore, StoredRun
 
@@ -49,7 +49,6 @@ __all__ = [
     "run_key_for",
     "variant_class",
     "RunRecord",
-    "document_stamp",
     "stamped_record",
     "EnumerationService",
     "ServeLoop",

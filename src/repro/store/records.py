@@ -10,10 +10,7 @@ at full precision.  That logic now lives exactly once:
   backend/variant stamps and the :func:`repro.obs.runtime.run_env`
   fingerprint merged into ``extra``;
 * :func:`run_stamped` — run an enumerator and stamp its record, phase
-  seconds included (the service's and the sessions' store misses);
-* :func:`document_stamp` — the document-level ``env`` block for
-  benchmark artifacts (speedup documents, trajectory meta), so every
-  artifact ``repro.obs diff`` reads says where it ran.
+  seconds included (the service's and the sessions' store misses).
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ class RunRecord:
 
     def as_row(self) -> Dict[str, object]:
         # Full precision: rows feed machine-readable artifacts (JSON
-        # dumps, trajectory diffs); rounding happens only at
+        # dumps, the run store); rounding happens only at
         # text-render time (``_fmt`` in bench.harness / bench.report).
         row: Dict[str, object] = {
             "run": self.label,
@@ -92,8 +89,3 @@ def run_stamped(label: str, enumerator, k: int, eta) -> tuple:
         backend=enumerator.backend_used,
         variant=enumerator.variant_used,
     )
-
-
-def document_stamp() -> Dict[str, object]:
-    """The per-document environment block for benchmark artifacts."""
-    return run_env()

@@ -1,8 +1,9 @@
 """``python -m repro.obs`` — the report and diff entry points.
 
-The diff command is CI's perf gate: exit 0 on clean comparisons, 1 on
-any regression beyond threshold, 2 on unusable input — so every status
-is pinned here, over all three artifact kinds the loader sniffs.
+The diff command gates regressions between session metrics documents:
+exit 0 on clean comparisons, 1 on any regression beyond threshold, 2
+on unusable input — so every status is pinned here, and report must
+refuse a file that is no observation artifact with exit 2.
 """
 
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from repro.core import PMUC_PLUS_CONFIG, PivotEnumerator
 from repro.obs.cli import main
+from repro.obs.flight import FlightRecorder
 from repro.obs.session import observe
 from repro.uncertain import UncertainGraph
 
@@ -23,29 +25,29 @@ def tiny_graph():
     return g
 
 
-def bench_document(
+def metrics_document(
     seconds=0.5, calls=100, expansions=80, outputs=10, variant=None
 ):
+    """A one-run session metrics document (the ``--trace-out`` shape)."""
     run = {
-        "workload": "tiny",
+        "index": 0,
         "backend": "dict",
-        "k": 2,
-        "eta": 0.1,
-        "seconds": seconds,
-        "num_cliques": outputs,
-        "stats": {
-            "calls": calls,
-            "expansions": expansions,
-            "outputs": outputs,
-            "max_depth": 3,
+        "level": "metrics",
+        "metrics": {
+            "counters": {
+                "calls": calls,
+                "expansions": expansions,
+                "outputs": outputs,
+            },
+            "gauges": {},
+            "phases": {"recursion": seconds},
+            "depth": {},
         },
-        "metrics": {"counters": {}, "gauges": {},
-                    "phases": {}, "depth": {}},
     }
     if variant is not None:
         run["variant"] = variant
     return {
-        "schema": "repro.obs/bench-v1",
+        "schema": "repro.obs/metrics-v1",
         "runs": [run],
     }
 
@@ -68,12 +70,13 @@ def test_report_renders_all_three_artifact_kinds(
     artifacts, tmp_path, capsys
 ):
     trace, metrics = artifacts
-    bench = tmp_path / "bench.json"
-    bench.write_text(json.dumps(bench_document()))
+    flight = tmp_path / "flight.jsonl"
+    with FlightRecorder(str(flight), role="parent") as recorder:
+        recorder.run_start(k=2)
     for path, marker in (
         (trace, "trace:"),
         (metrics, "run 0 ["),
-        (bench, "tiny/dict"),
+        (flight, "run_start"),
     ):
         assert main(["report", str(path)]) == 0
         assert marker in capsys.readouterr().out
@@ -84,33 +87,63 @@ def test_report_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# notes\n\nNot JSON at all.\n",
+        json.dumps({"foo": 1}, indent=2),
+        '{"foo": 1}\n',
+    ],
+    ids=["markdown", "multi-line-json", "one-line-object"],
+)
+def test_non_artifacts_exit_2_naming_the_accepted_kinds(
+    tmp_path, capsys, text
+):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    for argv in (["report", str(path)], ["diff", str(path), str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "repro.obs/metrics-v1" in captured.err
+
+
+def test_report_empty_file_is_an_empty_trace(tmp_path, capsys):
+    # A session that observed no run writes an empty trace.
+    path = tmp_path / "empty.trace.jsonl"
+    path.write_text("")
+    assert main(["report", str(path)]) == 0
+    assert "trace: 0 events" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------------------
 # diff
 # ----------------------------------------------------------------------
 def test_diff_clean_exits_0(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(bench_document()))
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(metrics_document()))
     assert main(["diff", str(path), str(path)]) == 0
     out = capsys.readouterr().out
     assert "no regressions" in out
-    assert "tiny/dict: calls 100 -> 100 ok" in out
+    assert "run0/dict: calls 100 -> 100 ok" in out
 
 
 def test_diff_counter_regression_exits_1(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document()))
-    cur.write_text(json.dumps(bench_document(calls=150)))
+    base.write_text(json.dumps(metrics_document()))
+    cur.write_text(json.dumps(metrics_document(calls=150)))
     assert main(["diff", str(base), str(cur)]) == 1
     out = capsys.readouterr().out
-    assert "REGRESSION tiny/dict: calls grew 100 -> 150" in out
+    assert "REGRESSION run0/dict: calls grew 100 -> 150" in out
 
 
 def test_diff_output_drift_is_always_a_regression(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document()))
-    cur.write_text(json.dumps(bench_document(outputs=11)))
+    base.write_text(json.dumps(metrics_document()))
+    cur.write_text(json.dumps(metrics_document(outputs=11)))
     assert main(["diff", str(base), str(cur)]) == 1
     assert "outputs changed 10 -> 11" in capsys.readouterr().out
 
@@ -118,8 +151,8 @@ def test_diff_output_drift_is_always_a_regression(tmp_path, capsys):
 def test_diff_time_regression_respects_threshold(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document(seconds=0.1)))
-    cur.write_text(json.dumps(bench_document(seconds=0.2)))
+    base.write_text(json.dumps(metrics_document(seconds=0.1)))
+    cur.write_text(json.dumps(metrics_document(seconds=0.2)))
     # Doubling trips the default 1.5x gate ...
     assert main(["diff", str(base), str(cur)]) == 1
     assert "seconds grew" in capsys.readouterr().out
@@ -131,30 +164,30 @@ def test_diff_time_regression_respects_threshold(tmp_path, capsys):
 
 
 def test_diff_missing_run_is_a_regression(tmp_path, capsys):
-    base_doc = bench_document()
+    base_doc = metrics_document()
     base_doc["runs"].append(
         dict(base_doc["runs"][0], backend="kernel")
     )
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
     base.write_text(json.dumps(base_doc))
-    cur.write_text(json.dumps(bench_document()))
+    cur.write_text(json.dumps(metrics_document()))
     assert main(["diff", str(base), str(cur)]) == 1
-    assert "tiny/kernel: missing from current" in capsys.readouterr().out
-    # --only-common downgrades the absence (CI gates a --quick slice
-    # against the full committed baseline) but still compares the rest.
+    assert "run0/kernel: missing from current" in capsys.readouterr().out
+    # --only-common downgrades the absence (gating a partial re-run
+    # against a full baseline) but still compares the rest.
     assert main(["diff", str(base), str(cur), "--only-common"]) == 0
     out = capsys.readouterr().out
-    assert "tiny/kernel: not in current, skipped" in out
-    assert "tiny/dict: calls 100 -> 100 ok" in out
+    assert "run0/kernel: not in current, skipped" in out
+    assert "run0/dict: calls 100 -> 100 ok" in out
 
 
 def test_diff_only_common_with_empty_intersection_still_fails(
     tmp_path, capsys
 ):
-    base_doc = bench_document()
-    cur_doc = bench_document()
-    cur_doc["runs"][0]["workload"] = "other"
+    base_doc = metrics_document()
+    cur_doc = metrics_document()
+    cur_doc["runs"][0]["index"] = 1
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
     base.write_text(json.dumps(base_doc))
@@ -164,8 +197,8 @@ def test_diff_only_common_with_empty_intersection_still_fails(
 
 
 def test_diff_cross_backend_documents_exit_2(tmp_path, capsys):
-    base_doc = bench_document()
-    cur_doc = bench_document()
+    base_doc = metrics_document()
+    cur_doc = metrics_document()
     cur_doc["runs"][0]["backend"] = "kernel"
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
@@ -182,8 +215,8 @@ def test_diff_cross_backend_documents_exit_2(tmp_path, capsys):
 def test_diff_cross_variant_documents_exit_2(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document(variant="generic")))
-    cur.write_text(json.dumps(bench_document(variant="generic+hooks")))
+    base.write_text(json.dumps(metrics_document(variant="generic")))
+    cur.write_text(json.dumps(metrics_document(variant="generic+hooks")))
     # A hooked closure's wall clock is not comparable to the
     # production variant's: unusable input, not a regression.
     assert main(["diff", str(base), str(cur)]) == 2
@@ -195,13 +228,12 @@ def test_diff_cross_variant_documents_exit_2(tmp_path, capsys):
 def test_diff_unstamped_baseline_accepts_stamped_current(
     tmp_path, capsys
 ):
-    # Artifacts predating the variant stamp must keep gating cleanly
-    # against freshly stamped re-runs (the committed BENCH_pr4.json
-    # case).
+    # Documents predating the variant stamp must keep gating cleanly
+    # against freshly stamped re-runs.
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document()))
-    cur.write_text(json.dumps(bench_document(variant="generic")))
+    base.write_text(json.dumps(metrics_document()))
+    cur.write_text(json.dumps(metrics_document(variant="generic")))
     assert main(["diff", str(base), str(cur)]) == 0
     assert "no regressions" in capsys.readouterr().out
 
@@ -209,9 +241,9 @@ def test_diff_unstamped_baseline_accepts_stamped_current(
 def test_diff_matching_variants_compare_normally(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(bench_document(variant="bitset")))
+    base.write_text(json.dumps(metrics_document(variant="bitset")))
     cur.write_text(
-        json.dumps(bench_document(calls=150, variant="bitset"))
+        json.dumps(metrics_document(calls=150, variant="bitset"))
     )
     assert main(["diff", str(base), str(cur)]) == 1
     assert "calls grew" in capsys.readouterr().out
@@ -232,13 +264,13 @@ def test_diff_trace_input_exits_2(artifacts, capsys):
 # ----------------------------------------------------------------------
 # cross-platform warning: once per distinct drift per invocation
 # ----------------------------------------------------------------------
-def multi_run_document(env=None, workloads=("a", "b", "c")):
-    """A bench document with several runs, each stamped with ``env``."""
-    doc = bench_document()
+def multi_run_document(env=None, runs=3):
+    """A metrics document with several runs, each stamped with ``env``."""
+    doc = metrics_document()
     template = doc["runs"][0]
     doc["runs"] = [
-        dict(template, workload=name, env=dict(env or {}))
-        for name in workloads
+        dict(template, index=index, env=dict(env or {}))
+        for index in range(runs)
     ]
     return doc
 
@@ -258,8 +290,8 @@ def test_diff_cross_platform_warning_fires_once_per_invocation(
     # is reported once for the whole invocation, not once per row.
     assert out.count("cross-platform compare") == 1
     assert "Linux-x86_64 -> Darwin-arm64" in out
-    for name in ("a", "b", "c"):
-        assert "%s/dict: calls 100 -> 100 ok" % name in out
+    for index in range(3):
+        assert "run%d/dict: calls 100 -> 100 ok" % index in out
 
 
 def test_diff_distinct_drifts_each_warn_once(tmp_path, capsys):
@@ -268,8 +300,8 @@ def test_diff_distinct_drifts_each_warn_once(tmp_path, capsys):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
     here = {"python": "3.11.4", "platform": "Linux-x86_64"}
-    base_doc = multi_run_document(env=here, workloads=("a", "b", "c", "d"))
-    cur_doc = multi_run_document(env=here, workloads=("a", "b", "c", "d"))
+    base_doc = multi_run_document(env=here, runs=4)
+    cur_doc = multi_run_document(env=here, runs=4)
     for run in cur_doc["runs"][:2]:
         run["env"] = {"python": "3.11.4", "platform": "Darwin-arm64"}
     for run in cur_doc["runs"][2:]:
@@ -286,7 +318,7 @@ def test_diff_distinct_drifts_each_warn_once(tmp_path, capsys):
 def test_diff_document_level_stamp_dedupes_against_run_level(
     tmp_path, capsys
 ):
-    # When the document meta restates the same drift the per-run envs
+    # When the document env restates the same drift the per-run envs
     # already surfaced, one invocation still prints it exactly once.
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
@@ -294,8 +326,8 @@ def test_diff_document_level_stamp_dedupes_against_run_level(
     there = {"python": "3.11.4", "platform": "Darwin-arm64"}
     base_doc = multi_run_document(env=here)
     cur_doc = multi_run_document(env=there)
-    base_doc["meta"] = dict(here)
-    cur_doc["meta"] = dict(there)
+    base_doc["env"] = dict(here)
+    cur_doc["env"] = dict(there)
     base.write_text(json.dumps(base_doc))
     cur.write_text(json.dumps(cur_doc))
     assert main(["diff", str(base), str(cur)]) == 0

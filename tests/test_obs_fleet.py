@@ -1,8 +1,6 @@
 """Fleet aggregation: parallel shards, flight replay parity, CLI views."""
 
 import json
-import pathlib
-import re
 from dataclasses import replace
 
 from repro.core import enumerate_parallel, enumerate_partitioned
@@ -215,32 +213,6 @@ class TestObsCli:
         assert obs_main(["report", paths[0]]) == 0
         assert "run_start" in capsys.readouterr().out
 
-    def test_trajectory_over_bench_artifacts(self, capsys):
-        assert obs_main(["trajectory", "BENCH_pr6.json"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel-backend-speedup" in out
-        assert "BENCH_pr6.json" in out
-
-    def test_committed_bench_artifacts_carry_their_pr_stamp(self):
-        # ``trajectory`` orders its rows by the ``pr`` stamp, so a
-        # mis-stamped artifact lands silently in the wrong place.
-        root = pathlib.Path(__file__).resolve().parent.parent
-        paths = sorted(root.glob("BENCH_pr*.json"))
-        assert paths
-        for path in paths:
-            match = re.fullmatch(r"BENCH_pr(\d+)\.json", path.name)
-            assert match, path.name
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            assert doc["pr"] == int(match.group(1)), path.name
-
-    def test_diff_speedup_document_against_itself(self, capsys):
-        code = obs_main(["diff", "BENCH_pr6.json", "BENCH_pr6.json"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no regressions beyond threshold" in out
-        # Same artifact, same fingerprint: never a cross-platform warning.
-        assert "cross-platform" not in out
-
     def test_missing_file_exits_2(self, capsys):
         assert obs_main(["tail", "no-such-flight.jsonl"]) == 2
         capsys.readouterr()
@@ -249,11 +221,12 @@ class TestObsCli:
 class TestPlatformWarning:
     def test_diff_warns_on_cross_platform(self, tmp_path, capsys):
         base = {
-            "bench": "kernel-backend-speedup",
+            "schema": "repro.obs/metrics-v1",
             "env": {"python": "3.11.1", "platform": "Linux-x"},
-            "workloads": [
-                {"name": "w", "outputs": 5, "best_s": {"kernel": 1.0},
-                 "variants": {}},
+            "runs": [
+                {"index": 0, "backend": "kernel",
+                 "metrics": {"counters": {"outputs": 5},
+                             "phases": {"recursion": 1.0}}},
             ],
         }
         run = json.loads(json.dumps(base))
