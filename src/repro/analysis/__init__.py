@@ -11,10 +11,17 @@ classes this reproduction lives by:
   bare-except traps (REP003, REP004);
 * **engine conformance** — backend ``StateOps`` classes implement the
   full search-engine protocol and the engine recursion is never copied
-  outside :mod:`repro.engine`, while the engine keeps every sanitizer
-  and observer hook wired (REP005, REP007, REP008);
-* **process isolation** — multiprocessing workers never mutate state
-  the parent is expected to see (REP006).
+  outside :mod:`repro.engine` (REP005); every folded recursion variant
+  is a proven specialization of the shared template, and the engine
+  keeps every sanitizer and observer hook wired (REP013);
+* **flow safety** — log and linear probabilities never mix, bitsets
+  stay in the bit domain, and process-wide state is restored on every
+  raising path (REP010–REP012);
+* **process isolation** — state crossing a worker boundary pickles,
+  and multiprocessing workers never mutate state the parent is
+  expected to see (REP014);
+* **store keys** — run-store key and salt content is deterministic
+  (REP015).
 
 Run it with ``python -m repro.analysis [paths…]``; see
 ``docs/analysis.md`` for the rule catalog, suppression syntax and

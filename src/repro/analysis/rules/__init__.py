@@ -6,13 +6,14 @@ Importing this package registers every rule with
 * :mod:`~repro.analysis.rules.determinism` — REP001, REP002
 * :mod:`~repro.analysis.rules.numeric` — REP003, REP004
 * :mod:`~repro.analysis.rules.conformance` — REP005
-* :mod:`~repro.analysis.rules.parallel` — REP006
-* :mod:`~repro.analysis.rules.sanitizer` — REP007
-* :mod:`~repro.analysis.rules.obs` — REP008
 * :mod:`~repro.analysis.rules.flow_domains` — REP010, REP011
 * :mod:`~repro.analysis.rules.flow_state` — REP012
 * :mod:`~repro.analysis.rules.translation` — REP013, REP014
 * :mod:`~repro.analysis.rules.store` — REP015
+
+REP006, REP007, REP008 and REP009 are retired and their ids are not
+reused: REP014 holds cross-process mutation, REP013 holds hook
+coverage and variant parity.
 """
 
 from repro.analysis.rules import (
@@ -21,9 +22,6 @@ from repro.analysis.rules import (
     flow_domains,
     flow_state,
     numeric,
-    obs,
-    parallel,
-    sanitizer,
     store,
     translation,
 )
@@ -32,7 +30,7 @@ from repro.analysis.rules import (
 #: cached per-file results (see :mod:`repro.analysis.cache`).  The
 #: cache key also folds in the analysis package sources, so this is a
 #: human-readable escape hatch, not the only invalidation mechanism.
-RULESET_VERSION = "2026.10-variants-6"
+RULESET_VERSION = "2026.10-one-gate-per-property"
 
 __all__ = [
     "conformance",
@@ -40,9 +38,6 @@ __all__ = [
     "flow_domains",
     "flow_state",
     "numeric",
-    "obs",
-    "parallel",
-    "sanitizer",
     "store",
     "translation",
     "RULESET_VERSION",

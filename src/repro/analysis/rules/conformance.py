@@ -23,17 +23,13 @@ this rule pins both down on every lint run:
   periphery search, which has no size accounting) exempt by
   construction while any copy of the engine's combined search trips
   the rule.
-
-The module also hosts :func:`find_engine_anchors`, the shared locator
-for the engine's recursion and run lifecycle that the REP007/REP008
-hook-coverage rules build on.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
@@ -45,49 +41,9 @@ _BASE = "StateOps"
 #: Path component that marks the engine package: the one place the
 #: recursion (and its markers) may live.
 _ENGINE_COMPONENT = "engine"
-#: The recursion anchor: the closure defined by the shared template
-#: that every compiled variant is folded from (see
-#: ``repro.engine.driver``).
-_RECURSION_FUNC = "search"
-_RECURSION_BUILDER = "_search_template"
-#: The lifecycle anchor: the ``run`` method of the engine class.
-_DRIVER_METHOD = "run"
-_DRIVER_CLASS = "SearchEngine"
 
 _MPIVOT_COUNTERS = ("mpivot_skips",)
 _KPIVOT_COUNTERS = ("kpivot_stops", "size_prunes")
-
-
-def find_engine_anchors(
-    src: SourceFile,
-) -> Tuple[Optional[ast.AST], Optional[ast.AST]]:
-    """Locate ``(recursion, driver)`` anchor functions in one file.
-
-    The recursion is the ``search`` closure nested directly in
-    ``_search_template`` (the shared variant template); the driver is
-    the ``run`` method defined directly on ``SearchEngine``.  Either side is None when absent; the first
-    match wins, so a file holding exactly one engine — the committed
-    layout — is unambiguous.
-    """
-    recursion = driver = None
-    for func, stack in walk_functions(src.tree):
-        if (
-            recursion is None
-            and func.name == _RECURSION_FUNC
-            and stack
-            and isinstance(stack[-1], ast.FunctionDef)
-            and stack[-1].name == _RECURSION_BUILDER
-        ):
-            recursion = func
-        if (
-            driver is None
-            and func.name == _DRIVER_METHOD
-            and stack
-            and isinstance(stack[-1], ast.ClassDef)
-            and stack[-1].name == _DRIVER_CLASS
-        ):
-            driver = func
-    return recursion, driver
 
 
 def _is_stateops_subclass(cls: ast.ClassDef) -> bool:

@@ -54,9 +54,8 @@ from repro.analysis.flow import (
 )
 from repro.analysis.flow.cfg import CFG, Node
 from repro.analysis.registry import rule
+from repro.analysis.semantics.validate import template_def
 from repro.analysis.source import SourceFile, terminal_name
-
-_TEMPLATE_FUNC = "_search_template"
 
 #: Names reserved (by kernel convention) for negative-log values.
 _LOG_NAME = re.compile(r"^_?(sv|nlq|nlogr|nlog\w*|nl_\w+|hi_base)$")
@@ -458,14 +457,7 @@ def _range_vars(root: ast.AST) -> Dict[int, frozenset]:
 # ----------------------------------------------------------------------
 # per-file orchestration (shared by REP010/REP011)
 # ----------------------------------------------------------------------
-def _defines_template(tree: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC
-        for node in getattr(tree, "body", [])
-    )
-
-
-def _folded_variants(src: SourceFile) -> List[ast.Module]:
+def _folded_variants(template: ast.FunctionDef) -> List[ast.Module]:
     """Every AST-folded variant of this file's own template.
 
     Folding the template *from the file's AST* (rather than the
@@ -475,11 +467,6 @@ def _folded_variants(src: SourceFile) -> List[ast.Module]:
     """
     from repro.engine import driver
 
-    template = next(
-        node
-        for node in src.tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC
-    )
     return [
         driver.fold_record(
             key,
@@ -499,13 +486,9 @@ def _function_units(src: SourceFile) -> List[Tuple[Optional[ast.AST], CFG]]:
     plus every folded variant's functions.
     """
     units = list(cfgs_for(src).values())
-    if not _defines_template(src.tree):
+    template = template_def(src.tree)
+    if template is None:
         return units
-    template = next(
-        node
-        for node in src.tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC
-    )
     inside_template = {
         id(sub)
         for sub in ast.walk(template)
@@ -516,7 +499,7 @@ def _function_units(src: SourceFile) -> List[Tuple[Optional[ast.AST], CFG]]:
         for func, cfg in units
         if func is None or id(func) not in inside_template
     ]
-    for module in _folded_variants(src):
+    for module in _folded_variants(template):
         for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 units.append((node, build_cfg(node.body)))

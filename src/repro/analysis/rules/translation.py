@@ -6,12 +6,14 @@ with the production specializer for every legal variant key and runs
 the full proof obligations of
 :mod:`repro.analysis.semantics.validate`: identical guarded-command
 skeletons, emission/recursion parity, hook sites exactly when ``HOOKS``
-is on, and bitset-domain closure (name/call surface plus the REP011
-taint pass re-run over the folded body).  Each difference carries a
-source-to-sink trace from the template site through the enclosing
+is on, and bitset-domain closure (the name/call surface; bitset
+escapes inside the folded body are REP011's).  Each difference carries
+a source-to-sink trace from the template site through the enclosing
 structure to the variant site; differences are de-duplicated across
 keys so one broken fold reports once, naming the first variant it
-breaks.
+breaks.  In a file that also defines ``SearchEngine.run`` (the engine
+driver) the rule requires every sanitizer and observer hook label on
+the ``search`` closure and on ``run`` (hook coverage).
 
 Fixture/corpus mode: a module that declares ``VARIANT_ENVS = {"name":
 {"HOOKS": False, ...}}`` has each named function validated against the
@@ -30,8 +32,8 @@ mutate state they received.  Three sinks, all on the
   generator expressions, file/lock handles, or the engine's
   ``search_ops()``/``fast_ops()`` closure bundles;
 * a dispatched worker whose interprocedural summary mutates
-  parent-owned state (reported at the boundary, with the mutation site
-  in the trace — the per-write findings stay with REP006);
+  parent-owned state — one finding per write, reported at the
+  boundary with the write in the trace;
 * a ``StateOps`` implementation whose ``root_state`` returns frontier
   state with unpicklable components.
 """
@@ -39,21 +41,25 @@ mutate state they received.  Three sinks, all on the
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity, flow_fingerprint
 from repro.analysis.registry import rule
+from repro.analysis.semantics.escape import (
+    dispatch_sites,
+    frontier_returns,
+    module_worker_summaries,
+    payload_escapes,
+)
+from repro.analysis.semantics.validate import (
+    hook_coverage,
+    template_def,
+    validate_template_source,
+    validate_variant,
+)
 from repro.analysis.source import SourceFile
 
-_TEMPLATE_FUNC = "_search_template"
 _ENVS_NAME = "VARIANT_ENVS"
-
-
-def _defines_template(tree: ast.AST) -> bool:
-    return any(
-        isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC
-        for node in getattr(tree, "body", [])
-    )
 
 
 def _declared_envs(tree: ast.AST) -> Dict[str, Dict[str, bool]]:
@@ -78,9 +84,7 @@ def _declared_envs(tree: ast.AST) -> Dict[str, Dict[str, bool]]:
     return {}
 
 
-def _difference_finding(
-    src: SourceFile, diff, key_label: str
-) -> Finding:
+def _difference_finding(src: SourceFile, diff) -> Finding:
     source_text = src.line_text(diff.spec_line)
     sink_text = src.line_text(diff.line)
     return Finding(
@@ -104,37 +108,31 @@ def _difference_finding(
     Severity.ERROR,
     "every AST-folded recursion variant must be a proven-sound "
     "specialization of the shared template: same emission sites and "
-    "recursion structure, hook sites exactly when HOOKS is on, and "
-    "bitset-domain closure on the bitset path",
+    "recursion structure, hook sites exactly when HOOKS is on, "
+    "bitset-domain closure on the bitset path, and every sanitizer and "
+    "observer hook wired in the engine",
 )
 def check_variant_translation(src: SourceFile) -> Iterator[Finding]:
-    from repro.analysis.semantics.validate import (
-        validate_template_source,
-        validate_variant,
-    )
-
-    if not _defines_template(src.tree):
+    template = template_def(src.tree)
+    if template is None:
         return
     seen: Set[Tuple] = set()
     # Production mode: fold this file's own template with the engine's
-    # specializer for every legal key and validate each fold.
-    for key, diff in validate_template_source(src.tree, src.lines):
+    # specializer for every legal key and validate each fold, then
+    # check the engine's hook coverage.
+    diffs = [d for _key, d in validate_template_source(src.tree, src.lines)]
+    diffs.extend(hook_coverage(src.tree, src.lines))
+    for diff in diffs:
         anchor = (diff.kind, diff.line, diff.spec_line)
         if anchor in seen:
             continue
         seen.add(anchor)
-        yield _difference_finding(src, diff, str(key))
+        yield _difference_finding(src, diff)
     # Corpus mode: validate explicitly declared (function, flags)
     # pairs — the seeded-mutant fixtures ship pre-folded variants.
     envs = _declared_envs(src.tree)
     if not envs:
         return
-    template = next(
-        node
-        for node in src.tree.body
-        if isinstance(node, ast.FunctionDef)
-        and node.name == _TEMPLATE_FUNC
-    )
     defs = {
         node.name: node
         for node in src.tree.body
@@ -164,7 +162,7 @@ def check_variant_translation(src: SourceFile) -> Iterator[Finding]:
             if anchor in seen:
                 continue
             seen.add(anchor)
-            yield _difference_finding(src, diff, name)
+            yield _difference_finding(src, diff)
 
 
 # ----------------------------------------------------------------------
@@ -195,13 +193,6 @@ def _escape_trace(origin, sink_line: int, sink_text: str,
     "worker summaries, and StateOps root_state frontiers are checked",
 )
 def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
-    from repro.analysis.semantics.escape import (
-        dispatch_sites,
-        frontier_returns,
-        module_worker_summaries,
-        payload_escapes,
-    )
-
     reported: Set[Tuple[int, str]] = set()
 
     def emit(line: int, message: str, trace: Tuple,
@@ -245,9 +236,9 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
             root.text,
         )
 
-    # 2. Workers whose summaries mutate parent-owned state: reported at
-    #    the boundary (the dispatch is what makes the mutation a bug);
-    #    REP006 reports the per-write findings inside the worker.
+    # 2. Workers whose summaries mutate parent-owned state: one finding
+    #    per write, reported at the boundary (the dispatch is what makes
+    #    the write a bug) with the write itself in the trace.
     summaries = module_worker_summaries(src)
     if summaries:
         boundary_of: Dict[str, int] = {}
@@ -255,40 +246,38 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
             if isinstance(site.worker, ast.Name):
                 boundary_of.setdefault(site.worker.id, site.line)
         for name, mutations in summaries.items():
-            if not mutations:
-                continue
-            first = mutations[0]
-            line = boundary_of.get(name, first.line)
-            origin = first.origin
-            steps: List[Dict[str, object]] = []
-            if origin is not None:
-                steps.extend(origin.steps())
-            steps.append(
-                {
-                    "line": first.line,
-                    "col": first.node.col_offset,
-                    "text": src.line_text(first.line),
-                    "note": f"worker '{name}' {first.what}",
-                }
-            )
-            steps.append(
-                {
-                    "line": line,
-                    "col": 0,
-                    "text": src.line_text(line),
-                    "note": "worker crosses the process boundary here",
-                }
-            )
-            yield from emit(
-                line,
-                (
-                    f"worker '{name}' mutates state it received across "
-                    f"the process boundary ({first.what}, line "
-                    f"{first.line}); the write never reaches the parent"
-                ),
-                tuple(steps),
-                src.line_text(first.line),
-            )
+            for mutation in mutations:
+                line = boundary_of.get(name, mutation.line)
+                steps: List[Dict[str, object]] = []
+                if mutation.origin is not None:
+                    steps.extend(mutation.origin.steps())
+                steps.append(
+                    {
+                        "line": mutation.line,
+                        "col": mutation.node.col_offset,
+                        "text": src.line_text(mutation.line),
+                        "note": f"worker '{name}' {mutation.what}",
+                    }
+                )
+                steps.append(
+                    {
+                        "line": line,
+                        "col": 0,
+                        "text": src.line_text(line),
+                        "note": "worker crosses the process boundary here",
+                    }
+                )
+                yield from emit(
+                    line,
+                    (
+                        f"worker '{name}' mutates state it received "
+                        f"across the process boundary ({mutation.what}, "
+                        f"line {mutation.line}); the write never reaches "
+                        "the parent"
+                    ),
+                    tuple(steps),
+                    src.line_text(mutation.line),
+                )
 
     # 3. StateOps frontier surfaces.
     for ret, origin in frontier_returns(src):

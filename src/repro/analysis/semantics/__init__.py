@@ -1,22 +1,21 @@
 """Translation validation and escape analysis for the search engine.
 
 Two subsystems live here, both built on the :mod:`repro.analysis.flow`
-core and consumed by the REP013/REP014 rules (plus the re-grounded
-REP006):
+core and consumed by the REP013/REP014 rules:
 
 * :mod:`~repro.analysis.semantics.ir` /
   :mod:`~repro.analysis.semantics.validate` — a translation validator
   that proves every AST-folded recursion variant is a sound
   specialization of the shared template (same emission sites, same
   recursion structure, hook sites exactly when ``HOOKS`` is on,
-  bitset-domain closure on the bitset path);
+  bitset-domain closure on the bitset path), and checks that the
+  engine still calls every sanitizer/observer hook;
 * :mod:`~repro.analysis.semantics.escape` — interprocedural
   effect/escape summaries over worker dispatches and ``StateOps``
   frontier surfaces (serializability + cross-process mutation).
 
-``python -m repro.analysis.semantics`` runs the validator over the
-full variant matrix and exits nonzero on any unproven variant (the CI
-gate).
+The validator runs as REP013 in every ``python -m repro.analysis``
+scan; a clean scan proves the full variant matrix.
 """
 
 from repro.analysis.semantics.ir import (
@@ -34,7 +33,6 @@ from repro.analysis.semantics.ir import (
 from repro.analysis.semantics.validate import (
     Difference,
     flag_summary,
-    proven_keys,
     validate_template_source,
     validate_variant,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "module_worker_summaries",
     "normalize_function",
     "payload_escapes",
-    "proven_keys",
     "recursions_of",
     "validate_template_source",
     "validate_variant",

@@ -18,9 +18,7 @@ surfaces) the same way.  Two static preconditions make that safe:
    tainted ``parent`` and writes to still-tainted bases are escapes
    (locally re-created state is rightly silent).
 
-The REP014 rule consumes both; the REP006 rule is re-grounded on
-:func:`worker_mutations` (same findings surface, real dataflow
-underneath).
+The REP014 rule consumes both.
 """
 
 from __future__ import annotations

@@ -42,9 +42,9 @@ from repro.analysis.source import root_name, terminal_name
 #: parameter name ``sink`` directly.
 EMIT_CALLEES = frozenset({"sink", "sink_call"})
 
-#: Receiver names whose ``on_*`` attribute calls are runtime hooks —
-#: the same convention REP007/REP008 pin down
-#: (:mod:`repro.analysis.fingerprint`).
+#: Receiver names whose ``on_*`` attribute calls are runtime hooks:
+#: the engine binds the sanitizer to ``san`` and the observer to
+#: ``obs`` so the hook stream is statically visible.
 HOOK_ROOTS = frozenset({"san", "obs"})
 
 #: Truth-table equivalence is exact up to this many distinct atoms;
@@ -342,9 +342,10 @@ def _walk_own_expr(node: ast.AST) -> Iterator[ast.AST]:
 def hook_label(call: ast.Call) -> Optional[str]:
     """``root:hook:on_name[:detail]`` for a hook call, else None.
 
-    Mirrors the REP007/REP008 label convention
-    (:func:`repro.analysis.fingerprint.hook_labels`) with the receiver
-    root prefixed, so sanitizer and observer coverage stay separable.
+    A first argument that is a string literal becomes the detail
+    (``obs.on_prune("kpivot", ...)`` -> ``obs:hook:on_prune:kpivot``),
+    so each prune kind, gauge and phase is a label of its own; the
+    receiver prefix keeps sanitizer and observer hooks apart.
     """
     if not isinstance(call.func, ast.Attribute):
         return None

@@ -23,13 +23,18 @@ sharper messages for the failure modes that matter most:
   side's sanitizer/observer hook sites; hooks-off variants must be
   hook-free and must not even reference the ``san``/``obs`` bindings;
   and every hook site of the template must survive in some hooked
-  variant (a site no ``HOOKS`` key keeps gives REP007/REP008 coverage
-  that no run ever executes);
+  variant (a site no ``HOOKS`` key keeps is coverage that no run ever
+  executes);
 * **bitset domain closure** — bitset variants must not reach any
   generic-path backend call (``open_node``/``expand``/``decode``...),
-  generic variants must not reach the ``fast_ops`` surface, and a
-  bitset-escape taint pass (the REP011 analysis re-run over the folded
-  body) must come back clean.
+  and generic variants must not reach the ``fast_ops`` surface.
+  Bitset escapes inside the folded body (``set(c_bits)``...) are
+  REP011's: that rule analyzes the same folded variants.
+
+One obligation is per file, not per key: **hook coverage**
+(:func:`hook_coverage`).  Where a file defines both the template's
+``search`` closure and ``SearchEngine.run``, each must call every hook
+label the sanitizer, metrics and traces depend on.
 
 A key whose fold raises or does not compile is reported as a
 difference of its own, never as a crash of the validator.
@@ -88,6 +93,33 @@ _BITSET_ONLY_CALLS = frozenset(
 )
 
 _HOOK_NAMES = frozenset({"san", "obs"})
+
+#: Hook labels (:func:`~repro.analysis.semantics.ir.hook_label`) the
+#: template's ``search`` closure must call.  The sanitizer runs S1, S2
+#: and S4 from ``on_node``/``on_emit`` and S3 from the M-pivot cover;
+#: metrics and traces need each node, emission, expansion and prune
+#: kind (the string discriminator keeps the kinds apart, so losing the
+#: one ``mpivot`` site cannot hide behind a surviving ``kpivot`` one).
+RECURSION_HOOKS = (
+    "san:hook:on_node", "san:hook:on_emit", "san:hook:on_cover",
+    "obs:hook:on_node", "obs:hook:on_emit", "obs:hook:on_expand",
+    "obs:hook:on_prune:kpivot", "obs:hook:on_prune:mpivot",
+    "obs:hook:on_prune:size",
+)
+#: Hook labels ``SearchEngine.run`` must call: S5's reduced vertex set,
+#: coloring context and completeness flag; both gauges, the four phase
+#: spans, the per-seed progress tick and the final stats handover.
+#: ``on_root`` is a lifecycle hook on purpose, so the hookless
+#: recursion variants stay branch-free while progress still sees every
+#: root.
+LIFECYCLE_HOOKS = (
+    "san:hook:on_reduced", "san:hook:on_context", "san:hook:on_finish",
+    "obs:hook:on_gauge:vertices_input",
+    "obs:hook:on_gauge:vertices_search",
+    "obs:hook:on_phase:reduction", "obs:hook:on_phase:ordering",
+    "obs:hook:on_phase:recursion", "obs:hook:on_phase:sanitize",
+    "obs:hook:on_root", "obs:hook:on_finish",
+)
 
 
 class Difference:
@@ -487,63 +519,6 @@ def _domain_closure(var_func: ast.AST, cmp: _Comparison) -> None:
         )
 
 
-def _bitset_escape(var_func: ast.AST, cmp: _Comparison) -> None:
-    """Re-run the REP011 bitset-escape taint over the folded body.
-
-    Structural equality cannot catch a template *and* variant that both
-    materialize a bitset (the spec side would be equally wrong); the
-    taint pass proves the folded bitset path stays in the int/popcount
-    domain regardless of what the template says.
-    """
-    # Imported lazily: rules modules import this package at registration
-    # time, so a module-level import would be circular.
-    from repro.analysis.flow import build_cfg
-    from repro.analysis.rules.flow_domains import _BitsTaint, _range_vars
-
-    funcs = [
-        node
-        for node in ast.walk(var_func)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    if isinstance(var_func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        funcs.insert(0, var_func)
-    seen_lines: Set[int] = set()
-    for func in dict.fromkeys(funcs):
-        analysis = _BitsTaint(
-            list(cmp.lines), None, range_vars=_range_vars(func)
-        )
-        analysis.func_name = func.name
-        analysis.run(build_cfg(func.body))
-        for where, what, origin in analysis.findings:
-            if where.lineno in seen_lines or cmp.full():
-                continue
-            seen_lines.add(where.lineno)
-            root = origin.root()
-            steps = tuple(
-                [
-                    cmp._step(
-                        cmp.template_line,
-                        "template folded under "
-                        f"{flag_summary(cmp.env)} (variant "
-                        f"`{cmp.label}`)",
-                    )
-                ]
-                + origin.steps()
-                + [cmp._step(where.lineno, f"bitset {what}")]
-            )
-            cmp.differences.append(
-                Difference(
-                    "domain",
-                    f"bitset variant `{cmp.label}` {what} a bitset "
-                    f"value (from {root.note}, line {root.line}) — "
-                    "the folded hot path left the bit-parallel domain",
-                    where.lineno,
-                    root.line,
-                    steps,
-                )
-            )
-
-
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
@@ -562,17 +537,26 @@ def validate_variant(
     _recursion_parity(spec, var, cmp)
     _hook_policy(spec, var, variant_func, cmp)
     _domain_closure(variant_func, cmp)
-    if env.get("BITSET"):
-        _bitset_escape(variant_func, cmp)
     _diff_items(spec, var, cmp, [])
     return cmp.differences
 
 
-def _template_def(tree: ast.AST) -> Optional[ast.FunctionDef]:
-    for node in getattr(tree, "body", []):
-        if isinstance(node, ast.FunctionDef) and node.name == _TEMPLATE_FUNC:
-            return node
-    return None
+def _def_named(scope: Optional[ast.AST], name: str,
+               kind: type = ast.FunctionDef):
+    """The ``kind`` definition ``name`` directly in ``scope``, or None."""
+    return next(
+        (
+            node
+            for node in getattr(scope, "body", [])
+            if isinstance(node, kind) and node.name == name
+        ),
+        None,
+    )
+
+
+def template_def(tree: ast.AST) -> Optional[ast.FunctionDef]:
+    """The module-level ``_search_template`` of ``tree``, or None."""
+    return _def_named(tree, _TEMPLATE_FUNC)
 
 
 def validate_template_source(
@@ -591,7 +575,7 @@ def validate_template_source(
     """
     from repro.engine import driver
 
-    template = _template_def(tree)
+    template = template_def(tree)
     if template is None:
         return
     hooked_keys = []
@@ -615,7 +599,7 @@ def validate_template_source(
                 (),
             )
             continue
-        variant_func = _template_def(record.module)
+        variant_func = template_def(record.module)
         if variant_func is None:
             yield key, Difference(
                 "missing",
@@ -647,7 +631,7 @@ def _dead_hook_sites(
 
     A hook call under a fold guard that every hooked key removes is
     dead code in production *and* in every sanitized or observed run,
-    so the REP007/REP008 coverage it seems to give is not real.
+    so the hook coverage it seems to give is not real.
     """
     reported: Set[str] = set()
     for effect in iter_effects(normalize_function(template, {})):
@@ -678,13 +662,57 @@ def _dead_hook_sites(
             )
 
 
-def proven_keys(tree: ast.AST, lines: Sequence[str]) -> Dict[Tuple, int]:
-    """``{key: difference_count}`` over every legal key (0 = proven)."""
-    from repro.engine import driver
+def engine_anchors(
+    tree: ast.AST,
+) -> Tuple[Optional[ast.FunctionDef], Optional[ast.FunctionDef]]:
+    """``(search, run)``: the template's recursion closure and the run
+    lifecycle defined on ``SearchEngine``, each None when absent."""
+    engine = _def_named(tree, "SearchEngine", ast.ClassDef)
+    return (
+        _def_named(template_def(tree), "search"),
+        _def_named(engine, "run"),
+    )
 
-    counts: Dict[Tuple, int] = {
-        key: 0 for key in driver.legal_variant_keys()
-    }
-    for key, _diff in validate_template_source(tree, lines):
-        counts[key] += 1
-    return counts
+
+def hook_coverage(
+    tree: ast.AST, lines: Sequence[str]
+) -> Iterator[Difference]:
+    """Required hook labels the engine's two anchors no longer call.
+
+    Applies only to a file that defines both anchors (the engine
+    driver), so fixtures holding a template alone stay silent.  A
+    dropped hook site weakens the sanitizer, the metrics and the traces
+    on every backend at once, which no clique-output test notices.
+    """
+    search, run = engine_anchors(tree)
+    if search is None or run is None:
+        return
+    for func, required, where in (
+        (search, RECURSION_HOOKS, "recursion"),
+        (run, LIFECYCLE_HOOKS, "run lifecycle"),
+    ):
+        present = set(hook_labels_of(normalize_function(func)))
+        missing = [label for label in required if label not in present]
+        if not missing:
+            continue
+        names = ", ".join(f"`{label}`" for label in missing)
+        text = ""
+        if 0 < func.lineno <= len(lines):
+            text = lines[func.lineno - 1].strip()
+        yield Difference(
+            "hook-coverage",
+            f"the engine {where} (`{func.name}`) no longer calls "
+            f"{names} — every sanitizer and observer hook site must "
+            "stay wired, or the runtime checks, metrics and traces "
+            "silently weaken on all backends",
+            func.lineno,
+            func.lineno,
+            (
+                {
+                    "line": func.lineno,
+                    "col": 0,
+                    "text": text,
+                    "note": "required hook labels missing here",
+                },
+            ),
+        )

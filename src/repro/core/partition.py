@@ -260,7 +260,7 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
 
     Returns the chunk's own :class:`EnumerationResult` plus its
     breakdown dict; everything is built locally and *returned* — spawn
-    workers share nothing with the parent (REP006/REP014).  On the
+    workers share nothing with the parent (REP014).  On the
     kernel the result's cliques are still id rows over the shared
     ordering, so they cross the pipe as small int tuples.
     """

@@ -13,9 +13,9 @@ changes the recursion's data layout or its hook policy is folded; the
 pivot and pruning switches of :class:`~repro.core.config.PivotConfig`
 are read once per run into closure cells.  Because every variant is a
 partial evaluation of the same function, the hooked variants provably
-contain every REP007/REP008 hook site and the hookless variants
-provably contain none — the REP013 translation validator proves each
-fold against the template.
+contain every template hook site and the hookless variants provably
+contain none — the REP013 translation validator proves each fold
+against the template.
 
 Each backend runs one shape, set by the one hot path it defines:
 
@@ -109,9 +109,9 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
     the folded variants and is the only legitimate entry point.
 
     ``san`` is the backend's sanitizer adapter (or None) and ``obs``
-    the :class:`~repro.obs.observer.Observer` (or None); the hook sites
-    here are pinned down statically by the REP007/REP008 lint rules
-    and re-proven per variant by REP013.
+    the :class:`~repro.obs.observer.Observer` (or None); the REP013
+    lint rule requires each hook label here and re-proves every site
+    per variant.
 
     ``search(r, q, c, x, depth)`` explores the subtree rooted at path
     ``r`` and returns the maximum η-clique strictly longer than ``r``

@@ -65,24 +65,18 @@ class Series:
     ``backend`` is the stamped execution backend of the run and
     ``variant`` the stamped recursion variant (either None on
     artifacts predating the stamps); :func:`compare` refuses to gate
-    one backend's or variant's numbers against another's.  ``env`` is
-    the run's own python/platform fingerprint when the run carries
-    one — :func:`compare` warns
-    **once per distinct drift per invocation** when aligned runs
-    crossed machines, never once per compared row.
+    one backend's or variant's numbers against another's.
     """
 
     def __init__(self, key: str, seconds: Optional[float],
                  counters: Dict[str, int],
                  backend: Optional[str] = None,
-                 variant: Optional[str] = None,
-                 env: Optional[Dict[str, str]] = None) -> None:
+                 variant: Optional[str] = None) -> None:
         self.key = key
         self.seconds = seconds
         self.counters = counters
         self.backend = backend
         self.variant = variant
-        self.env = env or {}
 
 
 def extract_series(kind: str, payload) -> List[Series]:
@@ -103,7 +97,6 @@ def extract_series(kind: str, payload) -> List[Series]:
             dict(metrics.get("counters", {})),
             run.get("backend"),
             run.get("variant"),
-            env_of(run),
         ))
     return series
 
@@ -117,9 +110,8 @@ def load_series(path: str) -> List[Series]:
 def env_of(record) -> Dict[str, str]:
     """The python/platform fingerprint under ``record["env"]``, if any.
 
-    A session stamps it on the whole document; a run may carry its
-    own.  Records predating the stamp return an empty dict and never
-    trigger the warning.
+    A session stamps it on the whole document.  Documents predating
+    the stamp return an empty dict and never trigger the warning.
     """
     env = record.get("env") if isinstance(record, dict) else None
     if not isinstance(env, dict):
@@ -183,18 +175,10 @@ def compare(
         )
     lines: List[str] = []
     regressions: List[str] = []
-    # Per-run fingerprint drift collapses to one warning per distinct
-    # drift for the whole invocation (ordered-unique), not one per
-    # compared row — a 50-row artifact from another machine warns once.
-    warnings: List[str] = []
     current_by_key = {series.key: series for series in current}
     compared = 0
     for base in baseline:
         run = current_by_key.get(base.key)
-        if run is not None:
-            warning = platform_warning(base.env, run.env)
-            if warning is not None and warning not in warnings:
-                warnings.append(warning)
         if run is None:
             if only_common:
                 lines.append("%s: not in current, skipped" % base.key)
@@ -228,7 +212,7 @@ def compare(
         regressions.append(
             "no common runs between baseline and current"
         )
-    return warnings + lines, regressions
+    return lines, regressions
 
 
 def _compare_run(base, run, time_threshold, counter_threshold,
@@ -298,9 +282,8 @@ def diff_paths(
     warning = platform_warning(
         env_of(base_payload), env_of(run_payload)
     )
-    if warning is not None and warning not in lines:
-        # The document-level stamp usually restates the per-run drift
-        # compare() already surfaced; dedupe so one invocation prints
-        # each distinct warning exactly once.
+    if warning is not None:
+        # One warning per invocation, however many rows crossed the
+        # machine boundary.
         lines.insert(0, warning)
     return lines, regressions

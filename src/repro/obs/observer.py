@@ -4,8 +4,8 @@ Mirrors the runtime sanitizer's seam exactly (see
 :mod:`repro.sanitize.sanitizer`): each backend binds the observer to a
 local named ``obs`` and calls the same hooks from the same control-flow
 positions, guarded by ``if obs is not None`` so a disabled observer
-costs nothing.  The REP008 lint rule compares the two hook streams
-statically, like REP007 does for the sanitizer.
+costs nothing.  The REP013 lint rule requires every observer and
+sanitizer hook site in the engine.
 
 Recursion hooks (hot path, bound only for the
 :data:`RECURSION_HOOK_LEVELS` — counters only, plus 1-in-N sampling):
@@ -38,7 +38,7 @@ loop (feeds the progress estimator and flight heartbeats — see
 :class:`~repro.core.stats.SearchStats` counters into the registry.
 ``on_root`` lives in the run lifecycle, not the recursion template,
 so REP013's hook policy is untouched: hooks-off compiled variants carry
-no progress or flight branches (REP008 covers the lifecycle site).
+no progress or flight branches (REP013 requires the lifecycle site).
 
 Levels: ``"light"`` is lifecycle-only — flat counters, gauges, phase
 timers, progress and flight heartbeats, all from the driver hooks —

@@ -208,7 +208,7 @@ class Sanitizer:
                 ),
             )
 
-    # -- recursion hooks (REP007-mirrored between backends) ------------
+    # -- recursion hooks (REP013 requires every engine call site) -----
     def on_node(self, depth: int) -> None:
         """Entering a recursion node at ``depth``."""
         self._entry_emitted[depth] = len(self._emitted)

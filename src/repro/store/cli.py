@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -470,7 +471,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     serve.set_defaults(func=_cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head``).  Point the rest of
+        # stdout at devnull, so the flush at interpreter exit cannot
+        # raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

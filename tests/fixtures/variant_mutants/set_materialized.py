@@ -1,11 +1,11 @@
 """Seeded miscompile: the bitset hot path materializes its bitset.
 
 Template *and* variant both snapshot the candidate set through
-``set(c_bits)`` — structurally the fold is perfect, so the skeleton
-diff is clean.  Only the bitset-escape obligation (the REP011 taint
-pass re-run over the folded body) can catch it: the bitset variant's
-hot path left the int/popcount domain.  REP013 must report a
-``domain`` difference whose trace names the bit-domain source.
+``set(c_bits)`` — structurally the fold is perfect, so REP013's
+skeleton diff is clean.  REP011 catches it: it analyzes the folded
+bitset variants of the template and the hand-folded
+``_variant_bitset`` alike, and reports the materialization on both
+lines with a trace that names the bit-domain source.
 """
 
 HOOKS = False

@@ -4,8 +4,8 @@ Three REP014 sinks in one module:
 
 * ``spawn_logger`` ships an ``open(...)`` handle in ``Process`` args;
 * ``enumerate_shards`` dispatches ``_run_shard``, whose summary
-  mutates the ``stats`` object it received from the parent (REP006
-  reports the write itself; REP014 reports it at the boundary);
+  mutates the ``stats`` object it received from the parent (REP014
+  reports the write at the boundary, with the write in its trace);
 * ``FrontierOps.root_state`` returns frontier state with a lambda
   inside — unserializable the moment the work queue ships it.
 """

@@ -6,10 +6,15 @@ accept) so both halves of the contract are pinned.
 """
 
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.registry import all_rules, get_rule
 from repro.analysis.runner import run_rules
 from repro.analysis.source import SourceFile
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def findings_for(code, rule_id, path="fixture.py"):
@@ -37,10 +42,59 @@ def test_registry_has_the_full_catalog():
     ids = [r.id for r in all_rules()]
     assert ids == sorted(ids)
     assert set(ids) == {
-        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-        "REP007", "REP008", "REP010", "REP011", "REP012", "REP013",
-        "REP014", "REP015",
+        "REP001", "REP002", "REP003", "REP004", "REP005", "REP010",
+        "REP011", "REP012", "REP013", "REP014", "REP015",
     }
+
+
+# ----------------------------------------------------------------------
+# the seeded mutant corpus: one owner per reported line
+# ----------------------------------------------------------------------
+#: The lines each rule reports in each seeded fixture, with every rule
+#: run on every file.  A rule losing a mutant, a second rule reporting
+#: a line another rule owns, or any finding on the clean file fails.
+CORPUS_OWNERS = {
+    "flow_mutants/bitset_set_escape.py": {"REP011": [17, 23]},
+    "flow_mutants/order_taint_chain.py": {"REP001": [15]},
+    "flow_mutants/unrestored_reclimit.py": {"REP012": [13]},
+    "flow_mutants/variant_log_linear_mix.py": {"REP010": [22]},
+    "store_mutants/nondeterministic_key.py": {
+        "REP015": [20, 26, 27, 33, 40, 46, 52],
+    },
+    "variant_mutants/clean_variants.py": {},
+    "variant_mutants/dropped_emission.py": {"REP013": [36, 68]},
+    "variant_mutants/hook_leak.py": {"REP013": [68, 68, 69]},
+    "variant_mutants/reordered_stop.py": {"REP013": [78]},
+    "variant_mutants/set_materialized.py": {"REP011": [39, 71]},
+    "variant_mutants/unpicklable_frontier.py": {"REP014": [24, 29, 37]},
+}
+_CORPUS_FILES = sorted(
+    set(CORPUS_OWNERS)
+    | {
+        path.relative_to(FIXTURES).as_posix()
+        for family in ("flow_mutants", "variant_mutants", "store_mutants")
+        for path in (FIXTURES / family).glob("*.py")
+    }
+)
+
+
+@pytest.mark.parametrize("rel", _CORPUS_FILES)
+def test_seeded_corpus_line_owners(rel):
+    src = SourceFile.read(str(FIXTURES / rel))
+    kept, _suppressed = run_rules([src], all_rules())
+    owners = {}
+    for finding in kept:
+        owners.setdefault(finding.line, set()).add(finding.rule)
+    assert {
+        line: sorted(rules) for line, rules in owners.items()
+        if len(rules) > 1
+    } == {}
+    found = {}
+    for finding in kept:
+        found.setdefault(finding.rule, []).append(finding.line)
+    assert {rule_id: sorted(lines) for rule_id, lines in found.items()} == (
+        CORPUS_OWNERS[rel]
+    ), [f.format_text() for f in kept]
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +456,9 @@ def test_rep004_accepts_typed_except():
 
 
 # ----------------------------------------------------------------------
-# REP006 — cross-process mutation
+# REP014 — worker writes into parent state
 # ----------------------------------------------------------------------
-def test_rep006_flags_worker_mutating_global():
+def test_rep014_flags_worker_mutating_global():
     assert_flags(
         """
         RESULTS = []
@@ -416,11 +470,11 @@ def test_rep006_flags_worker_mutating_global():
         def run(pool, jobs):
             pool.map(worker, jobs)
         """,
-        "REP006",
+        "REP014",
     )
 
 
-def test_rep006_flags_worker_mutating_argument_attribute():
+def test_rep014_flags_worker_mutating_argument_attribute():
     assert_flags(
         """
         def worker(job):
@@ -431,11 +485,11 @@ def test_rep006_flags_worker_mutating_argument_attribute():
         def run(pool, jobs):
             return pool.imap_unordered(worker, jobs)
         """,
-        "REP006",
+        "REP014",
     )
 
 
-def test_rep006_accepts_worker_returning_data():
+def test_rep014_accepts_worker_returning_data():
     assert_clean(
         """
         def worker(job):
@@ -447,11 +501,11 @@ def test_rep006_accepts_worker_returning_data():
         def run(pool, jobs):
             return pool.map(worker, jobs)
         """,
-        "REP006",
+        "REP014",
     )
 
 
-def test_rep006_ignores_undispatched_functions():
+def test_rep014_ignores_undispatched_functions():
     # Mutating state is only a cross-process bug for dispatched workers.
     assert_clean(
         """
@@ -461,5 +515,28 @@ def test_rep006_ignores_undispatched_functions():
             global STATE
             STATE = [job]
         """,
-        "REP006",
+        "REP014",
     )
+
+
+def test_rep014_reports_every_write_of_a_worker():
+    # One finding per write, each at the dispatch boundary and naming
+    # its own write, so fixing the first write cannot hide the second.
+    found = assert_flags(
+        """
+        def worker(job):
+            graph, stats = job
+            stats.calls = 1
+            stats.expansions = 2
+            return graph
+
+        def run(pool, jobs):
+            return pool.map(worker, jobs)
+        """,
+        "REP014",
+        count=2,
+    )
+    assert {f.line for f in found} == {9}
+    assert any("attribute 'calls'" in f.message for f in found)
+    assert any("attribute 'expansions'" in f.message for f in found)
+    assert found[0].fingerprint != found[1].fingerprint

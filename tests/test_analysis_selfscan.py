@@ -3,8 +3,8 @@
 The self-scan is the analyzer's own acceptance test: the committed
 tree must be clean modulo the committed baseline, and the scan must
 actually see the engine anchors and the backend StateOps classes — a
-silent REP005/REP007/REP008 because an anchor went missing would be a
-hole in the conformance net.
+silent REP005, or a REP013 hook-coverage check with no anchors to
+check, would be a hole in the conformance net.
 """
 
 import io
@@ -16,8 +16,8 @@ import pytest
 from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.cli import main
 from repro.analysis.registry import get_rule
-from repro.analysis.rules.conformance import find_engine_anchors
 from repro.analysis.runner import analyze, collect_files, parse_files, run_rules
+from repro.analysis.semantics.validate import engine_anchors
 from repro.analysis.source import SourceFile
 from repro.engine.protocol import PROTOCOL_METHODS
 
@@ -52,7 +52,7 @@ def test_self_scan_sees_the_engine_anchors():
     anchored = [
         src
         for src in driver_files
-        if all(a is not None for a in find_engine_anchors(src))
+        if all(a is not None for a in engine_anchors(src.tree))
     ]
     assert len(anchored) == 1, [src.path for src in driver_files]
     assert anchored[0].path == str(ENGINE_DRIVER)
@@ -165,11 +165,11 @@ def test_cli_without_baseline_reports_the_grandfathered_finding():
 def test_cli_list_rules_prints_the_catalog():
     code, text = run_cli(["--list-rules"])
     assert code == 0
-    for rule_id in (
-        "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
-        "REP007",
-    ):
-        assert rule_id in text
+    listed = [line.split()[0] for line in text.splitlines() if line.strip()]
+    assert listed == [
+        "REP001", "REP002", "REP003", "REP004", "REP005", "REP010",
+        "REP011", "REP012", "REP013", "REP014", "REP015",
+    ]
 
 
 def test_cli_json_output_is_machine_readable(tmp_path):

@@ -1,6 +1,7 @@
-"""Translation validation (REP013), frontier escape (REP014), the
-seeded variant-mutant corpus, the re-grounded REP006, the specializer
-fold records, the salted cache manifest, and the semantics CLI gate.
+"""Translation validation (REP013) with its hook-coverage obligation,
+frontier escape (REP014) with its per-write worker findings, the
+seeded variant-mutant corpus, the specializer fold records, and the
+salted cache manifest.
 
 The corpus in ``tests/fixtures/variant_mutants/`` is the acceptance
 net: each file seeds exactly the miscompile class its name says, and
@@ -21,10 +22,17 @@ from repro.analysis.cli import main
 from repro.analysis.registry import get_rule
 from repro.analysis.runner import run_rules
 from repro.analysis.semantics import (
-    Difference,
     fold_guard,
     guards_equivalent,
-    proven_keys,
+    hook_labels_of,
+    normalize_function,
+    validate_template_source,
+)
+from repro.analysis.semantics.validate import (
+    LIFECYCLE_HOOKS,
+    RECURSION_HOOKS,
+    engine_anchors,
+    hook_coverage,
 )
 from repro.analysis.source import SourceFile
 from repro.engine.driver import legal_variant_keys
@@ -123,14 +131,37 @@ def test_every_legal_key_compiles_to_a_callable_factory(key):
 # ----------------------------------------------------------------------
 # the full variant matrix is proven on main
 # ----------------------------------------------------------------------
+def unproven_keys(src):
+    """Every legal key the validator reports a difference for."""
+    pairs = validate_template_source(src.tree, src.lines)
+    return {key for key, _diff in pairs}
+
+
 def test_every_shipped_variant_is_proven_equivalent():
+    src = SourceFile.read(str(SRC_REPRO / "engine" / "driver.py"))
+    assert unproven_keys(src) == set()
+
+
+def test_translation_validation_proves_the_full_matrix(monkeypatch):
+    import repro.analysis.semantics.validate as validate_mod
     from repro.engine import driver
 
     src = SourceFile.read(str(SRC_REPRO / "engine" / "driver.py"))
-    counts = proven_keys(src.tree, src.lines)
-    assert len(counts) == len(driver.legal_variant_keys())
-    unproven = {k: n for k, n in counts.items() if n}
-    assert unproven == {}
+    total = len(legal_variant_keys())
+    assert total == 6
+    # Every legal key is folded and handed to the per-variant check, so
+    # "no difference" counts all six keys as proven, not a subset.
+    checked = []
+    real_validate = validate_mod.validate_variant
+
+    def tally(template, variant_func, env, lines, label):
+        checked.append(label)
+        return real_validate(template, variant_func, env, lines, label)
+
+    monkeypatch.setattr(validate_mod, "validate_variant", tally)
+    pairs = list(validate_template_source(src.tree, src.lines))
+    assert pairs == [], [diff.message for _key, diff in pairs]
+    assert checked == [driver.variant_id(k) for k in legal_variant_keys()]
 
 
 def test_rep013_is_silent_on_the_engine_driver():
@@ -160,6 +191,161 @@ def driver_rep013_findings(text=None):
     )
     kept, _ = run_rules([src], [get_rule("REP013")])
     return kept
+
+
+def _neutralize(text, fragment, count=1):
+    """Replace every line containing ``fragment`` with ``pass``.
+
+    Keeping the indentation (and a ``pass`` statement) preserves the
+    surrounding ``if san is not None:`` guard's syntax, so the mutant
+    still parses — the hook call alone disappears.  ``count`` asserts
+    how many sites the fragment was expected to hit, so a refactor
+    that changes the site count breaks the test loudly instead of
+    silently weakening it.
+    """
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, ln in enumerate(lines) if fragment in ln]
+    assert len(hits) == count, f"expected {count} line(s) with {fragment!r}"
+    for i in hits:
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        lines[i] = f"{indent}pass\n"
+    return "".join(lines)
+
+
+def _required(labels, root):
+    """The required labels of one hook root (``san`` or ``obs``)."""
+    picked = {label for label in labels if label.startswith(f"{root}:")}
+    assert picked, f"no required {root} hook labels"
+    return picked
+
+
+@pytest.mark.parametrize("root", ["san", "obs"])
+def test_committed_engine_covers_every_required_hook(root):
+    src = SourceFile.read(str(ENGINE_DRIVER))
+    search, run = engine_anchors(src.tree)
+    assert search is not None, "engine recursion anchor missing"
+    assert run is not None, "engine run-lifecycle anchor missing"
+    # "No hooks anywhere" must not be able to pass silently.
+    assert set(hook_labels_of(normalize_function(search))) >= _required(
+        RECURSION_HOOKS, root
+    )
+    assert set(hook_labels_of(normalize_function(run))) >= _required(
+        LIFECYCLE_HOOKS, root
+    )
+
+
+@pytest.mark.parametrize("root", ["san", "obs"])
+def test_hook_coverage_is_silent_on_the_committed_engine(root):
+    src = SourceFile.read(str(ENGINE_DRIVER))
+    diffs = list(hook_coverage(src.tree, src.lines))
+    assert not [d for d in diffs if f"`{root}:hook:" in d.message], [
+        d.message for d in diffs
+    ]
+
+
+#: One anchor without the other: the recursion closure of a seeded
+#: template fixture, and a bare ``SearchEngine.run``.  Neither calls
+#: the hooks its anchor requires, so only the both-anchors gate keeps
+#: hook coverage silent.
+ONE_ANCHOR_SOURCES = [
+    pytest.param(
+        (MUTANTS / "clean_variants.py").read_text(),
+        0, RECURSION_HOOKS, id="template-only",
+    ),
+    pytest.param(
+        "class SearchEngine:\n    def run(self):\n        return None\n",
+        1, LIFECYCLE_HOOKS, id="run-only",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, present, required", ONE_ANCHOR_SOURCES)
+def test_hook_coverage_needs_both_engine_anchors(text, present, required):
+    src = SourceFile("fixture.py", text)
+    anchors = engine_anchors(src.tree)
+    anchor = anchors[present]
+    assert anchor is not None and anchors[1 - present] is None
+    assert not set(required) <= set(
+        hook_labels_of(normalize_function(anchor))
+    )
+    assert list(hook_coverage(src.tree, src.lines)) == []
+    kept, _ = run_rules([src], [get_rule("REP013")])
+    assert not [f for f in kept if ":hook:" in f.message], [
+        f.format_text() for f in kept
+    ]
+
+
+#: Driver mutants that each drop every call site of one hook label.
+#: ``(fragment, sites)`` pairs; a label with several sites (three
+#: ``san.on_node`` calls, four ``kpivot`` prunes) only loses coverage
+#: when all of them go.
+HOOK_MUTANTS = [
+    pytest.param(
+        [("san.on_cover(depth, r, unexpanded, periphery)", 1)],
+        "san:hook:on_cover", "recursion", id="san-cover",
+    ),
+    pytest.param(
+        [("san.on_node(depth)", 1), ("san.on_node(depth1)", 2)],
+        "san:hook:on_node", "recursion", id="san-node",
+    ),
+    pytest.param(
+        [("san.on_context(color, edges)", 1)],
+        "san:hook:on_context", "run lifecycle", id="san-context",
+    ),
+    pytest.param(
+        [("san.on_finish(complete)", 1)],
+        "san:hook:on_finish", "run lifecycle", id="san-finish",
+    ),
+    pytest.param(
+        [("obs.on_expand(depth)", 2)],
+        "obs:hook:on_expand", "recursion", id="obs-expand",
+    ),
+    pytest.param(
+        [('obs.on_prune("mpivot", depth, len(unexpanded))', 1)],
+        "obs:hook:on_prune:mpivot", "recursion", id="obs-prune-mpivot",
+    ),
+    pytest.param(
+        [('obs.on_prune("size", depth)', 2)],
+        "obs:hook:on_prune:size", "recursion", id="obs-prune-size",
+    ),
+    pytest.param(
+        [('obs.on_prune("kpivot", depth)', 4)],
+        "obs:hook:on_prune:kpivot", "recursion", id="obs-prune-kpivot",
+    ),
+    pytest.param(
+        [('obs.on_phase("sanitize", sanitize_s)', 1)],
+        "obs:hook:on_phase:sanitize", "run lifecycle",
+        id="obs-phase-sanitize",
+    ),
+    pytest.param(
+        [('obs.on_gauge("vertices_search", ops.search_size())', 1)],
+        "obs:hook:on_gauge:vertices_search", "run lifecycle",
+        id="obs-gauge-search",
+    ),
+    pytest.param(
+        [("obs.on_finish(self.result.stats)", 1)],
+        "obs:hook:on_finish", "run lifecycle", id="obs-finish",
+    ),
+    pytest.param(
+        [("obs.on_root(root_index, len(roots), c)", 1)],
+        "obs:hook:on_root", "run lifecycle", id="obs-root",
+    ),
+]
+
+
+@pytest.mark.parametrize("cuts, label, where", HOOK_MUTANTS)
+def test_rep013_names_each_dropped_hook(cuts, label, where):
+    mutant = ENGINE_DRIVER.read_text()
+    for fragment, sites in cuts:
+        mutant = _neutralize(mutant, fragment, sites)
+    kept = driver_rep013_findings(mutant)
+    assert len(kept) == 1, [f.format_text() for f in kept]
+    finding = kept[0]
+    assert finding.rule == "REP013"
+    assert f"the engine {where}" in finding.message
+    assert f"`{label}`" in finding.message
+    assert finding.message.count(":hook:") == 1
+    assert finding.path == str(ENGINE_DRIVER)
 
 
 def test_rep013_flags_a_hook_site_no_hooked_variant_keeps():
@@ -218,7 +404,7 @@ def test_rep013_reports_a_key_whose_fold_raises(monkeypatch):
     assert all("no longer folds and compiles" in f.message for f in kept)
     assert "NEW_FLAG" in kept[0].message
     src = SourceFile.read(str(ENGINE_DRIVER))
-    assert all(proven_keys(src.tree, src.lines).values())
+    assert unproven_keys(src) == set(legal_variant_keys())
 
 
 def test_mixed_flag_guard_is_reported_on_every_key():
@@ -238,8 +424,7 @@ def test_mixed_flag_guard_is_reported_on_every_key():
         "            r_bits = bit_at[r[0]]\n",
     )
     src = SourceFile(str(ENGINE_DRIVER), mutant)
-    counts = proven_keys(src.tree, src.lines)
-    assert all(counts.values()), counts
+    assert unproven_keys(src) == set(legal_variant_keys())
     assert driver_rep013_findings(mutant)
 
 
@@ -299,18 +484,6 @@ def test_hook_leaked_into_hookless_variant_is_caught():
     assert any(
         "still references the `obs` binding" in f.message for f in leaks
     )
-
-
-def test_set_materialized_bitset_is_caught_by_escape_leg():
-    src, kept = mutant_findings("set_materialized.py", "REP013")
-    escapes = [f for f in kept if "materialized via `set(...)`" in f.message]
-    assert escapes, [f.message for f in kept]
-    variant_hit = [f for f in escapes if "`_variant_bitset`" in f.message]
-    assert variant_hit
-    finding = variant_hit[0]
-    assert "bit-domain name `c_bits`" in finding.message
-    assert src.lines[finding.line - 1].strip() == "probe = set(c_bits)"
-    assert any("bitset materialized" in step["note"] for step in finding.trace)
 
 
 def test_rep013_flags_missing_declared_variant():
@@ -440,9 +613,9 @@ def test_rep014_flags_lambda_worker_dispatch():
 
 
 # ----------------------------------------------------------------------
-# REP006 on the escape summaries
+# REP014 worker writes on the escape summaries
 # ----------------------------------------------------------------------
-def test_rep006_strong_update_clears_recreated_state():
+def test_rep014_strong_update_clears_recreated_state():
     assert findings_for(
         """
         import multiprocessing
@@ -459,11 +632,11 @@ def test_rep006_strong_update_clears_recreated_state():
             with multiprocessing.Pool() as pool:
                 return pool.map(worker, jobs)
         """,
-        "REP006",
+        "REP014",
     ) == []
 
 
-def test_rep006_flags_subscript_write_into_parent_state():
+def test_rep014_flags_subscript_write_into_parent_state():
     kept = findings_for(
         """
         import multiprocessing
@@ -479,7 +652,7 @@ def test_rep006_flags_subscript_write_into_parent_state():
             with multiprocessing.Pool() as pool:
                 return pool.map(worker, jobs)
         """,
-        "REP006",
+        "REP014",
     )
     assert len(kept) == 1
     assert "writes into 'acc', state received from the parent" in (
@@ -586,49 +759,3 @@ def test_tool_salt_changes_when_driver_changes(monkeypatch):
     monkeypatch.setattr(cache, "_tool_salt_memo", None)
     monkeypatch.setattr(cache, "salted_sources", lambda: mutated)
     assert cache.tool_salt() != before
-
-
-# ----------------------------------------------------------------------
-# the CLI gate
-# ----------------------------------------------------------------------
-def test_semantics_cli_proves_the_full_matrix():
-    from repro.analysis.semantics.__main__ import main as sem_main
-    from repro.engine import driver
-
-    out = io.StringIO()
-    code = sem_main([], out=out)
-    text = out.getvalue()
-    total = len(driver.legal_variant_keys())
-    assert code == 0, text
-    assert f"{total}/{total} variant keys proven equivalent" in text
-    assert text.count("PROVEN") == total
-    assert "FAILED" not in text
-
-
-def test_semantics_cli_fails_on_unproven_variant(monkeypatch):
-    import repro.analysis.semantics.validate as validate_mod
-    from repro.analysis.semantics.__main__ import main as sem_main
-    from repro.engine import driver
-
-    key = driver.legal_variant_keys()[0]
-    diff = Difference(
-        "missing",
-        "seeded validation failure",
-        3,
-        3,
-        ({"line": 3, "col": 0, "text": "x = 1", "note": "seeded"},),
-    )
-
-    def broken(tree, lines):
-        yield key, diff
-
-    monkeypatch.setattr(
-        validate_mod, "validate_template_source", broken
-    )
-    out = io.StringIO()
-    code = sem_main([], out=out)
-    text = out.getvalue()
-    assert code == 1
-    assert "FAILED" in text
-    assert "seeded validation failure" in text
-    assert "line 3: seeded" in text

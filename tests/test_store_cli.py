@@ -11,6 +11,10 @@ difference, 2 unusable input.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,33 @@ def test_run_command_rejects_bad_eta(tmp_path, capsys):
         "--k", "3", "--eta", "not-a-number",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--dataset", "core", "--k", "5", "--eta", "0.3"],
+        ["query", "show", "DIGEST", "--cliques"],
+        ["query", "list"],
+    ],
+    ids=["run", "query-show", "query-list"],
+)
+def test_a_reader_that_closes_early_gets_no_traceback(populated, command):
+    # ``repro-store ... | head -1``: the reader goes away before the
+    # output is written.  The CLI must exit without a traceback.
+    root, digests = populated
+    argv = [digests[0.1] if arg == "DIGEST" else arg for arg in command]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.store", "--store", root] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+    assert "BrokenPipeError" not in err, err
