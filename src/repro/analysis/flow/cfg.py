@@ -32,16 +32,16 @@ function gets its own CFG (see :func:`build_cfg` /
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-#: Statement kinds a :class:`Node` can carry.
-KINDS = ("entry", "exit", "raise", "stmt", "test", "iter", "handler")
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Node:
     """One CFG node: a simple statement or a synthetic control point."""
 
-    __slots__ = ("index", "kind", "stmt", "succ", "pred", "finally_of")
+    __slots__ = (
+        "index", "kind", "stmt", "succ", "pred", "finally_of", "_exprs",
+        "_walrus",
+    )
 
     def __init__(self, index: int, kind: str, stmt: Optional[ast.AST]):
         self.index = index
@@ -56,6 +56,37 @@ class Node:
         #: belongs to (None outside any ``finally``).  REP012 uses this
         #: to recognize restore sites.
         self.finally_of: Optional[ast.Try] = None
+        self._exprs: Optional[List[ast.AST]] = None
+        self._walrus: Optional[List[ast.NamedExpr]] = None
+
+    def exprs(self) -> List[ast.AST]:
+        """Every AST node this CFG node evaluates itself, pre-order: a
+        compound statement's header only (its body has nodes of its
+        own), never inside a nested ``def``/``class``/``lambda``.
+        Collected once per node, as are its :meth:`walrus_bindings`."""
+        if self._exprs is None:
+            self._exprs = []
+            stack = _scan_roots(self)[::-1]
+            while stack:
+                node = stack.pop()
+                self._exprs.append(node)
+                stack.extend(
+                    child
+                    for child in reversed(list(ast.iter_child_nodes(node)))
+                    if not isinstance(child, _SCOPE_BARRIERS)
+                )
+        return self._exprs
+
+    def walrus_bindings(self) -> List[ast.NamedExpr]:
+        """The ``name := value`` expressions among :meth:`exprs`."""
+        if self._walrus is None:
+            self._walrus = [
+                sub
+                for sub in self.exprs()
+                if isinstance(sub, ast.NamedExpr)
+                and isinstance(sub.target, ast.Name)
+            ]
+        return self._walrus
 
     @property
     def line(self) -> int:
@@ -87,9 +118,27 @@ class CFG:
             a.succ.append(b)
             b.pred.append(a)
 
-    def stmt_nodes(self) -> Iterable[Node]:
-        """Every node that carries an AST anchor, in creation order."""
-        return (n for n in self.nodes if n.stmt is not None)
+
+# ----------------------------------------------------------------------
+# the expressions one node evaluates
+# ----------------------------------------------------------------------
+_SCOPE_BARRIERS = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+)
+
+
+def _scan_roots(node: Node) -> List[ast.AST]:
+    """The root expressions of :meth:`Node.exprs`."""
+    stmt = node.stmt
+    if node.kind == "iter":
+        return [stmt.iter]
+    if node.kind == "handler":
+        return [stmt.type] if stmt.type is not None else []
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    if stmt is None or isinstance(stmt, _SCOPE_BARRIERS):
+        return []
+    return [stmt]
 
 
 # ----------------------------------------------------------------------

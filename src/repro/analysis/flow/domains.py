@@ -1,8 +1,8 @@
 """Abstract domains and the reusable taint-analysis skeleton.
 
-The flow rules in this package are all *taint* analyses: a small set
-of tags (``"log"``/``"lin"`` for REP010, ``"bits"`` for REP011,
-``"unordered"``/``"elems_unordered"`` for the REP001 rewrite) attached
+The flow rules are *taint* analyses: a small set of tags
+(``"log"``/``"lin"``/``"bits"`` for the flow-domain pass behind REP003,
+REP010 and REP011, ``"unpicklable"``/``"parent"`` for REP014) attached
 to local variables and propagated through assignments, arithmetic,
 tuple unpacking, and container round-trips.  This module provides the
 shared machinery:
@@ -15,6 +15,7 @@ shared machinery:
 * :class:`TaintAnalysis` — a transfer function over CFG nodes with
   overridable hooks (``source_tags``, ``call_tags``, ``check``…); the
   concrete rules subclass it and override only what differs.
+* :func:`trace_of` — origin chains rendered as a finding's trace.
 
 Transfer functions are pure: they copy-on-write the environment.
 """
@@ -108,17 +109,31 @@ def origin_for(node: ast.AST, lines: List[str], note: str,
     return Origin(line, col, text, note, parent)
 
 
+def trace_of(*origins: Origin, sink: Dict[str, object]) -> Tuple:
+    """The origins' chains oldest first, each step once, then ``sink``."""
+    steps: List[Dict[str, object]] = []
+    seen = set()
+    for origin in origins:
+        for step in origin.steps():
+            key = (step["line"], step["col"], step["note"])
+            if key not in seen:
+                seen.add(key)
+                steps.append(step)
+    steps.append(sink)
+    return tuple(steps)
+
+
 def merge_tags(into: Tags, tags: Tags) -> Tags:
     """Union; on conflict keep the deterministically-smaller origin."""
     for tag, origin in tags.items():
         old = into.get(tag)
-        if old is None or origin.key() < old.key():
+        if old is None or (old is not origin and origin.key() < old.key()):
             into[tag] = origin
     return into
 
 
 def join_env(a: Env, b: Env) -> Env:
-    if a == b:
+    if a is b or a == b:
         return a
     out: Env = {var: dict(tags) for var, tags in a.items()}
     for var, tags in b.items():
@@ -132,25 +147,18 @@ def join_env(a: Env, b: Env) -> Env:
 class TaintAnalysis:
     """Skeleton transfer/check over one function CFG.
 
-    Subclasses override:
-
-    * :meth:`source_tags` — introduce taint at an expression
-    * :meth:`call_tags` — calls (conversions, summaries)
-    * :meth:`check` — inspect a node with its before-state and record
-      findings (via whatever callback the rule wires in)
-
-    and optionally the propagation hooks (:meth:`subscript_tags`,
-    :meth:`unpack_tags`, :meth:`iter_tags`).
+    Subclasses override :meth:`source_tags` (introduce taint at an
+    expression), :meth:`call_tags` (conversions, summaries),
+    :meth:`unpack_tags` (tuple unpacking) and :meth:`check` (inspect a
+    node with its before-state and record findings).
     """
 
     def __init__(self, lines: List[str]):
         self.lines = lines
 
-    # -- entry point ---------------------------------------------------
-    def run_quiet(
-        self, cfg: CFG, initial: Optional[Env] = None
-    ) -> Dict[int, Env]:
-        """Fixpoint only — no sink checks (used by summary rounds)."""
+    # -- entry points --------------------------------------------------
+    def run(self, cfg: CFG, initial: Optional[Env] = None) -> Dict[int, Env]:
+        """The fixpoint: the state before each reached node."""
         return fixpoint(
             cfg,
             initial if initial is not None else {},
@@ -158,13 +166,12 @@ class TaintAnalysis:
             join_env,
         )
 
-    def run(self, cfg: CFG, initial: Optional[Env] = None) -> Dict[int, Env]:
-        before = self.run_quiet(cfg, initial)
+    def check_all(self, cfg: CFG, before: Dict[int, Env]) -> None:
+        """:meth:`check` every reached node with its before-state."""
         for node in cfg.nodes:
             env = before.get(node.index)
             if env is not None and node.stmt is not None:
                 self.check(node, env)
-        return before
 
     # -- hooks ---------------------------------------------------------
     def source_tags(self, expr: ast.expr, env: Env) -> Tags:
@@ -178,27 +185,14 @@ class TaintAnalysis:
             merge_tags(tags, self.expr_tags(kw.value, env))
         return tags
 
-    def check(self, node: Node, env: Env) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def subscript_tags(self, expr: ast.Subscript, env: Env) -> Tags:
-        # A load from a container carries the container's taint; the
-        # index contributes nothing (``sv[w]`` is log-domain because
-        # ``sv`` is, regardless of what ``w`` is).
-        return self.expr_tags(expr.value, env)
-
-    def attribute_tags(self, expr: ast.Attribute, env: Env) -> Tags:
-        return self.expr_tags(expr.value, env)
-
     def unpack_tags(
         self, value: ast.expr, tags: Tags, index: int, total: int
     ) -> Tags:
         """Tags assigned to element ``index`` when unpacking ``value``."""
         return tags
 
-    def iter_tags(self, iter_expr: ast.expr, env: Env) -> Tags:
-        """Tags of the loop variable when iterating ``iter_expr``."""
-        return self.expr_tags(iter_expr, env)
+    def check(self, node: Node, env: Env) -> None:
+        """Record this node's findings (none by default)."""
 
     # -- expression evaluation ----------------------------------------
     def expr_tags(self, expr: ast.expr, env: Env) -> Tags:
@@ -220,10 +214,11 @@ class TaintAnalysis:
             pass  # comparisons yield booleans, not domain values
         elif isinstance(expr, ast.Call):
             merge_tags(tags, self.call_tags(expr, env))
-        elif isinstance(expr, ast.Attribute):
-            merge_tags(tags, self.attribute_tags(expr, env))
-        elif isinstance(expr, ast.Subscript):
-            merge_tags(tags, self.subscript_tags(expr, env))
+        elif isinstance(expr, (ast.Attribute, ast.Subscript)):
+            # A load from a container carries the container's taint; the
+            # index contributes nothing (``sv[w]`` is log-domain because
+            # ``sv`` is, regardless of what ``w`` is).
+            merge_tags(tags, self.expr_tags(expr.value, env))
         elif isinstance(expr, ast.Starred):
             merge_tags(tags, self.expr_tags(expr.value, env))
         elif isinstance(expr, ast.NamedExpr):
@@ -260,7 +255,7 @@ class TaintAnalysis:
             return out
 
         if node.kind == "iter" and isinstance(stmt, (ast.For, ast.AsyncFor)):
-            tags = self.iter_tags(stmt.iter, env)
+            tags = self.expr_tags(stmt.iter, env)
             self._bind(writable(), stmt.target, tags, stmt.iter, stmt)
         elif isinstance(stmt, ast.Assign):
             tags = self.expr_tags(stmt.value, env)
@@ -270,8 +265,10 @@ class TaintAnalysis:
             tags = self.expr_tags(stmt.value, env)
             self._bind(writable(), stmt.target, tags, stmt.value, stmt)
         elif isinstance(stmt, ast.AugAssign):
+            # ``x op= y`` reads its target: evaluate it as a load (tag
+            # lookups ignore ``ctx``) so origins keep real locations.
             tags = self.expr_tags(stmt.value, env)
-            merge_tags(tags, self.expr_tags(_as_load(stmt.target), env))
+            merge_tags(tags, self.expr_tags(stmt.target, env))
             self._bind(writable(), stmt.target, tags, stmt.value, stmt)
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
@@ -287,13 +284,10 @@ class TaintAnalysis:
                 writable().pop(name, None)
         elif isinstance(stmt, ast.Expr):
             self._stmt_call_effect(stmt.value, env, writable)
-        # Walrus bindings anywhere in the statement take effect too.
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.NamedExpr) and isinstance(
-                sub.target, ast.Name
-            ):
-                tags = self.expr_tags(sub.value, env)
-                self._bind(writable(), sub.target, tags, sub.value, stmt)
+        # Walrus bindings in the node's own expressions take effect too.
+        for sub in node.walrus_bindings():
+            tags = self.expr_tags(sub.value, env)
+            self._bind(writable(), sub.target, tags, sub.value, stmt)
         return env if out is None else out
 
     def _stmt_call_effect(self, expr: ast.expr, env: Env, writable) -> None:
@@ -359,11 +353,3 @@ class TaintAnalysis:
                         for tag, origin in tags.items()
                     },
                 )
-
-
-def _as_load(target: ast.expr) -> ast.expr:
-    """A load-context twin of an assignment target, for AugAssign."""
-    clone = ast.copy_location(
-        ast.parse(ast.unparse(target), mode="eval").body, target
-    )
-    return clone

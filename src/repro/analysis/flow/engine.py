@@ -75,30 +75,3 @@ def fixpoint(
         idx: state for idx, state in before.items() if state is not None
     }
 
-
-def reachable_without(
-    cfg: CFG,
-    start: Node,
-    blocked: Callable[[Node], bool],
-    targets: Callable[[Node], bool],
-) -> Optional[Node]:
-    """First target node reachable from ``start`` on a path that never
-    enters a ``blocked`` node.  ``start`` itself is not blocked-checked.
-
-    This is the post-domination query REP012 asks: from a mutation,
-    can execution reach an exit without passing a restore?
-    """
-    seen = {start.index}
-    work = deque([start])
-    while work:
-        node = work.popleft()
-        for succ in node.succ:
-            if succ.index in seen:
-                continue
-            if targets(succ):
-                return succ
-            if blocked(succ):
-                continue
-            seen.add(succ.index)
-            work.append(succ)
-    return None

@@ -30,7 +30,7 @@ from repro.analysis.rules import (
 #: cached per-file results (see :mod:`repro.analysis.cache`).  The
 #: cache key also folds in the analysis package sources, so this is a
 #: human-readable escape hatch, not the only invalidation mechanism.
-RULESET_VERSION = "2026.10-one-gate-per-property"
+RULESET_VERSION = "2026.10-one-flow-domain-pass"
 
 __all__ = [
     "conformance",

@@ -323,10 +323,6 @@ def _with_flow_meta(
 )
 def check_nondeterministic_iteration(src: SourceFile) -> Iterator[Finding]:
     from repro.analysis.flow import cfgs_for, fixpoint
-    from repro.analysis.rules.flow_domains import (
-        _scan_roots,
-        _walk_expr_scope,
-    )
 
     for _func, cfg in cfgs_for(src).values():
         before = fixpoint(cfg, {}, _order_transfer, _order_join)
@@ -339,13 +335,12 @@ def check_nondeterministic_iteration(src: SourceFile) -> Iterator[Finding]:
                 for finding in _check_for_loop(src, node.stmt, env):
                     yield _with_flow_meta(finding, src, state, node.stmt.iter)
                 continue
-            for root in _scan_roots(node):
-                for sub in _walk_expr_scope(root):
-                    if isinstance(sub, (ast.ListComp, ast.GeneratorExp)):
-                        for finding in _check_comprehension(src, sub, env):
-                            yield _with_flow_meta(
-                                finding, src, state, sub.generators[0].iter
-                            )
+            for sub in node.exprs():
+                if isinstance(sub, (ast.ListComp, ast.GeneratorExp)):
+                    for finding in _check_comprehension(src, sub, env):
+                        yield _with_flow_meta(
+                            finding, src, state, sub.generators[0].iter
+                        )
 
 
 def _check_comprehension(

@@ -102,87 +102,44 @@ def check_float_equality(src: SourceFile) -> Iterator[Finding]:
     # Flow extension: a probability that moved through assignments into
     # an innocently-named variable is still a probability.  The direct
     # (syntactic) check above keeps its exact messages for baseline
-    # compatibility; this pass only adds comparisons the name heuristic
-    # cannot see, with the provenance chain attached.
+    # compatibility; the flow half only adds comparisons the name
+    # heuristic cannot see, with the provenance chain attached.  Its
+    # sinks come from the flow-domain pass REP010 and REP011 share.
     yield from _check_flow_equality(src, direct_hits)
 
 
 def _check_flow_equality(src: SourceFile, direct_hits) -> Iterator[Finding]:
     from repro.analysis.findings import flow_fingerprint
-    from repro.analysis.flow import ModuleSummaries, cfgs_for
-    from repro.analysis.rules.flow_domains import (
-        _ProbTaint,
-        _scan_roots,
-        _walk_expr_scope,
-    )
+    from repro.analysis.rules.flow_domains import domain_pass
 
-    class _ProbEquality(_ProbTaint):
-        """Reuses REP010's propagation; sinks are == / != only.
-
-        Float *literals* are deliberately not flow sources — a literal
-        only matters when it is compared directly, which the syntactic
-        pass already flags.
-        """
-
-        def check(self, node, env) -> None:
-            for root in _scan_roots(node):
-                for expr in _walk_expr_scope(root):
-                    if not isinstance(expr, ast.Compare):
-                        continue
-                    if (expr.lineno, expr.col_offset) in direct_hits:
-                        continue
-                    for _op, left, right in _exact_compares(expr):
-                        for side in (left, right):
-                            # Only flow-through-assignment taint: a
-                            # name the syntactic heuristic would have
-                            # caught itself is not worth a second
-                            # finding.
-                            if _is_prob_operand(side) is not None:
-                                continue
-                            tags = self.expr_tags(side, env)
-                            origin = tags.get("lin") or tags.get("log")
-                            if origin is not None:
-                                self.findings.append((expr, side, origin))
-                                break
-
-    summaries = ModuleSummaries().compute(
-        src, lambda s: _ProbTaint(src.lines, s)
-    )
-    reported = set()
-    for func, cfg in cfgs_for(src).values():
-        analysis = _ProbEquality(src.lines, summaries)
-        analysis.func_name = func.name if func is not None else None
-        analysis.run(cfg)
-        for expr, side, origin in analysis.findings:
-            anchor = (expr.lineno, expr.col_offset)
-            if anchor in reported:
-                continue
-            reported.add(anchor)
-            sink_text = src.line_text(expr.lineno)
-            root = origin.root()
-            yield Finding(
-                path=src.path,
-                line=expr.lineno,
-                col=expr.col_offset,
-                rule="REP003",
-                severity=Severity.WARNING,
-                message=(
-                    "exact float comparison on a value carrying "
-                    f"probability taint (from {root.note}, line "
-                    f"{root.line}); use math.isclose / an inequality, "
-                    "or record the exact-sentinel intent"
-                ),
-                line_text=sink_text,
-                trace=tuple(origin.steps()) + (
-                    {
-                        "line": expr.lineno,
-                        "col": expr.col_offset,
-                        "text": sink_text,
-                        "note": "compared exactly here",
-                    },
-                ),
-                fingerprint=flow_fingerprint("REP003", root.text, sink_text),
-            )
+    for anchor, (expr, origin) in domain_pass(src).by_rule["REP003"].items():
+        if anchor in direct_hits:
+            continue
+        sink_text = src.line_text(expr.lineno)
+        root = origin.root()
+        yield Finding(
+            path=src.path,
+            line=expr.lineno,
+            col=expr.col_offset,
+            rule="REP003",
+            severity=Severity.WARNING,
+            message=(
+                "exact float comparison on a value carrying "
+                f"probability taint (from {root.note}, line "
+                f"{root.line}); use math.isclose / an inequality, "
+                "or record the exact-sentinel intent"
+            ),
+            line_text=sink_text,
+            trace=tuple(origin.steps()) + (
+                {
+                    "line": expr.lineno,
+                    "col": expr.col_offset,
+                    "text": sink_text,
+                    "note": "compared exactly here",
+                },
+            ),
+            fingerprint=flow_fingerprint("REP003", root.text, sink_text),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity, flow_fingerprint
+from repro.analysis.flow import trace_of
 from repro.analysis.registry import rule
 from repro.analysis.semantics.escape import (
     dispatch_sites,
@@ -168,22 +169,6 @@ def check_variant_translation(src: SourceFile) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 # REP014
 # ----------------------------------------------------------------------
-def _escape_trace(origin, sink_line: int, sink_text: str,
-                  sink_note: str) -> Tuple:
-    steps: List[Dict[str, object]] = []
-    seen = set()
-    for step in origin.steps():
-        key = (step["line"], step["col"], step["note"])
-        if key not in seen:
-            seen.add(key)
-            steps.append(step)
-    steps.append(
-        {"line": sink_line, "col": 0, "text": sink_text,
-         "note": sink_note}
-    )
-    return tuple(steps)
-
-
 @rule(
     "REP014",
     "frontier-state-escape",
@@ -227,11 +212,12 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
                 f"unserializable state (from {root.note}, line "
                 f"{root.line}); it cannot cross the process boundary"
             ),
-            _escape_trace(
+            trace_of(
                 escape.origin,
-                line,
-                src.line_text(line),
-                "reaches the process boundary here",
+                sink={
+                    "line": line, "col": 0, "text": src.line_text(line),
+                    "note": "reaches the process boundary here",
+                },
             ),
             root.text,
         )
@@ -289,11 +275,13 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
                 f"unserializable components (from {root.note}, line "
                 f"{root.line}); it cannot be shipped to a worker"
             ),
-            _escape_trace(
+            trace_of(
                 origin,
-                ret.lineno,
-                src.line_text(ret.lineno),
-                "frontier state leaves root_state here",
+                sink={
+                    "line": ret.lineno, "col": 0,
+                    "text": src.line_text(ret.lineno),
+                    "note": "frontier state leaves root_state here",
+                },
             ),
             root.text,
         )

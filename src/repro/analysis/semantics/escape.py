@@ -34,7 +34,6 @@ from repro.analysis.flow import (
     merge_tags,
     origin_for,
 )
-from repro.analysis.flow.cfg import Node
 from repro.analysis.source import SourceFile, root_name, terminal_name
 from repro.engine.protocol import HOT_PATHS
 
@@ -199,9 +198,6 @@ class PickleTaint(TaintAnalysis):
             }
         return super().call_tags(call, env)
 
-    def check(self, node: Node, env) -> None:
-        """Sinks are checked by the rule, not per-node."""
-
 
 def _local_def_names(func: ast.AST) -> Set[str]:
     return {
@@ -254,7 +250,7 @@ def payload_escapes(src: SourceFile) -> List[PayloadEscape]:
         )
         analysis = PickleTaint(src.lines, _local_def_names(scope))
         cfg = build_cfg(list(body))
-        before = analysis.run_quiet(cfg)
+        before = analysis.run(cfg)
         # Locate each dispatch statement's node to read its entry env.
         for node in cfg.nodes:
             if node.stmt is None:
@@ -292,13 +288,6 @@ def _stmt_contains(stmt: ast.AST, call: ast.Call) -> bool:
 # cross-process mutation summaries
 # ----------------------------------------------------------------------
 _PARENT_TAG = "parent"
-
-
-class _ParentTaint(TaintAnalysis):
-    """Taints a worker's parameters as parent-owned state."""
-
-    def check(self, node: Node, env) -> None:
-        """Mutation sinks are collected by :func:`worker_mutations`."""
 
 
 class Mutation:
@@ -351,7 +340,7 @@ def worker_mutations(
         params.append(func.args.vararg.arg)
     if func.args.kwarg is not None:
         params.append(func.args.kwarg.arg)
-    analysis = _ParentTaint(src.lines)
+    analysis = TaintAnalysis(src.lines)
     initial = {
         name: {
             _PARENT_TAG: Origin(
@@ -364,7 +353,7 @@ def worker_mutations(
         for name in params
     }
     cfg = build_cfg(list(func.body))
-    before = analysis.run_quiet(cfg, initial)
+    before = analysis.run(cfg, initial)
     mutations: List[Mutation] = []
     seen: Set[Tuple[int, int]] = set()
 
@@ -471,7 +460,7 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
         func = methods["root_state"]
         analysis = PickleTaint(src.lines, _local_def_names(func))
         cfg = build_cfg(list(func.body))
-        before = analysis.run_quiet(cfg)
+        before = analysis.run(cfg)
         for cfg_node in cfg.nodes:
             stmt = cfg_node.stmt
             if not isinstance(stmt, ast.Return) or stmt.value is None:

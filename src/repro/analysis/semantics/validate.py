@@ -43,7 +43,6 @@ difference of its own, never as a crash of the validator.
 from __future__ import annotations
 
 import ast
-import copy
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.semantics.ir import (
@@ -559,19 +558,60 @@ def template_def(tree: ast.AST) -> Optional[ast.FunctionDef]:
     return _def_named(tree, _TEMPLATE_FUNC)
 
 
+#: Attribute the per-key folds are memoized under, on the template node.
+_FOLDS_ATTR = "_repro_template_folds"
+
+
+def template_folds(
+    template: ast.FunctionDef, lines: Sequence[str]
+) -> List[Tuple]:
+    """``(key, record, error)`` for every legal key, folded once.
+
+    ``record`` is the production specializer's
+    :func:`~repro.engine.driver.fold_record` of a fresh parse of the
+    template's own source ``lines`` (so line numbers are real), or None
+    when the fold raised; ``error`` is the fold or compile exception.
+    Memoized on the template node: REP013 and the flow-domain pass
+    (:mod:`repro.analysis.rules.flow_domains`) share the folds.
+    """
+    folds = getattr(template, _FOLDS_ATTR, None)
+    if folds is not None:
+        return folds
+    from repro.engine import driver
+
+    first = min(
+        [template.lineno] + [d.lineno for d in template.decorator_list]
+    )
+    text = "\n" * (first - 1) + "\n".join(
+        lines[first - 1:template.end_lineno]
+    )
+    folds = []
+    for key in driver.legal_variant_keys():
+        record = None
+        error: Optional[Exception] = None
+        try:
+            record = driver.fold_record(key, template=ast.parse(text))
+            compile(
+                record.module, f"<variant {driver.variant_id(key)}>", "exec"
+            )
+        except Exception as exc:  # noqa: BLE001 - any failure is the finding
+            error = exc
+        folds.append((key, record, error))
+    setattr(template, _FOLDS_ATTR, folds)
+    return folds
+
+
 def validate_template_source(
     tree: ast.AST, lines: Sequence[str]
 ) -> Iterator[Tuple[Tuple, Difference]]:
     """Validate every legal variant of the template defined in ``tree``.
 
-    The template is taken from the parsed source under analysis (so
-    traces anchor to real lines and inline suppressions keep working),
-    and each variant side is folded by the **production specializer**
-    via :func:`repro.engine.driver.fold_record` — the validator checks
-    the artifact the engine would actually compile, not a re-creation.
-    A key whose fold raises or does not compile is a difference too,
-    and so is a template hook site that no hooked key keeps.  Yields
-    ``(key, difference)`` pairs; a clean template yields nothing.
+    The variant sides are the template's :func:`template_folds`: the
+    validator checks the artifact the engine would actually compile,
+    not a re-creation.  A key whose fold raises or does not compile is
+    a difference too, and so is a template hook site that no hooked key
+    keeps.  Yields ``(key, difference)`` pairs; a clean template yields
+    nothing.
     """
     from repro.engine import driver
 
@@ -580,15 +620,9 @@ def validate_template_source(
         return
     hooked_keys = []
     kept_hooks: Set[str] = set()
-    for key in driver.legal_variant_keys():
+    for key, record, error in template_folds(template, lines):
         label = driver.variant_id(key)
-        module = ast.Module(
-            body=[copy.deepcopy(template)], type_ignores=[]
-        )
-        try:
-            record = driver.fold_record(key, template=module)
-            compile(record.module, f"<variant {label}>", "exec")
-        except Exception as error:  # noqa: BLE001 - any failure is the finding
+        if error is not None:
             yield key, Difference(
                 "fold",
                 f"variant `{label}` no longer folds and compiles from "

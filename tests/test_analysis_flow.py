@@ -794,3 +794,103 @@ def test_cli_rejects_bad_jobs_value(tmp_path):
     clean.write_text("X = 1\n")
     code, _ = run_cli([str(clean), "--no-baseline", "--jobs", "0"])
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# the flow-domain pass: one per file, walrus scopes, x op= y
+# ----------------------------------------------------------------------
+def test_one_flow_domain_pass_per_file(monkeypatch):
+    # Every rule on the engine driver: REP003, REP010, REP011 and REP013
+    # share one fold per legal key and one module-summary set.
+    from repro.analysis.flow import ModuleSummaries
+    from repro.analysis.registry import all_rules
+    from repro.engine import driver
+
+    folds, summaries = [], []
+    real_fold = driver.fold_record
+    real_compute = ModuleSummaries.compute
+
+    def counting_fold(key, template=None):
+        folds.append(key)
+        return real_fold(key, template=template)
+
+    def counting_compute(self, src, make_analysis):
+        summaries.append(src.path)
+        return real_compute(self, src, make_analysis)
+
+    monkeypatch.setattr(driver, "fold_record", counting_fold)
+    monkeypatch.setattr(ModuleSummaries, "compute", counting_compute)
+    src = SourceFile.read(str(SRC_REPRO / "engine" / "driver.py"))
+    run_rules([src], all_rules())
+    assert sorted(folds) == sorted(driver.legal_variant_keys())
+    assert summaries == [src.path]
+
+
+def test_rep010_walrus_in_a_nested_def_stays_in_its_scope():
+    # `total :=` binds inside `inner`; the outer `total` is still 1.0.
+    assert_clean(
+        """
+        import math
+
+        def outer(eta):
+            total = 1.0
+            def inner(p):
+                return (total := -math.log(p))
+            return total * eta
+        """,
+        "REP010",
+    )
+
+
+def test_rep010_walrus_in_a_with_body_binds_at_its_own_statement():
+    # The `with` header does not evaluate its body, so `acc` is not yet
+    # log-tainted when `acc * eta` runs.
+    assert_clean(
+        """
+        import math
+
+        def f(lock, eta, p):
+            acc = 1.0
+            with lock:
+                scaled = acc * eta
+                (acc := -math.log(p))
+            return scaled
+        """,
+        "REP010",
+    )
+
+
+def test_rep010_flags_augmented_assignment_mix():
+    found = assert_flags(
+        """
+        def bump(eta, w, sv):
+            sv[w] += eta
+        """,
+        "REP010",
+    )
+    assert found[0].line_text == "sv[w] += eta"
+    assert found[0].message.endswith(
+        "in arithmetic; convert with exp()/-log() first"
+    )
+
+
+def test_rep010_augmented_assignment_trace_starts_at_its_own_line():
+    found = assert_flags(
+        """
+        import math
+
+        def bump(eta, w, sv):
+            sv[w] += 1
+            return sv[w] * eta
+        """,
+        "REP010",
+    )
+    source = found[0].trace[0]
+    assert (source["line"], source["col"], source["text"]) == (
+        5, 4, "sv[w] += 1"
+    )
+    assert "log-domain name `sv`, line 5" in found[0].message
+    assert found[0].fingerprint == flow_fingerprint(
+        "REP010", "sv[w] += 1", "return sv[w] * eta"
+    )
+
