@@ -22,8 +22,8 @@ no-op sink so clique storage never enters the timing, and
 drifting machine load hits both backends alike.
 
 The :data:`WORKLOADS` specs also define the graphs of the sanitizer
-sweep (``python -m repro.sanitize``), the store gate and the parallel
-gate.
+sweep (``python -m repro.sanitize``) and of the tier-1 counter and
+parallel flight tests.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ embarrassingly parallel, and this module exploits that:
 * :func:`enumerate_partitioned` — run the chunks sequentially but
   independently (useful for incremental/checkpointed jobs, and the
   correctness reference for the parallel path);
-* :func:`enumerate_parallel` — fan the chunks out to a
-  ``multiprocessing`` pool.
+* :func:`enumerate_parallel` — fan the chunks out to a spawn-context
+  process pool.
 
 The reduction and the vertex ordering are computed **once** in the
 parent and shipped to every worker along with its chunk: workers no
@@ -125,7 +125,7 @@ def enumerate_parallel(
     flight_dir: Optional[str] = None,
     store=None,
 ) -> EnumerationResult:
-    """Enumerate with a multiprocessing pool (one task per seed chunk).
+    """Enumerate with a process pool (one task per seed chunk).
 
     The parent reduces the graph and fixes the vertex ordering; each
     worker receives the reduced graph, the shared ordering and its
@@ -146,9 +146,13 @@ def enumerate_parallel(
     4-way query — and a repeated key returns the stored cliques,
     counters and shard breakdown without spawning a single worker.
     Flight logs register as artifacts of the stored run.
-    """
-    import multiprocessing
 
+    A worker that dies mid-chunk (killed, out of memory) makes the
+    call raise ``BrokenProcessPool`` and cancels the chunks not yet
+    started; a chunk that raises propagates its own exception.  With
+    ``flight_dir`` set, the parent log then ends with a ``violation``
+    record.
+    """
     key = None
     if store is not None:
         from repro.store.key import run_key_for
@@ -201,11 +205,21 @@ def enumerate_parallel(
             # worker so the shard breakdown and flight log still exist.
             outcomes = [_run_chunk(job) for job in jobs]
         else:
-            with multiprocessing.get_context("spawn").Pool(
-                processes=processes
-                or min(len(chunks), multiprocessing.cpu_count())
-            ) as pool:
-                outcomes = pool.map(_run_chunk, jobs)
+            # An executor, not a multiprocessing Pool: a worker that
+            # dies mid-chunk breaks the executor, which raises
+            # BrokenProcessPool, where Pool.map would wait forever.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                max_workers=processes
+                or min(len(chunks), multiprocessing.cpu_count()),
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+            try:
+                outcomes = list(pool.map(_run_chunk, jobs))
+            finally:
+                pool.shutdown(cancel_futures=True)
         merged = _merge_outcomes(outcomes)
         wall = time.perf_counter() - start
         if recorder is not None:
@@ -219,6 +233,10 @@ def enumerate_parallel(
                     if name != "metrics"
                 },
             )
+    except Exception as error:
+        if recorder is not None:
+            recorder.violation(type(error).__name__, str(error))
+        raise
     finally:
         if recorder is not None:
             recorder.close()

@@ -242,8 +242,8 @@ class PivotEnumerator:
         self.backend_used = "dict"
         #: :func:`~repro.engine.driver.variant_id` of the compiled
         #: recursion variant :meth:`run` executed (None before any
-        #: run).  Bench records stamp this so ``repro.obs diff`` can
-        #: refuse cross-variant comparisons.
+        #: run).  Bench records stamp this: timings compare only
+        #: within one variant.
         self.variant_used: Optional[str] = None
 
     # ------------------------------------------------------------------

@@ -5,18 +5,12 @@ of the CLI / benchmarks, or the ``REPRO_OBS`` environment variable
 (which applies when the config leaves the level at ``"off"``).  Wrap
 any number of runs in :func:`~repro.obs.session.observe` to collect
 combined trace / folded-stack / metrics artifacts, then inspect them
-with ``python -m repro.obs report`` and gate regressions with
-``python -m repro.obs diff``.  See ``docs/observability.md``.
+with ``python -m repro.obs report``; ``python -m repro.obs fleet``
+tabulates the flight logs of a parallel run.  See
+``docs/observability.md``.
 """
 
-from repro.obs.diff import compare, diff_paths, load_series
-from repro.obs.fleet import (
-    fleet_summary,
-    load_flights,
-    render_fleet,
-    render_tail,
-    render_timeline,
-)
+from repro.obs.fleet import fleet_summary, load_flights, render_fleet
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FlightLog,
@@ -50,21 +44,16 @@ __all__ = [
     "ProgressTracker",
     "Tracer",
     "build_observer",
-    "compare",
     "current_session",
-    "diff_paths",
     "fleet_summary",
     "load_artifact",
     "load_flights",
-    "load_series",
     "merge_flight_registries",
     "observe",
     "peak_rss_bytes",
     "read_jsonl",
     "render_fleet",
     "render_path",
-    "render_tail",
-    "render_timeline",
     "replay_flight",
     "resolve_level",
     "run_env",

@@ -6,7 +6,7 @@ in-memory :class:`~repro.obs.metrics.MetricsRegistry` of a dead worker
 is gone; its flight log is not.  Each process appends one
 schema-versioned JSON object per line and flushes after every write,
 so whatever survives a crash is a valid prefix of the stream and the
-parent (or a human with ``python -m repro.obs tail``) can replay it.
+parent (or a human with ``python -m repro.obs report``) can replay it.
 
 Event kinds (``repro.obs/flight-v1``):
 

@@ -160,8 +160,8 @@ class Observer:
         #: :func:`repro.engine.driver.variant_id` of the compiled
         #: recursion variant this run executed; stamped by
         #: ``SearchEngine.run`` before the search starts and copied
-        #: into session and bench documents so ``repro.obs diff`` can
-        #: refuse cross-variant comparisons.
+        #: into session and bench documents, whose timings compare
+        #: only within one variant.
         self.variant: Optional[str] = None
         #: Whether the engine binds this observer into the recursion
         #: (see :data:`RECURSION_HOOK_LEVELS`).  A lifecycle-only

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Tuple
 
+from repro.obs.flight import FlightLog, replay_flight
 from repro.obs.metrics import DEPTH_METRICS, MetricsRegistry
 from repro.obs.session import METRICS_SCHEMA
 from repro.obs.tracer import read_jsonl
@@ -49,16 +50,12 @@ def load_artifact(path: str) -> Tuple[str, object]:
         if isinstance(doc, dict):
             if "event" in doc:
                 # A one-record flight log parses as a single object.
-                from repro.obs.flight import replay_flight
-
                 return "flight", replay_flight(path)
             if doc.get("schema") == METRICS_SCHEMA:
                 return "metrics", doc
         if doc is None and _looks_like_flight(stripped):
             # Multi-line flight log: the single-object parse above
             # failed but each line is one event record.
-            from repro.obs.flight import replay_flight
-
             return "flight", replay_flight(path)
     try:
         events = read_jsonl(text)
@@ -258,14 +255,48 @@ def _lane_suffix(lanes: Dict[object, str], tid) -> str:
     return " [%s]" % label if label else ""
 
 
+def render_flight(log: FlightLog) -> str:
+    """One line per event of a single flight stream."""
+    lines = [
+        "%s [%s %s, pid %s, schema %s]%s"
+        % (
+            log.path,
+            log.role,
+            log.worker,
+            log.pid,
+            log.schema,
+            " TRUNCATED TAIL" if log.truncated else "",
+        )
+    ]
+    for entry in log.events:
+        fields = " ".join(
+            "%s=%s" % (key, _fmt_field(entry[key]))
+            for key in sorted(entry)
+            if key not in ("event", "seq", "t_s")
+        )
+        lines.append(
+            "[%10.4fs] #%-4s %-10s %s"
+            % (
+                float(entry.get("t_s", 0.0)),
+                entry.get("seq", "?"),
+                str(entry.get("event")),
+                fields,
+            )
+        )
+    return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _fmt_field(value) -> str:
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return str(value)
+
+
 def render_path(path: str) -> str:
     """Load ``path`` and render the matching summary."""
     kind, payload = load_artifact(path)
     if kind == "metrics":
         return render_metrics(payload)
     if kind == "flight":
-        # Imported lazily in both directions (fleet borrows _table).
-        from repro.obs.fleet import render_tail
-
-        return render_tail(payload)
+        return render_flight(payload)
     return render_trace(payload)

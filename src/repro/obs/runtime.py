@@ -8,8 +8,8 @@ keep being subtly wrong when taken ad hoc:
   workers' graph copies live below it.  ``resource.getrusage`` reports
   the real high-water mark the operating system charged the process.
 * **platform fingerprints** — wall-clock comparisons across machines
-  or interpreter versions are noise; ``repro.obs diff`` can only warn
-  about a cross-platform compare if the artifacts say where they ran.
+  or interpreter versions are noise, so every artifact says where it
+  ran.
 
 Both helpers degrade to ``None``/empty values instead of raising, so
 artifact writers can stamp them unconditionally.

@@ -28,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import DEFAULT_SAMPLE_EVERY, Observer
 from repro.obs.tracer import FoldedStacks
 
-#: Schema tag of the session metrics document (see ``repro.obs diff``).
+#: Schema tag of the session metrics document (see ``repro.obs report``).
 METRICS_SCHEMA = "repro.obs/metrics-v1"
 
 _ACTIVE: List["ObsSession"] = []

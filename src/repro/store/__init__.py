@@ -17,8 +17,7 @@ Layers:
 * :mod:`repro.store.service` — :class:`EnumerationService` (store-hit
   enumeration, shared-reduction sessions) and the JSON-lines
   :class:`ServeLoop`;
-* :mod:`repro.store.cli` — ``repro-store run / query / serve``;
-* :mod:`repro.store.gate` — the CI end-to-end cache demo.
+* :mod:`repro.store.cli` — ``repro-store run / query / serve``.
 """
 
 from repro.store.key import (

@@ -11,10 +11,9 @@ Usage::
 
 ``query show`` renders **only stored bytes**: its output for a digest
 is byte-identical whether the entry was written by a live run a moment
-ago or replayed from the store a month later — that identity is what
-the CI ``store`` job asserts.  ``query diff`` exits 0 when the two
-runs' clique sets are identical, 1 when they differ, 2 on usage
-errors (mirroring ``repro.obs diff``).
+ago or replayed from the store a month later.  ``query diff`` exits 0
+when the two runs' clique sets are identical, 1 when they differ, 2 on
+usage errors.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 backends; its bounds are pinned here on synthetic timings, because a
 clock is no tier-1 signal.  The search counters of the same workload
 are deterministic, so they are pinned on both backends against
-``BENCH_pr4.json`` with the rule ``repro.obs diff`` applies: outputs
-exact, calls and expansions within ×1.02 + 2.
+``BENCH_pr4.json``: outputs exact, calls and expansions within
+×1.02 + 2.
 """
 
 from dataclasses import replace

@@ -3,6 +3,9 @@
 import json
 from dataclasses import replace
 
+import pytest
+
+from repro.bench.kernel_speedup import WORKLOADS, build_graph
 from repro.core import enumerate_parallel, enumerate_partitioned
 from repro.core.config import PMUC_PLUS_CONFIG
 from repro.core.partition import _accumulate
@@ -96,19 +99,34 @@ class TestPartitionedBreakdown:
         assert live["gauges"]["max_depth"] == stats["max_depth"]
 
 
+def _random_workload():
+    return random_uncertain_graph(14, 18, 0.5), 2, 0.4
+
+
+def _communities_100():
+    spec = next(w for w in WORKLOADS if w["name"] == "communities-100")
+    return build_graph(spec["params"]), spec["k"], spec["eta"]
+
+
 class TestParallelFlightParity:
-    def test_parallel_flight_replay_matches_live_registry(self, tmp_path):
-        g = random_uncertain_graph(14, 18, 0.5)
+    @pytest.mark.parametrize(
+        "workload", [_random_workload, _communities_100],
+        ids=["random", "communities-100"],
+    )
+    def test_parallel_flight_replay_matches_live_registry(
+        self, tmp_path, workload
+    ):
+        g, k, eta = workload()
         config = replace(PMUC_PLUS_CONFIG, obs="light")
         flight_dir = str(tmp_path / "flights")
         merged = enumerate_parallel(
-            g, 2, 0.4, parts=2, processes=2, config=config,
+            g, k, eta, parts=2, processes=2, config=config,
             flight_dir=flight_dir,
         )
         sequential = enumerate_partitioned(
-            g, 2, 0.4, parts=2, config=config
+            g, k, eta, parts=2, config=config
         )
-        single = PivotEnumerator(g, 2, 0.4, config).run()
+        single = PivotEnumerator(g, k, eta, config).run()
 
         # Clique surface: invariant across all drivers.
         assert as_sorted_sets(merged.cliques) == \
@@ -117,16 +135,24 @@ class TestParallelFlightParity:
         # sequential run.
         assert _canon(merged.stats.as_dict()) == \
             _canon(sequential.stats.as_dict())
+        # The live merged registry counts what the merged stats count.
+        stats = merged.stats.as_dict()
+        assert merged.fleet["metrics"]["counters"] == {
+            name: value for name, value in stats.items()
+            if name != "max_depth"
+        }
 
-        # Per-worker flight logs exist and replay to the live registry.
+        # One worker flight log per shard, each finished, replaying to
+        # the live registry.
         worker_paths = sorted(
             str(p) for p in (tmp_path / "flights").glob(
                 "flight-worker*.jsonl"
             )
         )
-        assert len(worker_paths) == 2
+        assert len(worker_paths) == len(merged.shards) == 2
         logs = [replay_flight(p) for p in worker_paths]
         assert all(not log.truncated for log in logs)
+        assert all(log.finish() is not None for log in logs)
         replayed = merge_flight_registries(logs)
         assert _canon(replayed.as_dict()) == _canon(merged.fleet["metrics"])
         # ... independent of replay order.
@@ -179,34 +205,29 @@ class TestObsCli:
         )
         return sorted(str(p) for p in flight_dir.glob("flight-*.jsonl"))
 
-    def test_tail_fleet_timeline_smoke(self, tmp_path, capsys):
+    def test_fleet_table_marks_a_log_without_finish_as_crashed(
+        self, tmp_path, capsys
+    ):
         paths = self._flights(tmp_path)
-        assert obs_main(["tail", paths[0], "--last", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "repro.obs/flight-v1" in out
-
         assert obs_main(["fleet"] + paths) == 0
         out = capsys.readouterr().out
         assert "parent 0" in out
         assert "imbalance" in out
+        assert "crashed" not in out
 
-        trace_path = str(tmp_path / "trace.jsonl")
-        assert obs_main(["timeline"] + paths + ["--out", trace_path]) == 0
-        capsys.readouterr()
-        events = [
-            json.loads(line)
-            for line in open(trace_path, encoding="utf-8")
+        # A worker that died before its finish record.
+        worker = paths[-1]
+        with open(worker, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        with open(worker, "w", encoding="utf-8") as handle:
+            handle.writelines(
+                line for line in lines if '"event": "finish"' not in line
+            )
+        assert obs_main(["fleet"] + paths) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[-1] for row in rows if "crashed" in row] == [
+            "crashed"
         ]
-        lanes = {
-            e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert any(name.startswith("parent") for name in lanes)
-        assert sum(1 for n in lanes if n.startswith("worker")) == 2
-        # The timeline doubles as a report-able trace artifact.
-        assert obs_main(["report", trace_path]) == 0
-        assert "lanes" in capsys.readouterr().out
 
     def test_report_renders_flight_log(self, tmp_path, capsys):
         paths = self._flights(tmp_path)
@@ -214,48 +235,8 @@ class TestObsCli:
         assert "run_start" in capsys.readouterr().out
 
     def test_missing_file_exits_2(self, capsys):
-        assert obs_main(["tail", "no-such-flight.jsonl"]) == 2
+        assert obs_main(["fleet", "no-such-flight.jsonl"]) == 2
         capsys.readouterr()
-
-
-class TestPlatformWarning:
-    def test_diff_warns_on_cross_platform(self, tmp_path, capsys):
-        base = {
-            "schema": "repro.obs/metrics-v1",
-            "env": {"python": "3.11.1", "platform": "Linux-x"},
-            "runs": [
-                {"index": 0, "backend": "kernel",
-                 "metrics": {"counters": {"outputs": 5},
-                             "phases": {"recursion": 1.0}}},
-            ],
-        }
-        run = json.loads(json.dumps(base))
-        run["env"] = {"python": "3.12.0", "platform": "macOS-y"}
-        base_path = str(tmp_path / "base.json")
-        run_path = str(tmp_path / "run.json")
-        for path, doc in ((base_path, base), (run_path, run)):
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-        assert obs_main(["diff", base_path, run_path]) == 0
-        out = capsys.readouterr().out
-        # Warns (not fails): counters still gate, the clock does not.
-        assert "cross-platform" in out
-        assert "no regressions beyond threshold" in out
-
-
-class TestParallelGate:
-    def test_gate_passes_end_to_end(self, tmp_path, capsys):
-        from repro.bench.parallel_gate import main as gate_main
-
-        flight_dir = str(tmp_path / "gate")
-        trace = str(tmp_path / "gate" / "trace.jsonl")
-        code = gate_main([
-            "--flight-dir", flight_dir, "--timeline-out", trace,
-        ])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "parallel obs gate ok" in out
-        assert (tmp_path / "gate" / "trace.jsonl").exists()
 
 
 class TestProgressIntegration:

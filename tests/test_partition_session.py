@@ -1,5 +1,12 @@
 """Partitioned/parallel enumeration and multi-k query sessions."""
 
+import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ParameterError
@@ -13,6 +20,51 @@ from repro.core import (
 )
 from repro.datasets import figure1_graph, load_dataset
 from tests.conftest import as_sorted_sets, random_uncertain_graph
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Kills one of two spawn workers as soon as its flight log shows it
+#: enumerating (each chunk then runs about a second), and reports what
+#: the call did.
+KILL_A_WORKER = r"""
+import json, multiprocessing, os, signal, sys, threading, time
+
+from repro.core.partition import enumerate_parallel
+from repro.datasets.random_graphs import planted_communities_weighted
+from repro.datasets.registry import uncertain_from_weights
+from repro.obs.flight import replay_flight
+
+flight_dir = sys.argv[1]
+graph = uncertain_from_weights(planted_communities_weighted(
+    n=600, communities=10, community_size=60, overlap=0,
+    p_in=0.6, p_out_edges=1000, seed=7,
+), seed=7)
+worker_log = os.path.join(flight_dir, "flight-worker00.jsonl")
+killed = []
+
+def kill_worker_mid_chunk():
+    while not (os.path.exists(worker_log)
+               and replay_flight(worker_log).first("run_start")):
+        time.sleep(0.01)
+    os.kill(replay_flight(worker_log).pid, signal.SIGKILL)
+    killed.append(time.monotonic())
+
+threading.Thread(target=kill_worker_mid_chunk, daemon=True).start()
+try:
+    enumerate_parallel(
+        graph, 5, 0.3, parts=2, processes=2, flight_dir=flight_dir
+    )
+    error = None
+except Exception as exc:
+    error = type(exc).__name__
+parent = replay_flight(os.path.join(flight_dir, "flight-parent.jsonl"))
+print(json.dumps({
+    "error": error,
+    "seconds_after_kill": time.monotonic() - killed[0] if killed else None,
+    "children": len(multiprocessing.active_children()),
+    "parent_last_event": parent.events[-1]["event"],
+}))
+"""
 
 
 class TestSeedFilter:
@@ -71,6 +123,28 @@ class TestParallel:
     def test_single_chunk_short_circuits(self, triangle_graph):
         merged = enumerate_parallel(triangle_graph, 3, 0.5, parts=1)
         assert merged.cliques == [frozenset({0, 1, 2})]
+
+    def test_a_killed_worker_raises_instead_of_hanging(self, tmp_path):
+        # A child interpreter, in its own session, so that a hang is a
+        # timeout here and the whole process group can be killed.
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", KILL_A_WORKER, str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("enumerate_parallel hung after a worker was killed")
+        assert proc.returncode == 0, err
+        report = json.loads(out)
+        assert report["error"] == "BrokenProcessPool"
+        assert report["seconds_after_kill"] < 10
+        assert report["children"] == 0
+        assert report["parent_last_event"] == "violation"
 
 
 class TestQuerySession:

@@ -3,9 +3,8 @@
 The byte-identity contract is the headline: ``query show`` renders
 only stored bytes, so its output for a digest is identical whether the
 entry was written seconds or months before, across any number of
-invocations — the CI ``store`` job asserts the same property end to
-end.  Exit codes mirror ``repro.obs diff``: 0 clean, 1 content
-difference, 2 unusable input.
+invocations.  Exit codes: 0 clean, 1 content difference, 2 unusable
+input.
 """
 
 import csv

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+import repro.core.partition as partition_module
 import repro.core.session as session_module
 import repro.kernel.enumerate as kernel_enumerate
+import repro.store.service as service_module
 from repro.core.config import PMUC_PLUS_CONFIG
 from repro.core.partition import enumerate_parallel
 from repro.core.session import CliqueQuerySession
@@ -43,16 +45,45 @@ def test_session_miss_then_hit_with_identical_results(store):
     assert replay.stats.as_dict() == live.stats.as_dict()
 
 
-def test_cache_hit_builds_no_enumerator(store, monkeypatch):
+def _session_query(store):
     session = CliqueQuerySession(figure1_graph(), 0.1, store=store)
-    session.query(3)
+    return lambda: session.query(3)
+
+
+def _service_enumerate(store):
+    service = EnumerationService(store)
+    return lambda: service.enumerate(figure1_graph(), 3, 0.1).result
+
+
+def _parallel_enumerate(store):
+    return lambda: enumerate_parallel(
+        figure1_graph(), 3, 0.1, parts=2, store=store
+    )
+
+
+@pytest.mark.parametrize(
+    "builder, entry_point",
+    [
+        (session_module, _session_query),
+        (service_module, _service_enumerate),
+        (partition_module, _parallel_enumerate),
+    ],
+    ids=["session", "service", "parallel"],
+)
+def test_cache_hit_builds_no_enumerator(
+    store, monkeypatch, builder, entry_point
+):
+    answer = entry_point(store)
+    live = answer()
 
     def tripwire(*args, **kwargs):
         raise AssertionError("cache hit must not construct an enumerator")
 
-    monkeypatch.setattr(session_module, "PivotEnumerator", tripwire)
-    replay = session.query(3)
-    assert replay.stats.outputs == replay.stats.as_dict()["outputs"]
+    # Each entry point builds its enumerator in its own module.
+    monkeypatch.setattr(builder, "PivotEnumerator", tripwire)
+    replay = answer()
+    assert as_sorted_sets(replay.cliques) == as_sorted_sets(live.cliques)
+    assert replay.stats.as_dict() == live.stats.as_dict()
 
 
 def test_streaming_queries_bypass_the_store(store):
