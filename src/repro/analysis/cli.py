@@ -12,7 +12,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.cache import DEFAULT_CACHE_DIR, FindingsCache
 from repro.analysis.registry import all_rules
 from repro.analysis.runner import AnalysisReport, analyze
 
@@ -51,24 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "worker processes for file-scope rules (default: 1); "
-            "suppressions, baseline and cross-file rules still run "
-            "in-process"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the per-file result cache for this run",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=(
-            "per-file result cache location (default: "
-            f"{DEFAULT_CACHE_DIR}); keyed on source hash + rule-set "
-            "version, so stale reuse is structurally impossible"
+            "worker processes (default: 1); each file is parsed, "
+            "checked and its inline suppressions applied in a worker, "
+            "the baseline in the calling process; output is identical "
+            "for every N"
         ),
     )
     parser.add_argument(
@@ -143,17 +128,11 @@ def _summary_line(report: AnalysisReport) -> str:
             "them)"
         )
     )
-    cache_note = ""
-    if report.cache_hits or report.cache_misses:
-        cache_note = (
-            f" [cache: {report.cache_hits} hit, "
-            f"{report.cache_misses} miss]"
-        )
     return (
         f"{len(report.findings)} finding(s) "
         f"({len(report.grandfathered)} baselined, "
         f"{len(report.suppressed)} suppressed) "
-        f"in {report.files_scanned} file(s)" + cache_note + stale_note
+        f"in {report.files_scanned} file(s)" + stale_note
     )
 
 
@@ -234,7 +213,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(
-                f"{rule.id}  {rule.severity}  [{rule.scope}]  "
+                f"{rule.id}  {rule.severity}  "
                 f"{rule.name}: {rule.description}",
                 file=out,
             )
@@ -254,11 +233,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else FindingsCache(args.cache_dir)
     try:
-        report = analyze(
-            args.paths, baseline=baseline, cache=cache, jobs=args.jobs
-        )
+        report = analyze(args.paths, baseline=baseline, jobs=args.jobs)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class Severity(enum.Enum):
@@ -76,21 +76,6 @@ class Finding:
         if self.fingerprint:
             out["fingerprint"] = self.fingerprint
         return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the analysis cache)."""
-        return cls(
-            path=raw["path"],
-            line=raw["line"],
-            col=raw["col"],
-            rule=raw["rule"],
-            severity=Severity(raw["severity"]),
-            message=raw["message"],
-            line_text=raw.get("line_text", ""),
-            trace=tuple(raw.get("trace", ())),
-            fingerprint=raw.get("fingerprint", ""),
-        )
 
 
 def flow_fingerprint(rule: str, source_text: str, sink_text: str) -> str:

@@ -1,15 +1,10 @@
 """The repro-lint rule registry.
 
 Rules self-register at import time through the :func:`rule` decorator;
-the runner asks the registry for the active set.  Two rule scopes
-exist:
-
-* ``file`` — the checker is called once per parsed
-  :class:`~repro.analysis.source.SourceFile` and diagnoses that file
-  in isolation;
-* ``project`` — the checker is called once with *all* parsed files and
-  may relate declarations across files (the mirror-parity rule REP005
-  needs both backends at once).
+the runner asks the registry for the active set.  Every checker is
+called once per parsed :class:`~repro.analysis.source.SourceFile` and
+diagnoses that file in isolation, which is what lets the runner check
+each file in whichever process parsed it.
 """
 
 from __future__ import annotations
@@ -20,8 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import SourceFile
 
-FileChecker = Callable[[SourceFile], Iterable[Finding]]
-ProjectChecker = Callable[[List[SourceFile]], Iterable[Finding]]
+Checker = Callable[[SourceFile], Iterable[Finding]]
 
 
 @dataclass(frozen=True)
@@ -31,13 +25,12 @@ class Rule:
     id: str
     name: str
     severity: Severity
-    scope: str  # "file" | "project"
     description: str
-    checker: Callable
+    checker: Checker
 
-    def run(self, target) -> List[Finding]:
+    def run(self, src: SourceFile) -> List[Finding]:
         """Run the checker and materialize its findings."""
-        return list(self.checker(target))
+        return list(self.checker(src))
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -48,20 +41,16 @@ def rule(
     name: str,
     severity: Severity,
     description: str,
-    scope: str = "file",
 ):
-    """Class/function decorator registering a checker under ``id``."""
-    if scope not in ("file", "project"):
-        raise ValueError(f"unknown rule scope {scope!r}")
+    """Decorator registering a checker function under ``id``."""
 
-    def decorate(checker: Callable) -> Callable:
+    def decorate(checker: Checker) -> Checker:
         if id in _REGISTRY:
             raise ValueError(f"rule {id} registered twice")
         _REGISTRY[id] = Rule(
             id=id,
             name=name,
             severity=severity,
-            scope=scope,
             description=description,
             checker=checker,
         )

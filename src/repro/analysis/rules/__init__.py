@@ -26,10 +26,9 @@ from repro.analysis.rules import (
     translation,
 )
 
-#: Bumped whenever rule semantics change in a way that invalidates
-#: cached per-file results (see :mod:`repro.analysis.cache`).  The
-#: cache key also folds in the analysis package sources, so this is a
-#: human-readable escape hatch, not the only invalidation mechanism.
+#: The ``version`` of the SARIF ``tool.driver`` record
+#: (:mod:`repro.analysis.sarif`); bump it when rule semantics change so
+#: code-scanning consumers can tell the rule sets apart.
 RULESET_VERSION = "2026.10-one-flow-domain-pass"
 
 __all__ = [

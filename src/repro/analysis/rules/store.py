@@ -22,9 +22,8 @@ is a key function and gets four checks:
    ``realpath`` / ``expanduser`` / ``os.getcwd`` are flagged only when
    their result feeds ``.encode()`` or a digest sink
    (``digest.update``, a hashlib constructor).  Resolving a path in
-   order to *open* it is fine — ``repro.analysis.cache.salted_sources``
-   hashes file *contents* via an abspath'd ``open`` and must stay
-   clean;
+   order to *open* it is fine — a salt that hashes file *contents*
+   read through an abspath'd ``open`` must stay clean;
 3. **no unordered dict-view iteration into a digest** — a ``for`` loop
    over ``.items()`` / ``.keys()`` / ``.values()`` whose body calls
    ``.update(...)`` bakes insertion order (construction history) into
@@ -34,9 +33,9 @@ is a key function and gets four checks:
    semantically equal keys built in different orders would hash
    differently.
 
-``FindingsCache.key`` (the analysis cache) deliberately hashes an
-abspath — the cache is machine-local by design — and stays out of
-scope because ``key`` alone does not match the name pattern.
+``key`` alone does not match the name pattern, so a method named
+``key`` on a deliberately machine-local index (one that may hash an
+abspath) stays out of scope.
 """
 
 from __future__ import annotations

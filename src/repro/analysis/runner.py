@@ -1,23 +1,20 @@
 """The repro-lint analysis driver.
 
-Collects python files, parses each once, runs every file-scope rule on
-every file and every project-scope rule on the whole set, applies
-inline suppressions, and returns one :class:`AnalysisReport`.
-
-File-scope rule results can be cached per file (content-addressed, see
-:mod:`repro.analysis.cache`) and computed in parallel (``jobs``);
-suppressions, the baseline, and project-scope rules always run live in
-the calling process, so the policy layers can never go stale.
+Collects python files and maps :func:`check_file` over them: it reads
+and parses one file, runs every rule on it and applies that file's
+inline suppressions.  With ``jobs > 1`` the map runs over a process
+pool, so each file is parsed once, in the process that checks it; the
+calling process parses nothing, concatenates the per-file results in
+:func:`collect_files` order and applies the baseline.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.cache import FindingsCache
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules
 from repro.analysis.source import SourceFile
@@ -32,8 +29,6 @@ class AnalysisReport:
     grandfathered: List[Finding] = field(default_factory=list)
     unused_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -68,7 +63,7 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 def parse_files(paths: Iterable[str]) -> List[SourceFile]:
     """Parse every path eagerly, raising on the first ``SyntaxError``.
 
-    :func:`analyze` parses per-file instead so one unparseable file
+    :func:`analyze` parses per file instead so one unparseable file
     cannot abort a whole run; this strict variant serves callers (and
     tests) that want the failure raised.
     """
@@ -77,86 +72,49 @@ def parse_files(paths: Iterable[str]) -> List[SourceFile]:
 
 def run_rules(
     files: List[SourceFile], rules: Optional[List[Rule]] = None
-) -> "tuple[List[Finding], List[Finding]]":
+) -> "Tuple[List[Finding], List[Finding]]":
     """Raw ``(kept, suppressed)`` findings (baseline not yet applied)."""
     if rules is None:
         rules = all_rules()
-    findings: List[Finding] = []
-    for rule in rules:
-        if rule.scope == "file":
-            for src in files:
-                findings.extend(rule.run(src))
-        else:
-            findings.extend(rule.run(files))
-    return _apply_suppressions(findings, files)
-
-
-def _apply_suppressions(
-    findings: List[Finding], files: List[SourceFile]
-) -> "tuple[List[Finding], List[Finding]]":
-    by_path = {src.path: src for src in files}
     kept: List[Finding] = []
     suppressed: List[Finding] = []
-    for finding in findings:
-        src = by_path.get(finding.path)
-        if src is not None and src.is_suppressed(finding.rule, finding.line):
-            suppressed.append(finding)
-        else:
-            kept.append(finding)
+    for src in files:
+        for rule in rules:
+            for finding in rule.run(src):
+                if src.is_suppressed(finding.rule, finding.line):
+                    suppressed.append(finding)
+                else:
+                    kept.append(finding)
     return sorted(kept), suppressed
 
 
-def _file_rule_findings(src: SourceFile, rules: List[Rule]) -> List[Finding]:
-    findings: List[Finding] = []
-    for rule in rules:
-        findings.extend(rule.run(src))
-    return findings
+def check_file(path: str) -> "Tuple[List[Finding], List[Finding]]":
+    """Read, parse and check one file: its ``(kept, suppressed)``.
 
-
-def _worker(job: "Tuple[str, Tuple[str, ...]]") -> "Tuple[str, List[dict]]":
-    """Pool worker: parse one file, run the named file-scope rules.
-
-    Takes and returns only plain JSON-ish values so it works under any
-    multiprocessing start method.  Parse failures return no findings —
-    the parent already parsed the file and reported them.
+    A syntax error becomes the file's one kept PARSE finding, so an
+    unparseable file cannot abort the rest of the scan.  Takes a path
+    and returns picklable findings, so it runs unchanged in a pool
+    worker.
     """
-    path, rule_ids = job
-    wanted = set(rule_ids)
-    rules = [r for r in all_rules() if r.id in wanted]
     try:
         src = SourceFile.read(path)
-    except (SyntaxError, OSError):
-        return path, []
-    return path, [f.as_dict() for f in _file_rule_findings(src, rules)]
-
-
-def _compute_file_findings(
-    files: List[SourceFile],
-    file_rules: List[Rule],
-    jobs: int,
-) -> Dict[str, List[Finding]]:
-    """``{path: findings}`` for file-scope rules, optionally parallel."""
-    if jobs > 1 and len(files) > 1:
-        import multiprocessing
-
-        rule_ids = tuple(r.id for r in file_rules)
-        payload = [(src.path, rule_ids) for src in files]
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_worker, payload)
-        return {
-            path: [Finding.from_dict(raw) for raw in dicts]
-            for path, dicts in results
-        }
-    return {
-        src.path: _file_rule_findings(src, file_rules) for src in files
-    }
+    except SyntaxError as exc:
+        parse = Finding(
+            path=path,
+            line=exc.lineno or 0,
+            col=exc.offset or 0,
+            rule="PARSE",
+            severity=Severity.ERROR,
+            message=f"syntax error: {exc.msg}",
+            line_text=(exc.text or "").strip(),
+        )
+        return [parse], []
+    return run_rules([src])
 
 
 def analyze(
     paths: Sequence[str],
     baseline: Optional[Baseline] = None,
-    rules: Optional[List[Rule]] = None,
-    cache: Optional[FindingsCache] = None,
     jobs: int = 1,
 ) -> AnalysisReport:
     """Run the full analysis over ``paths``.
@@ -168,81 +126,24 @@ def analyze(
     baseline:
         Optional committed baseline; matching findings are reported as
         grandfathered instead of new.
-    rules:
-        Optional explicit rule list (defaults to the full registry).
-    cache:
-        Optional :class:`FindingsCache`; file-scope results are reused
-        for files whose content (and rule set) is unchanged.
     jobs:
-        Worker processes for file-scope rules on cache misses (1 =
-        in-process).
+        Worker processes that run :func:`check_file` (1 = in-process).
+        Output is identical for every value.
     """
-    if rules is None:
-        rules = all_rules()
-    file_rules = [r for r in rules if r.scope == "file"]
-    project_rules = [r for r in rules if r.scope != "file"]
-    report = AnalysisReport()
     file_paths = collect_files(paths)
-    report.files_scanned = len(file_paths)
-    # Parse per file: a syntax error becomes a PARSE finding for that
-    # file and the rest of the tree is still analyzed — an eager batch
-    # parse would abort the run while claiming every file was scanned.
-    files: List[SourceFile] = []
-    parse_findings: List[Finding] = []
-    for path in file_paths:
-        try:
-            files.append(SourceFile.read(path))
-        except SyntaxError as exc:
-            parse_findings.append(
-                Finding(
-                    path=path,
-                    line=exc.lineno or 0,
-                    col=exc.offset or 0,
-                    rule="PARSE",
-                    severity=Severity.ERROR,
-                    message=f"syntax error: {exc.msg}",
-                    line_text=(exc.text or "").strip(),
-                )
-            )
-    # File-scope rules: serve what we can from the cache, compute the
-    # rest (possibly in parallel), backfill the cache.
-    per_file: Dict[str, List[Finding]] = {}
-    keys: Dict[str, str] = {}
-    pending: List[SourceFile] = []
-    rule_ids = [r.id for r in file_rules]
-    for src in files:
-        if cache is None:
-            pending.append(src)
-            continue
-        key = cache.key(src.path, src.text.encode("utf-8"), rule_ids)
-        keys[src.path] = key
-        hit = cache.get(key)
-        if hit is None:
-            pending.append(src)
-        else:
-            # The key normalizes the path (abspath), so a hit may have
-            # been stored under a different spelling of this file
-            # (relative vs absolute); suppression matching is exact on
-            # path, so rebind findings to the path being scanned.
-            per_file[src.path] = [
-                replace(f, path=src.path) for f in hit
-            ]
-    computed = _compute_file_findings(pending, file_rules, jobs)
-    per_file.update(computed)
-    if cache is not None:
-        for path, found in computed.items():
-            cache.put(keys[path], found)
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
+    if jobs > 1 and len(file_paths) > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(processes=jobs) as pool:
+            results = pool.map(check_file, file_paths, chunksize=1)
+    else:
+        results = [check_file(path) for path in file_paths]
+    report = AnalysisReport(files_scanned=len(file_paths))
     findings: List[Finding] = []
-    for src in files:
-        findings.extend(per_file.get(src.path, []))
-    # Project-scope rules relate files to each other; they always run
-    # live on the full parsed set.
-    for rule in project_rules:
-        findings.extend(rule.run(files))
-    kept, report.suppressed = _apply_suppressions(findings, files)
-    findings = sorted(parse_findings + kept)
+    for kept, suppressed in results:
+        findings.extend(kept)
+        report.suppressed.extend(suppressed)
+    findings.sort()
     if baseline is not None:
         new, grandfathered, unused = baseline.split(findings)
         report.findings = new

@@ -35,6 +35,7 @@ into the same merged registry the parent computed live.
 
 from __future__ import annotations
 
+import fnmatch
 import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -134,7 +135,8 @@ def enumerate_parallel(
     ``flight_dir`` enables flight recording: the parent writes
     ``flight-parent.jsonl`` (run start, one ``dispatch`` per shard,
     the merged finish) and each worker writes
-    ``flight-worker<NN>.jsonl`` into the same directory.  Replaying
+    ``flight-worker<NN>.jsonl`` into the same directory, after
+    removing the flight logs an earlier call left there.  Replaying
     the worker logs (:func:`repro.obs.flight.merge_flight_registries`)
     reproduces ``result.fleet["metrics"]`` byte for byte when the
     config observes at least at ``obs="light"``.
@@ -174,6 +176,13 @@ def enumerate_parallel(
         from repro.obs.flight import FlightRecorder
 
         os.makedirs(flight_dir, exist_ok=True)
+        # Recorders append: an earlier call's logs (and its extra
+        # shards' logs) would otherwise replay as this run.
+        for name in sorted(os.listdir(flight_dir)):
+            if name == "flight-parent.jsonl" or fnmatch.fnmatch(
+                name, "flight-worker*.jsonl"
+            ):
+                os.remove(os.path.join(flight_dir, name))
         paths = [
             os.path.join(flight_dir, "flight-worker%02d.jsonl" % index)
             for index in range(len(chunks))

@@ -12,10 +12,11 @@ module contributes two things:
   :class:`~fractions.Fraction`), projected by the ``GenerateSet``
   kernel of :mod:`repro.core.candidates`.
 * :class:`PivotEnumerator` — the public facade: argument validation,
-  backend selection (``config.backend == "kernel"`` delegates to the
-  bitset backend when :func:`repro.kernel.enumerate.supports` allows,
-  silently falling back to the dict backend otherwise), and the
-  ``pmuc`` / ``pmuc_plus`` convenience wrappers.
+  backend selection (:func:`repro.kernel.enumerate.effective_backend`:
+  ``config.backend == "kernel"`` runs the bitset backend when
+  :func:`repro.kernel.enumerate.supports` allows, silently falling
+  back to the dict backend otherwise), and the ``pmuc`` /
+  ``pmuc_plus`` convenience wrappers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.candidates import generate_set, initial_candidates
 from repro.core.config import PMUC_CONFIG, PMUC_PLUS_CONFIG, PivotConfig
 from repro.core.pivot import PivotContext, get_strategy
 from repro.core.stats import EnumerationResult, SearchStats
-from repro.engine.protocol import SearchOps, StateOps, register_backend
+from repro.engine.protocol import SearchOps, StateOps
 from repro.reduction.ordering import vertex_ordering
 from repro.reduction.topk_core import topk_core
 from repro.reduction.topk_triangle import topk_triangle
@@ -182,9 +183,6 @@ class DictStateOps(StateOps):
         )
 
 
-register_backend("dict", DictStateOps)
-
-
 class PivotEnumerator:
     """One configured enumeration run over an uncertain graph.
 
@@ -229,9 +227,6 @@ class PivotEnumerator:
         self._config = config
         self._result = EnumerationResult()
         self._on_clique = on_clique
-        self._ctx: PivotContext = PivotContext({}, {}, {}, {}, k)
-        self._rank: Dict[Vertex, int] = {}
-        self._search_graph = graph
         self._san = None
         #: The run's :class:`~repro.obs.observer.Observer` (or None);
         #: populated by :meth:`run`, left in place afterwards so
@@ -280,34 +275,35 @@ class PivotEnumerator:
             Optional precomputed vertex ordering over
             ``reduced_graph``; skips the in-run ordering computation.
         """
-        if self._config.backend == "kernel":
-            kernel = self._make_kernel()
-            if kernel is not None:
-                self.backend_used = "kernel"
-                try:
-                    return kernel.run(
-                        seeds, reduced_graph=reduced_graph, order=order
-                    )
-                finally:
-                    self.obs = kernel.obs
-                    self.variant_used = kernel.variant_used
         # Imported lazily: the engine driver reaches into repro.sanitize
         # / repro.obs, which pull repro.core.config back in — a
         # module-level import would close the cycle through the
         # repro.core package __init__.
         from repro.engine.driver import SearchEngine
+        from repro.kernel.enumerate import KernelStateOps, effective_backend
 
-        ops = DictStateOps(self._graph, self._k, self._eta, self._config)
+        # The kernel needs float (or int) probabilities and ``eta``;
+        # exact Fraction runs silently keep the dict backend.
+        self.backend_used = effective_backend(
+            self._graph, self._eta, self._config
+        )
+        ops: StateOps
+        # repro-lint: ok REP003 a backend name, not a probability
+        if self.backend_used == "kernel":
+            eta = float(self._eta)
+            ops = KernelStateOps(self._graph, self._k, eta, self._config)
+        else:
+            eta = self._eta
+            ops = DictStateOps(self._graph, self._k, eta, self._config)
         engine = SearchEngine(
             ops,
             self._k,
-            self._eta,
+            eta,
             self._config,
             self._result,
             self._on_clique,
             self._limit,
         )
-        self.backend_used = "dict"
         try:
             return engine.run(
                 seeds, reduced_graph=reduced_graph, order=order
@@ -316,31 +312,6 @@ class PivotEnumerator:
             self._san = engine.san
             self.obs = engine.obs
             self.variant_used = engine.variant
-            self._ctx = ops.ctx
-            self._rank = ops.rank
-            self._search_graph = ops.search_graph
-
-    # ------------------------------------------------------------------
-    def _make_kernel(self):
-        """Build the bitset fast path, or None when unsupported.
-
-        The kernel requires float (or int) probabilities and ``eta``;
-        exact :class:`~fractions.Fraction` runs silently keep the dict
-        path, which handles arbitrary numeric types.
-        """
-        from repro.kernel.enumerate import KernelEnumerator, supports
-
-        if not supports(self._graph, self._eta):
-            return None
-        return KernelEnumerator(
-            self._graph,
-            self._k,
-            self._eta,
-            self._config,
-            self._result,
-            self._on_clique,
-            self._limit,
-        )
 
 
 def pmuc(

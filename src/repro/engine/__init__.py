@@ -15,9 +15,6 @@ from repro.engine.protocol import (
     SEARCH_OPS,
     SearchOps,
     StateOps,
-    backend_factory,
-    register_backend,
-    registered_backends,
     validate_state_ops,
 )
 
@@ -28,9 +25,6 @@ __all__ = [
     "SearchEngine",
     "SearchOps",
     "StateOps",
-    "backend_factory",
     "build_search",
-    "register_backend",
-    "registered_backends",
     "validate_state_ops",
 ]

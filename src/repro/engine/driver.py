@@ -821,9 +821,9 @@ class _Specializer(ast.NodeTransformer):
 #: the search space, and the drivers that shape stored effort counters
 #: (the partition's chunking for ``peel/parts=N`` runs, the session's
 #: slice for ``slice`` runs).  The run store's engine salt hashes exactly
-#: these (the verified-manifest pattern of :mod:`repro.analysis.cache`):
-#: a module that fails to import must fail the salt loudly, never
-#: silently narrow it so that stale results survive an engine change.
+#: these, through a verified manifest: a module that fails to import
+#: must fail the salt loudly, never silently narrow it so that stale
+#: results survive an engine change.
 _SEMANTIC_MODULES = (
     "repro.engine.driver",
     "repro.engine.protocol",
@@ -1006,10 +1006,9 @@ class SearchEngine:
 
     The engine owns the run lifecycle — phase timing, hook wiring, the
     outer seed loop, recursion-limit management, and the final counter
-    flush.  It is constructed fresh per run by the enumerator facades
-    (:class:`~repro.core.pmuc.PivotEnumerator`,
-    :class:`~repro.kernel.enumerate.KernelEnumerator`), which own
-    argument validation and backend selection.  ``sink`` is the
+    flush.  It is constructed fresh per run by the enumerator facade
+    (:class:`~repro.core.pmuc.PivotEnumerator`), which owns argument
+    validation and backend selection.  ``sink`` is the
     caller's streaming callback, or None to collect into
     ``result.cliques`` (the backend binds either, see
     ``StateOps.bind_sink``).

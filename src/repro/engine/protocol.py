@@ -25,7 +25,7 @@ A backend defines exactly one of the two (:data:`HOT_PATHS`), with or
 without hooks: there is no second state algebra that only hooked runs
 execute.  ``PROTOCOL_METHODS``, ``PROTOCOL_ATTRS`` and ``HOT_PATHS``
 below are the single source of truth for the protocol surface; the
-REP005 lint rule checks every registered backend against them
+REP005 lint rule checks every ``StateOps`` subclass against them
 statically, and :func:`validate_state_ops` repeats the check at runtime
 before a search starts.
 
@@ -225,36 +225,6 @@ class StateOps:
         lines 3–4): neighbors ordered after/before ``v`` whose edge
         survives the η threshold."""
         raise NotImplementedError
-
-
-#: Registered backend factories: ``name -> callable(graph, k, eta,
-#: config) -> StateOps``.  Registration happens at backend-module
-#: import time; the registry is the discovery surface for the
-#: differential tests and the docs recipe — the enumerator facades
-#: keep their explicit dispatch (the kernel needs a support check
-#: before it can be chosen).
-_BACKENDS: Dict[str, Callable] = {}
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register a backend factory under ``name`` (last wins)."""
-    _BACKENDS[name] = factory
-
-
-def backend_factory(name: str) -> Callable:
-    """Look up a registered backend factory by name."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"no backend registered under {name!r}; "
-            f"known: {sorted(_BACKENDS)}"
-        ) from None
-
-
-def registered_backends() -> List[str]:
-    """Names of all currently registered backends, sorted."""
-    return sorted(_BACKENDS)
 
 
 def validate_state_ops(ops) -> None:

@@ -3,16 +3,16 @@
 Re-encodes float-probability uncertain graphs over dense int ids with
 big-int neighbor bitsets and parallel probability / ``-log p`` arrays
 (:class:`CompactGraph`), provides int-id counterparts of the reduction,
-ordering and coloring pipeline (:mod:`repro.kernel.reduction`), and a
-fast re-implementation of the pivot recursion
-(:class:`KernelEnumerator`) selected via
-``PivotConfig(backend="kernel")``.  Clique sets and search statistics
-are identical to the dict backend by construction and by the parity
-tests in ``tests/test_kernel_parity.py``.
+ordering and coloring pipeline (:mod:`repro.kernel.reduction`), and
+the bitset state algebra the shared search engine runs
+(:class:`~repro.kernel.enumerate.KernelStateOps`) when
+``PivotConfig(backend="kernel")`` is selected.  Clique sets and search
+statistics are identical to the dict backend by construction and by
+the parity tests in ``tests/test_kernel_parity.py``.
 """
 
 from repro.kernel.compact import CompactGraph, bit_indices
-from repro.kernel.enumerate import KernelEnumerator, supports
+from repro.kernel.enumerate import supports
 from repro.kernel.reduction import (
     degeneracy_ordering_ids,
     greedy_coloring_ids,
@@ -24,7 +24,6 @@ from repro.kernel.reduction import (
 
 __all__ = [
     "CompactGraph",
-    "KernelEnumerator",
     "bit_indices",
     "supports",
     "degeneracy_ordering_ids",

@@ -41,11 +41,10 @@ from __future__ import annotations
 from itertools import repeat
 from math import log
 from types import SimpleNamespace
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.exceptions import KernelBackendError
-from repro.core.stats import EnumerationResult
-from repro.engine.protocol import StateOps, register_backend
+from repro.engine.protocol import StateOps
 from repro.kernel.compact import CompactGraph, bit_count
 from repro.kernel.reduction import (
     greedy_coloring_ids,
@@ -76,7 +75,7 @@ def supports(graph: UncertainGraph, eta) -> bool:
 
 
 def effective_backend(graph: UncertainGraph, eta, config) -> str:
-    """The backend ``PivotEnumerator.run`` would actually execute.
+    """The backend ``PivotEnumerator.run`` executes for these inputs.
 
     ``config.backend == "kernel"`` silently falls back to the dict
     backend when :func:`supports` refuses the inputs, so any identity
@@ -387,70 +386,3 @@ class KernelStateOps(StateOps):
             popcount=bit_count,
             select_pivot=select_pivot,
         )
-
-
-register_backend("kernel", KernelStateOps)
-
-
-class KernelEnumerator:
-    """One kernel-backend enumeration run (facade over the engine).
-
-    Shares the recursion with the dict backend — both run
-    :func:`repro.engine.driver.build_search` — so clique sets,
-    ``SearchStats`` counters, and hook streams are identical by
-    construction; see ``tests/test_kernel_parity.py`` and
-    ``tests/test_engine_differential.py``.
-    """
-
-    def __init__(
-        self,
-        graph: UncertainGraph,
-        k: int,
-        eta,
-        config,
-        result: EnumerationResult,
-        sink: Optional[Callable[[frozenset], None]],
-        limit: Optional[int],
-    ):
-        # Raises KernelBackendError for non-float eta.
-        self._ops = KernelStateOps(graph, k, eta, config)
-        self._k = k
-        self._eta = float(eta)
-        self._config = config
-        self._result = result
-        self._sink = sink
-        self._limit = limit
-        #: The run's :class:`~repro.obs.observer.Observer` (or None);
-        #: populated by :meth:`run`, mirrored onto the delegating
-        #: ``PivotEnumerator`` afterwards.
-        self.obs = None
-        #: :func:`~repro.engine.driver.variant_id` of the compiled
-        #: recursion variant :meth:`run` executed; mirrored like
-        #: ``obs``.
-        self.variant_used: Optional[str] = None
-
-    def run(
-        self,
-        seeds=None,
-        reduced_graph: Optional[UncertainGraph] = None,
-        order: Optional[Sequence] = None,
-    ) -> EnumerationResult:
-        """Execute the enumeration; same contract as the dict backend."""
-        from repro.engine.driver import SearchEngine
-
-        engine = SearchEngine(
-            self._ops,
-            self._k,
-            self._eta,
-            self._config,
-            self._result,
-            self._sink,
-            self._limit,
-        )
-        try:
-            return engine.run(
-                seeds, reduced_graph=reduced_graph, order=order
-            )
-        finally:
-            self.obs = engine.obs
-            self.variant_used = engine.variant

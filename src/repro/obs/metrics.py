@@ -161,21 +161,6 @@ class MetricsRegistry:
                 registry.observe_depth(name, int(depth), int(count))
         return registry
 
-    @classmethod
-    def from_search_stats(cls, stats) -> "MetricsRegistry":
-        """Bridge a flat :class:`SearchStats` into registry counters.
-
-        Used by reports that want one uniform view over runs recorded
-        before the observability layer existed (e.g. old BENCH files).
-        """
-        registry = cls()
-        for name, value in stats.as_dict().items():
-            if name == "max_depth":
-                registry.set_gauge("max_depth", value)
-            else:
-                registry.inc(name, value)
-        return registry
-
     def branching_factors(self) -> Dict[int, Optional[float]]:
         """Mean branching factor per depth: expansions[d] / nodes[d]."""
         nodes = self._depth.get("nodes", {})

@@ -27,9 +27,8 @@ frozen record of *everything that determines the result bytes*:
   chunking), and a stored record must replay byte-identically;
 * the engine version ``salt`` — a hash over the verified source
   manifest of :func:`repro.engine.driver.engine_source_manifest` plus
-  :data:`STORE_VERSION`, mirroring the analysis cache's
-  ``salted_sources`` pattern: a missing module fails the salt loudly,
-  and any engine change orphans every stored run.
+  :data:`STORE_VERSION`: a missing module fails the salt loudly, and
+  any engine change orphans every stored run.
 
 Everything in this module must itself satisfy REP015 (the lint rule
 this PR ships): only sorted iteration feeds a digest, and no
@@ -112,9 +111,8 @@ def engine_salt() -> str:
     """Hash of the engine's verified source manifest (memoized).
 
     Consumes :func:`repro.engine.driver.engine_source_manifest`, which
-    raises rather than returning a partial module list — the same
-    refuse-to-narrow contract as the analysis cache's
-    ``salted_sources``.
+    raises rather than returning a partial module list: a salt that
+    silently narrowed would let stale runs survive an engine change.
     """
     global _engine_salt_memo
     if _engine_salt_memo is None:

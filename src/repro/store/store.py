@@ -1,7 +1,6 @@
 """The content-addressed, crash-safe run store.
 
-Layout (two-level fan-out keeps directory listings short, like the
-analysis cache)::
+Layout (two-level fan-out keeps directory listings short)::
 
     <root>/runs/<digest[:2]>/<digest>/
         MANIFEST.json       # {"format": 2, "files": {name: sha256}}

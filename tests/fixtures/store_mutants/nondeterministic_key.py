@@ -5,8 +5,8 @@ stamping the current time into a salt, hashing the absolute store
 path, folding a dict in insertion order, serializing without
 ``sort_keys`` — paired with the canonical clean form.  The REP015
 tests assert the rule flags every mutant and stays silent on every
-twin (and on ``open_for_salt``, the abspath-feeds-open shape the
-analysis cache uses legitimately).
+twin (and on ``open_for_salt``, the abspath-feeds-open shape a salt
+over file contents uses legitimately).
 """
 
 import hashlib
@@ -76,7 +76,7 @@ def json_key_for(fields):
 
 def open_for_salt(path):
     # abspath feeding open() is fine: the *contents* are hashed, the
-    # resolved path never enters the digest (salted_sources idiom).
+    # resolved path never enters the digest (content-salt idiom).
     digest = hashlib.sha256()
     with open(os.path.abspath(path), "rb") as handle:
         digest.update(handle.read())

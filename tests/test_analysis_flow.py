@@ -1,6 +1,6 @@
 """Flow-analysis core, the flow rules (REP010–REP012), the seeded
 mutant corpus, and the satellites that ride on the flow layer: SARIF
-output, fingerprint baselines, the per-file cache and --jobs.
+output, fingerprint baselines and --jobs.
 
 The mutant corpus in ``tests/fixtures/flow_mutants/`` is the
 acceptance net: each file seeds exactly the bug class its name says,
@@ -16,7 +16,6 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import FindingsCache
 from repro.analysis.cli import main
 from repro.analysis.findings import Finding, flow_fingerprint
 from repro.analysis.flow import build_cfg, cfgs_for, fixpoint
@@ -582,7 +581,6 @@ def test_prune_stale_drops_fingerprint_entries_whose_finding_is_gone(
             "--baseline",
             str(baseline_file),
             "--prune-stale",
-            "--no-cache",
         ]
     )
     assert code == 0
@@ -606,7 +604,7 @@ def test_cli_sarif_output_is_valid_and_carries_code_flows(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(_reclimit_code())
     code, text = run_cli(
-        [str(bad), "--no-baseline", "--no-cache", "--format=sarif"]
+        [str(bad), "--no-baseline", "--format=sarif"]
     )
     assert code == 1
     doc = json.loads(text)
@@ -637,7 +635,7 @@ def test_sarif_marks_suppressed_and_baselined_results(tmp_path):
         "    return [v for v in set(values)]\n"
     )
     code, text = run_cli(
-        [str(bad), "--no-baseline", "--no-cache", "--format=sarif"]
+        [str(bad), "--no-baseline", "--format=sarif"]
     )
     assert code == 0
     results = json.loads(text)["runs"][0]["results"]
@@ -646,147 +644,90 @@ def test_sarif_marks_suppressed_and_baselined_results(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# per-file cache
+# --jobs: one parse per file, in the process that checks it
 # ----------------------------------------------------------------------
-def test_cache_hits_on_unchanged_content_and_reproduces_findings(
-    tmp_path,
-):
-    bad = tmp_path / "bad.py"
-    bad.write_text(_reclimit_code())
-    root = str(tmp_path / "cache")
-    first = analyze([str(bad)], cache=FindingsCache(root))
-    assert (first.cache_hits, first.cache_misses) == (0, 1)
-    second = analyze([str(bad)], cache=FindingsCache(root))
-    assert (second.cache_hits, second.cache_misses) == (1, 0)
-    assert [f.as_dict() for f in second.findings] == [
-        f.as_dict() for f in first.findings
-    ]
-    # Trace and fingerprint round-trip through the cache.
-    assert second.findings[0].trace == first.findings[0].trace
-    assert second.findings[0].fingerprint == first.findings[0].fingerprint
+def _report_dict(report):
+    return {
+        "findings": [f.as_dict() for f in report.findings],
+        "suppressed": [f.as_dict() for f in report.suppressed],
+        "grandfathered": [f.as_dict() for f in report.grandfathered],
+        "unused_baseline": report.unused_baseline,
+        "files_scanned": report.files_scanned,
+    }
 
 
-def test_cache_misses_when_content_changes(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(_reclimit_code())
-    root = str(tmp_path / "cache")
-    analyze([str(bad)], cache=FindingsCache(root))
-    bad.write_text(_reclimit_code(prefix_lines=3))
-    report = analyze([str(bad)], cache=FindingsCache(root))
-    assert (report.cache_hits, report.cache_misses) == (0, 1)
-    assert len(report.findings) == 1
-
-
-def test_cache_ignores_corrupt_entries(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(_reclimit_code())
-    root = tmp_path / "cache"
-    cache = FindingsCache(str(root))
-    analyze([str(bad)], cache=cache)
-    for entry in root.rglob("*.json"):
-        entry.write_text("{not json")
-    report = analyze([str(bad)], cache=FindingsCache(str(root)))
-    assert report.cache_misses == 1
-    assert len(report.findings) == 1
-
-
-def test_cache_keys_include_the_path(tmp_path):
-    # Identical content at a different path must not serve the other
-    # file's cached findings (they embed the scanned path).
-    content = "def f(values):\n    return [v for v in set(values)]\n"
-    a = tmp_path / "a.py"
-    b = tmp_path / "b.py"
-    a.write_text(content)
-    b.write_text(content)
-    root = str(tmp_path / "cache")
-    analyze([str(a)], cache=FindingsCache(root))
-    report = analyze([str(b)], cache=FindingsCache(root))
-    assert report.cache_hits == 0
-    assert [f.path for f in report.findings] == [str(b)]
-
-
-def test_cache_hit_rebinds_path_spelling(tmp_path, monkeypatch):
-    # The key normalizes the path, so `sub/f.py` and its absolute
-    # spelling share one entry; findings served from it must carry the
-    # spelling being scanned or exact-path suppression matching breaks.
-    sub = tmp_path / "sub"
-    sub.mkdir()
-    f = sub / "f.py"
-    f.write_text(
-        "def f(values):\n"
-        "    # repro-lint: ok REP001 order does not matter here\n"
-        "    return [v for v in set(values)]\n"
-    )
-    root = str(tmp_path / "cache")
-    monkeypatch.chdir(tmp_path)
-    warm = analyze([str(f)], cache=FindingsCache(root))
-    assert warm.findings == [] and len(warm.suppressed) == 1
-    again = analyze([os.path.join("sub", "f.py")], cache=FindingsCache(root))
-    assert again.cache_hits == 1
-    assert again.findings == []
-    assert [x.path for x in again.suppressed] == [os.path.join("sub", "f.py")]
-
-
-def test_cache_suppressions_stay_live(tmp_path):
-    # The cache stores raw findings; an inline suppression added later
-    # changes the content hash, so the suppression takes effect.
-    bad = tmp_path / "bad.py"
-    bad.write_text(
+def test_jobs_parallel_results_match_serial(tmp_path):
+    # Suppression and PARSE now happen in the worker, so the fixture
+    # holds one of each beside a baselined finding and a stale entry.
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "a.py").write_text(
         "def f(values):\n    return [v for v in set(values)]\n"
     )
-    root = str(tmp_path / "cache")
-    first = analyze([str(bad)], cache=FindingsCache(root))
-    assert len(first.findings) == 1
-    bad.write_text(
+    (tree / "b.py").write_text(_reclimit_code())
+    (tree / "c.py").write_text("X = 1\n")
+    (tree / "d.py").write_text(
         "def f(values):\n"
         "    # repro-lint: ok REP001 order-insensitive\n"
         "    return [v for v in set(values)]\n"
     )
-    second = analyze([str(bad)], cache=FindingsCache(root))
-    assert second.findings == []
-    assert len(second.suppressed) == 1
+    (tree / "e_broken.py").write_text("def f(:\n")
+    finding = analyze([str(tree / "b.py")]).findings[0]
+    baseline_file = tmp_path / "baseline.json"
+    baseline_file.write_text(
+        json.dumps(
+            {
+                "findings": [
+                    {
+                        "rule": "REP012",
+                        "path": "b.py",
+                        "line_text": finding.line_text,
+                        "fingerprint": finding.fingerprint,
+                        "justification": "grandfathered in the fixture",
+                    },
+                    {
+                        "rule": "REP001",
+                        "path": "gone.py",
+                        "line_text": "for v in s:",
+                        "justification": "stale in the fixture",
+                    },
+                ]
+            }
+        )
+    )
+    baseline = Baseline.load(str(baseline_file))
+    serial = analyze([str(tree)], baseline=baseline)
+    parallel = analyze([str(tree)], baseline=baseline, jobs=2)
+    assert _report_dict(serial) == _report_dict(parallel)
+    assert [f.rule for f in serial.findings] == ["REP001", "PARSE"]
+    assert [f.rule for f in serial.suppressed] == ["REP001"]
+    assert [f.rule for f in serial.grandfathered] == ["REP012"]
+    assert [e.path for e in serial.unused_baseline] == ["gone.py"]
+    assert serial.files_scanned == 5
 
 
-def test_cli_cache_dir_and_no_cache(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "def f(values):\n    return [v for v in set(values)]\n"
-    )
-    cache_dir = tmp_path / "lint-cache"
-    code, text = run_cli(
-        [
-            str(bad),
-            "--no-baseline",
-            "--cache-dir",
-            str(cache_dir),
-        ]
-    )
-    assert code == 1
-    assert cache_dir.is_dir()
-    assert "[cache: 0 hit, 1 miss]" in text
-    code, text = run_cli(
-        [str(bad), "--no-baseline", "--cache-dir", str(cache_dir)]
-    )
-    assert "[cache: 1 hit, 0 miss]" in text
-    code, text = run_cli([str(bad), "--no-baseline", "--no-cache"])
-    assert "[cache:" not in text
+def test_parallel_analyze_parses_nothing_in_the_calling_process(
+    tmp_path, monkeypatch
+):
+    # Workers parse; the caller only collects paths, concatenates the
+    # per-file results and applies the baseline.
+    for name in ("a.py", "b.py", "c.py"):
+        (tmp_path / name).write_text(
+            "def f(values):\n    return [v for v in set(values)]\n"
+        )
+    caller = os.getpid()
+    parsed_here = []
+    real_init = SourceFile.__init__
 
+    def recording_init(self, path, text):
+        if os.getpid() == caller:
+            parsed_here.append(path)
+        real_init(self, path, text)
 
-# ----------------------------------------------------------------------
-# --jobs: parallel file-scope analysis is result-identical
-# ----------------------------------------------------------------------
-def test_jobs_parallel_results_match_serial(tmp_path):
-    (tmp_path / "a.py").write_text(
-        "def f(values):\n    return [v for v in set(values)]\n"
-    )
-    (tmp_path / "b.py").write_text(_reclimit_code())
-    (tmp_path / "c.py").write_text("X = 1\n")
-    serial = analyze([str(tmp_path)])
-    parallel = analyze([str(tmp_path)], jobs=2)
-    assert [f.as_dict() for f in serial.findings] == [
-        f.as_dict() for f in parallel.findings
-    ]
-    assert serial.files_scanned == parallel.files_scanned == 3
+    monkeypatch.setattr(SourceFile, "__init__", recording_init)
+    report = analyze([str(tmp_path)], jobs=2)
+    assert parsed_here == []
+    assert [f.rule for f in report.findings] == ["REP001"] * 3
 
 
 def test_cli_rejects_bad_jobs_value(tmp_path):

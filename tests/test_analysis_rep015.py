@@ -16,7 +16,6 @@ from repro.analysis.source import SourceFile
 REPO = Path(__file__).resolve().parents[1]
 MUTANTS = REPO / "tests" / "fixtures" / "store_mutants"
 KEY_MODULE = REPO / "src" / "repro" / "store" / "key.py"
-CACHE_MODULE = REPO / "src" / "repro" / "analysis" / "cache.py"
 
 
 def _findings(path=None, text=None):
@@ -38,12 +37,6 @@ def test_rule_is_registered():
 
 def test_committed_key_module_is_clean():
     assert _findings(path=KEY_MODULE) == []
-
-
-def test_analysis_cache_salt_functions_stay_clean():
-    # ``salted_sources`` resolves an abspath to *open* the engine
-    # driver; only hashing the path itself would be a finding.
-    assert _findings(path=CACHE_MODULE) == []
 
 
 def test_every_mutant_family_fires():
@@ -135,11 +128,11 @@ def test_dict_view_loop_without_digest_sink_is_clean():
 
 
 def test_functions_outside_the_name_pattern_are_out_of_scope():
-    # FindingsCache.key hashes an abspath deliberately (the lint cache
-    # is machine-local); 'key' alone must not match the pattern.
+    # A machine-local index may hash an abspath in a method named
+    # 'key'; 'key' alone must not match the pattern.
     findings = _findings(text=(
         "import hashlib, os\n"
-        "class FindingsCache:\n"
+        "class LocalIndex:\n"
         "    def key(self, path):\n"
         "        digest = hashlib.sha256()\n"
         "        digest.update(os.path.abspath(path).encode())\n"

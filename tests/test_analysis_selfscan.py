@@ -29,19 +29,36 @@ DICT_BACKEND = SRC_REPRO / "core" / "pmuc.py"
 KERNEL_BACKEND = SRC_REPRO / "kernel" / "enumerate.py"
 
 
+def run_cli(argv):
+    out = io.StringIO()
+    code = main(argv, out=out)
+    return code, out.getvalue()
+
+
 # ----------------------------------------------------------------------
 # self-scan
 # ----------------------------------------------------------------------
 def test_src_repro_is_clean_modulo_baseline():
-    report = analyze(
-        [str(SRC_REPRO)], baseline=Baseline.load(str(BASELINE))
+    # The one full-tree scan of the suite, run the way CI runs it.
+    code, text = run_cli(
+        [
+            str(SRC_REPRO),
+            "--baseline",
+            str(BASELINE),
+            "--fail-on-stale",
+            "--jobs",
+            "2",
+            "--format=json",
+        ]
     )
-    assert report.ok, [f.format_text() for f in report.findings]
-    assert report.files_scanned > 50
+    payload = json.loads(text)
+    assert payload["findings"] == [], payload["findings"]
+    assert code == 0
+    assert payload["files_scanned"] > 50
     # The committed baseline must stay minimal and fully used.
-    assert report.unused_baseline == []
+    assert payload["unused_baseline"] == []
     # One REP001 (random_graphs) + three REP012 (cli.py env plumbing).
-    assert len(report.grandfathered) == 4
+    assert len(payload["grandfathered"]) == 4
 
 
 def test_self_scan_sees_the_engine_anchors():
@@ -142,22 +159,10 @@ def test_rep005_silent_on_the_engine_itself_and_the_framework():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def run_cli(argv):
-    out = io.StringIO()
-    code = main(argv, out=out)
-    return code, out.getvalue()
-
-
-def test_cli_clean_run_exits_zero():
-    code, text = run_cli(
-        [str(SRC_REPRO), "--baseline", str(BASELINE)]
-    )
-    assert code == 0
-    assert "0 finding(s)" in text
-
-
 def test_cli_without_baseline_reports_the_grandfathered_finding():
-    code, text = run_cli([str(SRC_REPRO), "--no-baseline"])
+    code, text = run_cli(
+        [str(SRC_REPRO / "datasets" / "random_graphs.py"), "--no-baseline"]
+    )
     assert code == 1
     assert "random_graphs.py" in text
 
@@ -379,14 +384,6 @@ def test_cli_fail_on_stale_turns_stale_entries_into_exit_1(tmp_path, capsys):
     assert code == 1
     assert "unused baseline entry" in text
     assert "--prune-stale" in capsys.readouterr().err
-
-
-def test_cli_fail_on_stale_passes_when_every_entry_is_live():
-    code, text = run_cli(
-        [str(SRC_REPRO), "--baseline", str(BASELINE), "--fail-on-stale"]
-    )
-    assert code == 0
-    assert "stale" not in text
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Translation validation (REP013) with its hook-coverage obligation,
 frontier escape (REP014) with its per-write worker findings, the
-seeded variant-mutant corpus, the specializer fold records, and the
-salted cache manifest.
+seeded variant-mutant corpus and the specializer fold records.
 
 The corpus in ``tests/fixtures/variant_mutants/`` is the acceptance
 net: each file seeds exactly the miscompile class its name says, and
@@ -12,7 +11,6 @@ source-to-sink trace names the true template site and variant site.
 import ast
 import io
 import json
-import os
 import textwrap
 from pathlib import Path
 
@@ -671,7 +669,6 @@ def test_sarif_carries_code_flows_for_rep013_and_rep014(tmp_path):
             str(MUTANTS / "dropped_emission.py"),
             str(MUTANTS / "unpicklable_frontier.py"),
             "--no-baseline",
-            "--no-cache",
             "--format=sarif",
         ]
     )
@@ -694,68 +691,3 @@ def test_sarif_carries_code_flows_for_rep013_and_rep014(tmp_path):
     rules_meta = payload["runs"][0]["tool"]["driver"]["rules"]
     ids = {r["id"] for r in rules_meta}
     assert {"REP013", "REP014"} <= ids
-
-
-# ----------------------------------------------------------------------
-# cache tool salt
-# ----------------------------------------------------------------------
-def test_salt_manifest_covers_all_rule_semantics_sources():
-    from repro.analysis.cache import salted_sources
-
-    rels = {rel for rel, _blob in salted_sources()}
-    for sub in ("rules", "flow", "semantics"):
-        assert any(rel.startswith(sub + os.sep) for rel in rels), sub
-    assert "<engine>/driver.py" in rels
-    assert any(
-        rel == os.path.join("semantics", "validate.py") for rel in rels
-    )
-
-
-def test_salted_sources_refuses_partial_package_walk(monkeypatch):
-    import repro.analysis.cache as cache
-
-    def partial():
-        for rel, blob in original():
-            if rel.split(os.sep)[0] != "semantics":
-                yield rel, blob
-
-    original = cache._iter_package_sources
-    monkeypatch.setattr(cache, "_iter_package_sources", partial)
-    with pytest.raises(RuntimeError, match="semantics"):
-        cache.salted_sources()
-
-
-@pytest.mark.parametrize("subpackage", ["rules", "semantics", "flow"])
-def test_tool_salt_changes_when_analysis_sources_change(
-    monkeypatch, subpackage
-):
-    import repro.analysis.cache as cache
-
-    manifest = list(cache.salted_sources())
-    monkeypatch.setattr(cache, "_tool_salt_memo", None)
-    monkeypatch.setattr(cache, "salted_sources", lambda: manifest)
-    before = cache.tool_salt()
-    mutated = [
-        (rel, blob + b"\n# edited" if rel.startswith(subpackage) else blob)
-        for rel, blob in manifest
-    ]
-    assert mutated != manifest
-    monkeypatch.setattr(cache, "_tool_salt_memo", None)
-    monkeypatch.setattr(cache, "salted_sources", lambda: mutated)
-    assert cache.tool_salt() != before
-
-
-def test_tool_salt_changes_when_driver_changes(monkeypatch):
-    import repro.analysis.cache as cache
-
-    manifest = list(cache.salted_sources())
-    monkeypatch.setattr(cache, "_tool_salt_memo", None)
-    monkeypatch.setattr(cache, "salted_sources", lambda: manifest)
-    before = cache.tool_salt()
-    mutated = [
-        (rel, blob + b"#" if rel == "<engine>/driver.py" else blob)
-        for rel, blob in manifest
-    ]
-    monkeypatch.setattr(cache, "_tool_salt_memo", None)
-    monkeypatch.setattr(cache, "salted_sources", lambda: mutated)
-    assert cache.tool_salt() != before

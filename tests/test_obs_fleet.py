@@ -169,6 +169,39 @@ class TestParallelFlightParity:
         assert [d["shard"] for d in dispatches] == [0, 1]
         assert parent.finish()["outputs"] == merged.stats.outputs
 
+    def test_a_reused_flight_dir_replays_only_the_latest_run(
+        self, tmp_path
+    ):
+        # Recorders append, so a second call into the same directory
+        # must first drop the first call's logs, including the log of
+        # a shard the second call no longer has.
+        g, k, eta = _random_workload()
+        config = replace(PMUC_PLUS_CONFIG, obs="light")
+        flight_dir = tmp_path / "flights"
+        first = enumerate_parallel(
+            g, k, eta, parts=2, processes=1, config=config,
+            flight_dir=str(flight_dir),
+        )
+        second = enumerate_parallel(
+            g, k + 1, eta, parts=1, config=config,
+            flight_dir=str(flight_dir),
+        )
+        assert first.stats.outputs != second.stats.outputs
+        assert sorted(p.name for p in flight_dir.iterdir()) == [
+            "flight-parent.jsonl", "flight-worker00.jsonl"
+        ]
+        logs = [
+            replay_flight(str(p))
+            for p in sorted(flight_dir.glob("flight-*.jsonl"))
+        ]
+        assert all(
+            [e["event"] for e in log.events].count("open") == 1
+            for log in logs
+        )
+        worker_logs = [log for log in logs if log.role == "worker"]
+        replayed = merge_flight_registries(worker_logs)
+        assert _canon(replayed.as_dict()) == _canon(second.fleet["metrics"])
+
     def test_single_chunk_parallel_records_flight(self, tmp_path):
         g = random_uncertain_graph(10, 8, 0.5)
         flight_dir = str(tmp_path / "flights")
