@@ -54,13 +54,16 @@ def _is_prob_operand(node: ast.AST) -> Optional[str]:
 
 def _exact_compares(node: ast.Compare):
     """``(op, left, right)`` for the == / != legs of one comparison,
-    skipping ``x == None`` style legs (a different lint's job)."""
+    skipping ``x == None`` style legs (a different lint's job) and
+    legs against a ``str``/``bytes`` literal, which cannot compare two
+    floats."""
     operands = [node.left] + list(node.comparators)
     for op, left, right in zip(node.ops, operands, operands[1:]):
         if not isinstance(op, (ast.Eq, ast.NotEq)):
             continue
         if any(
-            isinstance(side, ast.Constant) and side.value is None
+            isinstance(side, ast.Constant)
+            and (side.value is None or isinstance(side.value, (str, bytes)))
             for side in (left, right)
         ):
             continue

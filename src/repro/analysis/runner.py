@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding, Severity
@@ -58,16 +58,6 @@ def collect_files(paths: Sequence[str]) -> List[str]:
         else:
             raise FileNotFoundError(f"no such file or directory: {path}")
     return seen
-
-
-def parse_files(paths: Iterable[str]) -> List[SourceFile]:
-    """Parse every path eagerly, raising on the first ``SyntaxError``.
-
-    :func:`analyze` parses per file instead so one unparseable file
-    cannot abort a whole run; this strict variant serves callers (and
-    tests) that want the failure raised.
-    """
-    return [SourceFile.read(path) for path in paths]
 
 
 def run_rules(

@@ -1,35 +1,31 @@
 """Shared experiment-harness utilities.
 
-Runs configured enumerations under a timer, collects search statistics
-and renders the row/series layout of the paper's tables and figures as
-plain text, so every benchmark prints something directly comparable to
-the published artifact.
+Times enumerations, collects search statistics and renders the
+row/series layout of the paper's tables and figures as plain text, so
+every benchmark prints something directly comparable to the published
+artifact.  The harness stores nothing.
 
-Record stamping (backend/variant/env fingerprints, full-precision
-seconds) lives in :mod:`repro.store.records` — one writer shared by
-every producer; :class:`RunRecord` is re-exported here for
-compatibility.
+A configured run is timed and stamped by
+:func:`repro.store.records.run_stamped`, the one timer every producer
+shares; :class:`RunRecord` is re-exported here.
 """
 
 from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.api import enumerate_maximal_cliques
 from repro.core.config import PivotConfig
 from repro.core.pmuc import PivotEnumerator
-from repro.exceptions import SanitizerViolation
-from repro.store.records import RunRecord, stamped_record
+from repro.store.records import RunRecord, run_stamped
 from repro.uncertain.graph import UncertainGraph
 
 __all__ = [
     "RunRecord",
     "timed_enumeration",
     "timed_config_enumeration",
-    "sanitized_config_enumeration",
     "peak_memory_bytes",
     "format_table",
     "print_table",
@@ -57,88 +53,18 @@ def timed_config_enumeration(
     k: int,
     eta,
     config: PivotConfig,
-    sanitize: Optional[str] = None,
-    obs: Optional[str] = None,
 ) -> RunRecord:
     """Time one :class:`PivotConfig`-driven enumeration.
 
-    ``sanitize`` (``"off"``/``"light"``/``"full"``) overrides the
-    config's sanitizer level for this run; checks then count toward the
-    measured time, which is the point — the harness is how sanitizer
-    overhead is quantified.  ``obs`` (``"off"``/``"metrics"``/
-    ``"full"``) likewise overrides the observability level — the same
-    mechanism quantifies observer overhead.
+    The cliques stream to a sink that drops them, so the timed window
+    holds no result list; the record (from
+    :func:`~repro.store.records.run_stamped`) counts them from
+    ``stats.outputs`` and names the backend that actually ran.
     """
-    if sanitize is not None:
-        config = replace(config, sanitize=sanitize)
-    if obs is not None:
-        config = replace(config, obs=obs)
-    count = [0]
-
-    def sink(_clique: frozenset) -> None:
-        count[0] += 1
-
-    enumerator = PivotEnumerator(graph, k, eta, config, on_clique=sink)
-    start = time.perf_counter()
-    result = enumerator.run()
-    elapsed = time.perf_counter() - start
-    # ``backend_used``, not ``config.backend``: the kernel silently
-    # falls back to dict on unsupported inputs, and the row must say
-    # what actually ran (the diff gate refuses cross-backend rows).
-    return stamped_record(
-        label,
-        elapsed,
-        count[0],
-        result.stats.as_dict(),
-        backend=enumerator.backend_used,
-        variant=enumerator.variant_used,
+    enumerator = PivotEnumerator(
+        graph, k, eta, config, on_clique=lambda _clique: None
     )
-
-
-def sanitized_config_enumeration(
-    label: str,
-    graph: UncertainGraph,
-    k: int,
-    eta,
-    config: PivotConfig,
-    sanitize: str = "full",
-) -> RunRecord:
-    """A sanitized run that records violations instead of raising.
-
-    On a violation the record carries ``extra["violation"]`` (the
-    serialized :class:`~repro.sanitize.report.ViolationReport` dict,
-    replayable via :func:`repro.sanitize.replay`) and the clique count
-    reached before the check fired.
-    """
-    config = replace(config, sanitize=sanitize)
-    count = [0]
-
-    def sink(_clique: frozenset) -> None:
-        count[0] += 1
-
-    enumerator = PivotEnumerator(graph, k, eta, config, on_clique=sink)
-    start = time.perf_counter()
-    extra: Dict[str, object] = {"sanitize": sanitize}
-    try:
-        result = enumerator.run()
-        stats = result.stats.as_dict()
-    except SanitizerViolation as violation:
-        stats = {}
-        extra["violation"] = (
-            violation.report.as_dict()
-            if violation.report is not None
-            else {"message": str(violation)}
-        )
-    elapsed = time.perf_counter() - start
-    return stamped_record(
-        label,
-        elapsed,
-        count[0],
-        stats,
-        extra=extra,
-        backend=enumerator.backend_used,
-        variant=enumerator.variant_used,
-    )
+    return run_stamped(label, enumerator, k, eta)[1]
 
 
 def peak_memory_bytes(action: Callable[[], object]) -> int:

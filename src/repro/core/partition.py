@@ -145,9 +145,11 @@ def enumerate_parallel(
     store-backed reuse: the run is keyed under procedure
     ``peel/parts=N`` — parallel effort counters depend on the chunking
     (M-pivot warm state is per chunk), so a 2-way run never answers a
-    4-way query — and a repeated key returns the stored cliques,
-    counters and shard breakdown without spawning a single worker.
-    Flight logs register as artifacts of the stored run.
+    4-way query — and a repeated key replays the stored cliques,
+    counters, phases, shards and fleet summary through
+    :func:`~repro.store.records.replay_or_run` without spawning a
+    single worker.  Flight logs register as artifacts of the stored
+    run.
 
     A worker that dies mid-chunk (killed, out of memory) makes the
     call raise ``BrokenProcessPool`` and cancels the chunks not yet
@@ -155,20 +157,56 @@ def enumerate_parallel(
     ``flight_dir`` set, the parent log then ends with a ``violation``
     record.
     """
-    key = None
-    if store is not None:
-        from repro.store.key import run_key_for
+    if store is None:
+        return _fan_out(graph, k, eta, parts, processes, config, flight_dir)[0]
+    from repro.store.key import run_key_for
+    from repro.store.records import replay_or_run, result_record
 
-        key = run_key_for(
-            graph, k, eta, config, procedure="peel/parts=%d" % parts
+    key = run_key_for(
+        graph, k, eta, config, procedure="peel/parts=%d" % parts
+    )
+
+    def produce():
+        merged, wall = _fan_out(
+            graph, k, eta, parts, processes, config, flight_dir
         )
-        stored = store.get_run(key)
-        if stored is not None and stored.cliques is not None:
-            result = stored.result()
-            result.shards = list(stored.record.extra.get("shards") or [])
-            result.fleet = dict(stored.record.extra.get("fleet") or {})
-            return result
+        return merged, result_record(
+            "parallel", wall, merged, k, eta,
+            extra={"parts": parts},
+            backend=key.backend,
+            variant=key.variant,
+        )
 
+    result, _record, hit = replay_or_run(store, key, produce)
+    if flight_dir is not None and not hit:
+        for name in _flight_logs(flight_dir):
+            store.register_artifact(
+                key.digest(), name, os.path.join(flight_dir, name)
+            )
+    return result
+
+
+def _flight_logs(flight_dir: str) -> List[str]:
+    """The parent's and the workers' flight log names in ``flight_dir``."""
+    return [
+        name
+        for name in sorted(os.listdir(flight_dir))
+        if name == "flight-parent.jsonl"
+        or fnmatch.fnmatch(name, "flight-worker*.jsonl")
+    ]
+
+
+def _fan_out(
+    graph: UncertainGraph,
+    k: int,
+    eta,
+    parts: int,
+    processes: Optional[int],
+    config: PivotConfig,
+    flight_dir: Optional[str],
+) -> Tuple[EnumerationResult, float]:
+    """Reduce, order and run every chunk: the merged result and the
+    wall seconds of the dispatch, from the first chunk to the merge."""
     reduced, order, chunks = _prepare_jobs(graph, k, eta, parts, config)
     recorder = None
     paths: List[Optional[str]] = [None] * len(chunks)
@@ -178,11 +216,8 @@ def enumerate_parallel(
         os.makedirs(flight_dir, exist_ok=True)
         # Recorders append: an earlier call's logs (and its extra
         # shards' logs) would otherwise replay as this run.
-        for name in sorted(os.listdir(flight_dir)):
-            if name == "flight-parent.jsonl" or fnmatch.fnmatch(
-                name, "flight-worker*.jsonl"
-            ):
-                os.remove(os.path.join(flight_dir, name))
+        for name in _flight_logs(flight_dir):
+            os.remove(os.path.join(flight_dir, name))
         paths = [
             os.path.join(flight_dir, "flight-worker%02d.jsonl" % index)
             for index in range(len(chunks))
@@ -249,37 +284,7 @@ def enumerate_parallel(
     finally:
         if recorder is not None:
             recorder.close()
-    if store is not None:
-        from repro.store.records import stamped_record
-
-        record = stamped_record(
-            "parallel",
-            wall,
-            len(merged.cliques),
-            merged.stats.as_dict(),
-            extra={
-                "k": k,
-                "eta": repr(eta),
-                "parts": parts,
-                "phases": merged.phases,
-                "shards": merged.shards,
-                "fleet": {
-                    name: value
-                    for name, value in sorted(merged.fleet.items())
-                    if name != "metrics"
-                },
-            },
-            backend=key.backend,
-        )
-        digest = store.put_run(key, record, cliques=merged.cliques)
-        if flight_dir is not None:
-            for path in [
-                os.path.join(flight_dir, "flight-parent.jsonl")
-            ] + [p for p in paths if p is not None]:
-                store.register_artifact(
-                    digest, os.path.basename(path), path
-                )
-    return merged
+    return merged, wall
 
 
 def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:

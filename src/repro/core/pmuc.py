@@ -288,7 +288,6 @@ class PivotEnumerator:
             self._graph, self._eta, self._config
         )
         ops: StateOps
-        # repro-lint: ok REP003 a backend name, not a probability
         if self.backend_used == "kernel":
             eta = float(self._eta)
             ops = KernelStateOps(self._graph, self._k, eta, self._config)

@@ -19,11 +19,12 @@ becomes the service layer's reuse surface:
   shared reduction cache, keyed by the exact ``(dataset fingerprint,
   η, engine salt)`` — so *any* number of sessions and serve-loop
   batches at the same η pay for one decomposition total;
-* ``query(k)`` first consults the store under the run's canonical
-  :class:`~repro.store.key.RunKey` (procedure ``"slice"``): a hit
-  returns the stored cliques with the stored counters and performs
-  **zero engine recursion** (no enumerator, no observer, no search);
-  a miss enumerates, persists, and returns the live result.
+* ``query(k)`` answers through the store's one path,
+  :func:`~repro.store.records.replay_or_run`, under the run's
+  canonical :class:`~repro.store.key.RunKey` (procedure ``"slice"``):
+  a hit returns the stored cliques with the stored counters and
+  performs **zero engine recursion** (no enumerator, no observer, no
+  search); a miss enumerates, persists, and returns the live result.
 """
 
 from __future__ import annotations
@@ -199,20 +200,26 @@ class CliqueQuerySession:
         ``record`` is the stored one on a hit and the one just written
         on a miss, so callers never read the entry back.
         """
-        key = self.query_key(k)
-        stored = self._store.get_run(key)
-        if stored is not None and stored.cliques is not None:
-            self.query_hits += 1
-            return key, stored.record, stored.result(), True
-        self.query_misses += 1
-        from repro.store.records import run_stamped
+        from repro.store.records import replay_or_run, run_stamped
 
-        enumerator = PivotEnumerator(
-            self.reduced_graph(k), k, self._eta, self._config
+        key = self.query_key(k)
+        result, record, hit = replay_or_run(
+            self._store,
+            key,
+            lambda: run_stamped(
+                "session",
+                PivotEnumerator(
+                    self.reduced_graph(k), k, self._eta, self._config
+                ),
+                k,
+                self._eta,
+            ),
         )
-        result, record = run_stamped("session", enumerator, k, self._eta)
-        self._store.put_run(key, record, cliques=result.cliques)
-        return key, record, result, False
+        if hit:
+            self.query_hits += 1
+        else:
+            self.query_misses += 1
+        return key, record, result, hit
 
     def size_profile(self, k_values) -> Dict[int, int]:
         """Number of maximal cliques per ``k`` (a Fig.-3-style sweep)."""

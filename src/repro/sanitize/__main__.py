@@ -7,10 +7,14 @@ check counts.  Exit status 1 on the first violation (the serialized
 report is printed for replay), 0 when everything passes.
 
 With ``--store DIR`` every run persists into the run store at ``DIR``
-under its canonical :class:`~repro.store.key.RunKey`: clean runs store
-their clique set and counters; a violating run stores the serialized
-:class:`~repro.sanitize.report.ViolationReport` instead (replayable
-via ``repro.sanitize.replay`` after ``repro-store query show``).
+under its canonical :class:`~repro.store.key.RunKey`: a clean run
+stores its clique set and the record of
+:func:`~repro.store.records.run_stamped` (counters and phase seconds),
+so a service request for the same key replays it; a violating run
+stores the serialized :class:`~repro.sanitize.report.ViolationReport`
+and no clique set, which ``get_run`` treats as a miss and
+``repro-store query show`` prints (replayable via
+``repro.sanitize.replay``).
 """
 
 from __future__ import annotations
@@ -25,70 +29,51 @@ from repro.core.config import PMUC_PLUS_CONFIG, SANITIZE_CHOICES
 from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
 from repro.exceptions import SanitizerViolation
-
-
-def _persist(store, graph, k, eta, config, record, cliques, violation):
-    from repro.store.key import run_key_for
-
-    key = run_key_for(graph, k, eta, config)
-    return store.put_run(key, record, cliques=cliques, violation=violation)
+from repro.store.key import run_key_for
+from repro.store.records import run_stamped, stamped_record
 
 
 def _run(name, graph, k, eta, backend, level, store=None) -> bool:
     config = replace(PMUC_PLUS_CONFIG, backend=backend, sanitize=level)
     enumerator = PivotEnumerator(graph, k, eta, config)
+    label = "sanitize:%s" % name
     start = time.perf_counter()
     try:
-        result = enumerator.run()
+        result, record = run_stamped(
+            label, enumerator, k, eta, extra={"sanitize": level}
+        )
     except SanitizerViolation as violation:
         seconds = time.perf_counter() - start
         print(f"FAIL {name} [{backend}]: {violation}")
         if violation.report is not None:
             print(violation.report.to_json())
         if store is not None:
-            from repro.store.records import stamped_record
-
             report = (
                 violation.report.as_dict()
                 if violation.report is not None
                 else {"message": str(violation)}
             )
-            digest = _persist(
-                store, graph, k, eta, config,
+            digest = store.put_run(
+                run_key_for(graph, k, eta, config),
                 stamped_record(
-                    "sanitize:%s" % name,
+                    label,
                     seconds,
                     0,
                     extra={"k": k, "eta": repr(eta), "violation": report},
                     backend=enumerator.backend_used,
                     variant=enumerator.variant_used,
                 ),
-                cliques=None,
                 violation=report,
             )
             print(f"     stored violation report as {digest[:12]}")
         return False
-    seconds = time.perf_counter() - start
     print(
         f"ok   {name} [{backend}]: {result.stats.outputs} cliques, "
-        f"{seconds:.2f}s"
+        f"{record.seconds:.2f}s"
     )
     if store is not None:
-        from repro.store.records import stamped_record
-
-        _persist(
-            store, graph, k, eta, config,
-            stamped_record(
-                "sanitize:%s" % name,
-                seconds,
-                len(result.cliques),
-                result.stats.as_dict(),
-                extra={"k": k, "eta": repr(eta), "sanitize": level},
-                backend=enumerator.backend_used,
-                variant=enumerator.variant_used,
-            ),
-            cliques=result.cliques,
-            violation=None,
+        store.put_run(
+            run_key_for(graph, k, eta, config), record, cliques=result.cliques
         )
     return True
 

@@ -8,11 +8,20 @@ and the engine source salt).  Entries are published crash-safely
 (staged + atomic rename), verified on read (per-file sha256 against a
 manifest), and any damage degrades to a cache miss.
 
+One path serves every producer.  :meth:`RunStore.get_run` is the one
+hit rule (an intact entry for the key that holds a clique set),
+:meth:`StoredRun.result` the one replay (cliques, counters, phase
+seconds, shards and fleet), :func:`~repro.store.records.result_record`
+the one record writer (:func:`~repro.store.records.run_stamped` times
+an ``enumerator.run()`` and writes through it), and
+:func:`~repro.store.records.replay_or_run` answers the session, the
+service and the parallel driver through them.
+
 Layers:
 
 * :mod:`repro.store.key` — canonical identity (RunKey/ReductionKey);
-* :mod:`repro.store.records` — :class:`RunRecord` plus the one
-  stamping writer all producers share;
+* :mod:`repro.store.records` — :class:`RunRecord`, the record writer
+  and the replay-or-run path;
 * :mod:`repro.store.store` — the on-disk store itself;
 * :mod:`repro.store.service` — :class:`EnumerationService` (store-hit
   enumeration, shared-reduction sessions) and the JSON-lines

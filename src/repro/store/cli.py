@@ -29,12 +29,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.store.service import EnumerationService, ServeLoop, parse_eta
 from repro.store.store import DEFAULT_STORE_DIR, RunStore, StoredRun
 
-_KEY_FIELDS = (
-    "dataset", "k", "eta", "backend", "variant", "ordering", "pivot",
-    "mpivot", "kpivot", "reduction", "procedure", "salt",
-)
-
-
 # ----------------------------------------------------------------------
 # rendering (shared by ``run`` and ``query`` — byte-identity by design)
 # ----------------------------------------------------------------------
@@ -113,8 +107,8 @@ def render_show(
     if fmt == "json":
         return json.dumps(document, indent=2, sort_keys=True, default=str)
     rows = [
-        {"field": name, "value": getattr(stored.key, name)}
-        for name in _KEY_FIELDS
+        {"field": name, "value": value}
+        for name, value in stored.key.as_dict().items()
     ]
     record = document["record"]
     rows.append({"field": "label", "value": record["label"]})
@@ -226,8 +220,9 @@ def _cmd_query_diff(args) -> int:
     if left is None or right is None:
         return 2
     rows: List[Dict[str, object]] = []
-    for name in _KEY_FIELDS:
-        a, b = getattr(left.key, name), getattr(right.key, name)
+    right_key = right.key.as_dict()
+    for name, a in left.key.as_dict().items():
+        b = right_key[name]
         rows.append(
             {
                 "field": name,

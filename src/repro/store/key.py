@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional
 
@@ -154,7 +154,21 @@ def variant_class(config) -> str:
 
 
 @dataclass(frozen=True)
-class RunKey:
+class _Key:
+    """What both key kinds share: the field dict and its digest."""
+
+    def as_dict(self) -> Dict[str, object]:
+        """The fields in declaration order, the order of the CLI rows."""
+        return {item.name: getattr(self, item.name) for item in fields(self)}
+
+    def digest(self) -> str:
+        """Content address of this key (sha256 of its sorted JSON)."""
+        payload = json.dumps(self.as_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class RunKey(_Key):
     """Canonical identity of one enumeration run (all fields strings
     except ``k``; see the module docstring for field semantics)."""
 
@@ -170,27 +184,6 @@ class RunKey:
     reduction: str
     procedure: str
     salt: str
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "dataset": self.dataset,
-            "k": self.k,
-            "eta": self.eta,
-            "backend": self.backend,
-            "variant": self.variant,
-            "ordering": self.ordering,
-            "pivot": self.pivot,
-            "mpivot": self.mpivot,
-            "kpivot": self.kpivot,
-            "reduction": self.reduction,
-            "procedure": self.procedure,
-            "salt": self.salt,
-        }
-
-    def digest(self) -> str:
-        """Content address of this key (sha256 of its sorted JSON)."""
-        payload = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     @classmethod
     def from_dict(cls, raw: Dict[str, object]) -> "RunKey":
@@ -238,7 +231,7 @@ def run_key_for(
 
 
 @dataclass(frozen=True)
-class ReductionKey:
+class ReductionKey(_Key):
     """Identity of one shared ``(Top_k, η)`` decomposition.
 
     Valid for every ``k`` (the decompositions carry per-``k`` shells)
@@ -252,17 +245,6 @@ class ReductionKey:
     dataset: str
     eta: str
     salt: str
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "dataset": self.dataset,
-            "eta": self.eta,
-            "salt": self.salt,
-        }
-
-    def digest(self) -> str:
-        payload = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def reduction_key_for(

@@ -1,23 +1,25 @@
-"""Run records and the one stamping writer every producer shares.
+"""Run records, the one record writer and the one store path.
 
 :class:`RunRecord` moved here from ``repro.bench.harness`` (which
-re-exports it — public API unchanged).  Before the store existed,
-every bench producer hand-rolled the same stamping dance: resolve the
-*actually executed* backend, merge the env fingerprint, keep seconds
-at full precision.  That logic now lives exactly once:
+re-exports it).  Every producer stamps its records here, once:
 
 * :func:`stamped_record` — build a :class:`RunRecord` with the
   backend/variant stamps and the :func:`repro.obs.runtime.run_env`
   fingerprint merged into ``extra``;
-* :func:`run_stamped` — run an enumerator and stamp its record, phase
-  seconds included (the service's and the sessions' store misses).
+* :func:`result_record` — the record of a finished run: its clique
+  count, counters and everything ``StoredRun.result()`` replays
+  (phase seconds; a partitioned run's shards and fleet summary);
+* :func:`run_stamped` — the one timer of an ``enumerator.run()``:
+  the run's result and its :func:`result_record`;
+* :func:`replay_or_run` — the one store path: the stored run for a
+  key, or a fresh run stored under it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs.runtime import run_env
 
@@ -31,19 +33,6 @@ class RunRecord:
     num_cliques: int
     stats: Dict[str, int] = field(default_factory=dict)
     extra: Dict[str, object] = field(default_factory=dict)
-
-    def as_row(self) -> Dict[str, object]:
-        # Full precision: rows feed machine-readable artifacts (JSON
-        # dumps, the run store); rounding happens only at
-        # text-render time (``_fmt`` in bench.harness / bench.report).
-        row: Dict[str, object] = {
-            "run": self.label,
-            "seconds": self.seconds,
-            "cliques": self.num_cliques,
-        }
-        row.update({f"stat_{k}": v for k, v in self.stats.items()})
-        row.update(self.extra)
-        return row
 
 
 def stamped_record(
@@ -59,10 +48,10 @@ def stamped_record(
 
     ``backend`` must be the backend that *actually ran* (e.g.
     ``PivotEnumerator.backend_used`` — the kernel silently falls back
-    to dict on unsupported inputs, and downstream diff tooling refuses
-    cross-backend comparisons).  ``seconds`` is stored at full
-    precision; the env fingerprint (python/platform/peak RSS) is
-    merged last so a caller-provided ``extra`` cannot shadow it.
+    to dict on unsupported inputs, and a stored record must say what
+    ran).  ``seconds`` is stored at full precision; the env
+    fingerprint (python/platform/peak RSS) is merged last so a
+    caller-provided ``extra`` cannot shadow it.
     """
     merged: Dict[str, object] = dict(extra or {})
     if backend is not None:
@@ -75,17 +64,80 @@ def stamped_record(
     )
 
 
-def run_stamped(label: str, enumerator, k: int, eta) -> tuple:
-    """Run ``enumerator``: ``(result, record)``, phases in ``extra``."""
+def result_record(
+    label: str,
+    seconds: float,
+    result,
+    k: int,
+    eta,
+    extra: Optional[Dict[str, object]] = None,
+    backend: Optional[str] = None,
+    variant: Optional[str] = None,
+) -> RunRecord:
+    """The record of a finished run, as :meth:`StoredRun.result` reads it.
+
+    ``num_cliques`` is ``result.stats.outputs``, so a run that
+    streamed its cliques to a sink counts them too.  ``extra`` keeps
+    the phase seconds and, for a partitioned run, the shard
+    breakdowns and the fleet summary without its merged metrics
+    registry (each shard keeps its own snapshot).
+    """
+    merged: Dict[str, object] = {"k": k, "eta": repr(eta)}
+    merged.update(extra or {})
+    merged["phases"] = result.phases
+    if result.shards:
+        merged["shards"] = result.shards
+        merged["fleet"] = {
+            name: value
+            for name, value in sorted(result.fleet.items())
+            if name != "metrics"
+        }
+    return stamped_record(
+        label,
+        seconds,
+        result.stats.outputs,
+        result.stats.as_dict(),
+        extra=merged,
+        backend=backend,
+        variant=variant,
+    )
+
+
+def run_stamped(
+    label: str,
+    enumerator,
+    k: int,
+    eta,
+    extra: Optional[Dict[str, object]] = None,
+) -> tuple:
+    """Time ``enumerator.run()``: ``(result, record)``."""
     start = time.perf_counter()
     result = enumerator.run()
     seconds = time.perf_counter() - start
-    return result, stamped_record(
+    return result, result_record(
         label,
         seconds,
-        len(result.cliques),
-        result.stats.as_dict(),
-        extra={"k": k, "eta": repr(eta), "phases": result.phases},
+        result,
+        k,
+        eta,
+        extra,
         backend=enumerator.backend_used,
         variant=enumerator.variant_used,
     )
+
+
+def replay_or_run(store, key, produce: Callable[[], tuple]) -> tuple:
+    """``(result, record, hit)`` for ``key`` through ``store``.
+
+    A hit replays the stored run (:meth:`StoredRun.result`) and builds
+    no enumerator.  A miss calls ``produce()`` for ``(result,
+    record)`` and stores the record and the result's cliques under
+    ``key``.  ``record`` is the stored one on a hit and the one just
+    written on a miss, so no caller reads the entry back.
+    """
+    stored = store.get_run(key)
+    if stored is not None:
+        return stored.result(), stored.record, True
+    result, record = produce()
+    store.put_run(key, record, cliques=result.cliques)
+    return result, record, False

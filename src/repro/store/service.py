@@ -6,8 +6,9 @@ answers enumeration requests through it:
 
 * :meth:`EnumerationService.enumerate` — the ``peel`` procedure (the
   configured reduction applied directly, exactly what the bench
-  producers run).  A repeated key returns the stored cliques with the
-  stored counters and performs **zero engine recursion**.
+  harness runs), through :func:`~repro.store.records.replay_or_run`.
+  A repeated key returns the stored cliques with the stored counters
+  and performs **zero engine recursion**.
 * :meth:`EnumerationService.query` — the ``slice`` procedure through a
   memoized :class:`~repro.core.session.CliqueQuerySession`; every
   request sharing a ``(dataset, η)`` pair reuses one decomposition
@@ -37,7 +38,7 @@ from repro.store.key import (
     run_key_for,
     variant_class,
 )
-from repro.store.records import RunRecord, run_stamped
+from repro.store.records import RunRecord, replay_or_run, run_stamped
 from repro.store.store import RunStore
 
 
@@ -107,21 +108,15 @@ class EnumerationService:
                 dataset_fingerprint=memo[0],
             )
         key = replace(base, k=k, variant=variant_class(config))
-        stored = self.store.get_run(key)
-        if stored is not None and stored.cliques is not None:
-            return ServiceOutcome(
-                key=key,
-                digest=stored.digest,
-                hit=True,
-                record=stored.record,
-                result=stored.result(),
-            )
-        result, record = run_stamped(
-            label, PivotEnumerator(graph, k, eta, config), k, eta
+        result, record, hit = replay_or_run(
+            self.store,
+            key,
+            lambda: run_stamped(
+                label, PivotEnumerator(graph, k, eta, config), k, eta
+            ),
         )
-        digest = self.store.put_run(key, record, cliques=result.cliques)
         return ServiceOutcome(
-            key=key, digest=digest, hit=False, record=record, result=result
+            key=key, digest=key.digest(), hit=hit, record=record, result=result
         )
 
     # ------------------------------------------------------------------

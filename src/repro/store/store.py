@@ -5,10 +5,11 @@ Layout (two-level fan-out keeps directory listings short)::
     <root>/runs/<digest[:2]>/<digest>/
         MANIFEST.json       # {"format": 2, "files": {name: sha256}}
         key.json            # the RunKey fields
-        record.json         # the RunRecord (label/seconds/stats/extra,
-                            # extra["phases"]: the run's phase seconds)
+        record.json         # the RunRecord (label/seconds/stats/extra;
+                            # extra: phases, a parallel run's shards
+                            # and fleet, all replayed on a hit)
         cliques.jsonl       # vertex table, then one id row per clique
-        violation.json      # only for sanitized runs that failed
+        violation.json      # a failed sanitized run (no cliques.jsonl)
         artifacts/<name>    # registered files (flight logs, traces)
     <root>/reductions/<digest[:2]>/<digest>/
         MANIFEST.json
@@ -144,18 +145,23 @@ class StoredRun:
     artifacts: Dict[str, str] = field(default_factory=dict)
 
     def result(self):
-        """Rebuild an :class:`~repro.core.stats.EnumerationResult`.
+        """The producing run's :class:`~repro.core.stats.EnumerationResult`.
 
-        The counters are the *producing run's* counters, replayed
-        verbatim — a cache hit reports exactly the effort the stored
-        run spent, not zero and not a recomputation.  The result
-        adopts this entry's clique list, still id rows: a hit builds a
-        clique's set only when the caller reads that clique.
+        Everything replays verbatim: the counters (a hit reports the
+        effort the stored run spent, not zero and not a
+        recomputation), the phase seconds, and a partitioned run's
+        shard breakdowns and fleet summary.  The result adopts this
+        entry's clique list, still id rows: a hit builds a clique's
+        set only when the caller reads that clique.
         """
-        result = EnumerationResult()
+        extra = self.record.extra
+        result = EnumerationResult(
+            shards=list(extra.get("shards") or []),
+            fleet=dict(extra.get("fleet") or {}),
+            phases=dict(extra.get("phases") or {}),
+        )
         if self.cliques is not None:
             result.cliques = self.cliques
-        result.phases = dict(self.record.extra.get("phases") or {})
         known = set(SearchStats().as_dict())
         result.stats = SearchStats(
             **{
@@ -172,8 +178,6 @@ class RunStore:
 
     def __init__(self, root: str = DEFAULT_STORE_DIR):
         self.root = root
-        self.hits = 0
-        self.misses = 0
 
     # -- layout --------------------------------------------------------
     def _entry_dir(self, kind: str, digest: str) -> str:
@@ -291,20 +295,18 @@ class RunStore:
         return digest
 
     def get_run(self, key: RunKey) -> Optional[StoredRun]:
-        """The stored run for ``key``, or None (miss/corrupt)."""
-        stored = self._load_run(key.digest(), with_cliques=True)
-        if stored is None:
-            self.misses += 1
-            return None
-        if stored.key != key:
-            # A digest collision or tampered key file: treat as damage.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return stored
+        """The stored run for ``key``, or None (a miss).
 
-    def has(self, key: RunKey) -> bool:
-        return self._verified_read("runs", key.digest()) is not None
+        The one hit rule: an intact entry whose key file equals ``key``
+        (another key there is a digest collision or a tampered key
+        file) and that holds a clique set.  A violation report stores
+        none, so it is a miss here; :meth:`get_by_digest` still reads
+        it.
+        """
+        stored = self._load_run(key.digest(), with_cliques=True)
+        if stored is None or stored.key != key or stored.cliques is None:
+            return None
+        return stored
 
     def get_by_digest(
         self, digest: str, with_cliques: bool = True
@@ -450,7 +452,6 @@ class RunStore:
         """The stored decompositions for ``key``, or None."""
         files = self._verified_read("reductions", key.digest())
         if files is None:
-            self.misses += 1
             return None
         try:
             core_table, (shells,) = _parse_table_lines(files["core.jsonl"])
@@ -462,7 +463,5 @@ class RunStore:
                 (table[i], table[j]): shell for i, j, shell in rows
             }
         except (ValueError, KeyError, TypeError, IndexError):
-            self.misses += 1
             return None
-        self.hits += 1
         return core_shell, triangle_shell

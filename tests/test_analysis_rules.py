@@ -383,6 +383,25 @@ def test_rep003_accepts_inequalities_and_none_checks():
         """,
         "REP003",
     )
+    # A str literal cannot be one side of a float comparison, not
+    # even when the other side came from a call that took eta.
+    assert_clean(
+        """
+        def g(graph, eta, config):
+            backend_used = effective_backend(graph, eta, config)
+            if backend_used == "kernel":
+                return float(eta)
+            return eta
+        """,
+        "REP003",
+    )
+    assert_clean(
+        """
+        def h():
+            return probability_token(0.05) == "float:0.05"
+        """,
+        "REP003",
+    )
 
 
 def test_rep003_ignores_non_probability_names():

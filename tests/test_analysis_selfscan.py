@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.cli import main
 from repro.analysis.registry import get_rule
-from repro.analysis.runner import analyze, collect_files, parse_files, run_rules
+from repro.analysis.runner import analyze, collect_files, run_rules
 from repro.analysis.semantics.validate import engine_anchors
 from repro.analysis.source import SourceFile
 from repro.engine.protocol import PROTOCOL_METHODS
@@ -62,9 +62,10 @@ def test_src_repro_is_clean_modulo_baseline():
 
 
 def test_self_scan_sees_the_engine_anchors():
-    files = parse_files(collect_files([str(SRC_REPRO)]))
     driver_files = [
-        src for src in files if src.path.endswith("driver.py")
+        SourceFile.read(path)
+        for path in collect_files([str(SRC_REPRO)])
+        if path.endswith("driver.py")
     ]
     anchored = [
         src

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import (
-    RunRecord,
     experiment_ablation,
     experiment_fig3,
     experiment_fig4,
@@ -40,11 +39,6 @@ class TestHarness:
             "c", two_communities, 3, 0.5, PMUC_PLUS_CONFIG
         )
         assert record.num_cliques == 2
-
-    def test_run_record_row(self):
-        record = RunRecord("x", 0.5, 3, {"calls": 7}, {"note": "hi"})
-        row = record.as_row()
-        assert row["run"] == "x" and row["stat_calls"] == 7 and row["note"] == "hi"
 
     def test_peak_memory_positive(self):
         assert peak_memory_bytes(lambda: list(range(100_000))) > 100_000

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.bench.harness import sanitized_config_enumeration
 from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig
 from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
@@ -27,6 +26,10 @@ from repro.sanitize import (
     replay,
     resolve_level,
 )
+from repro.sanitize.__main__ import _run as sweep_run
+from repro.store.key import run_key_for
+from repro.store.service import EnumerationService
+from repro.store.store import RunStore
 
 @pytest.fixture(autouse=True)
 def _isolate_sanitize_env(monkeypatch):
@@ -333,7 +336,7 @@ def test_improper_coloring_is_caught_at_full():
 
 
 # ----------------------------------------------------------------------
-# reports, replay, harness integration
+# reports, replay, the acceptance sweep into a run store
 # ----------------------------------------------------------------------
 def test_report_json_roundtrip_preserves_exact_eta():
     report = ViolationReport(
@@ -377,25 +380,40 @@ def test_replay_revisits_only_the_reported_subtree():
     assert set(result.cliques) == {frozenset({4, 5, 6, 7, 8})}
 
 
-def test_sanitized_harness_records_a_clean_run():
-    record = sanitized_config_enumeration(
-        "fig1", figure1_graph(), K, ETA, PMUC_PLUS_CONFIG
-    )
-    assert record.num_cliques == len(EXPECTED)
-    assert record.extra["sanitize"] == "full"
-    assert "violation" not in record.extra
-    assert record.stats["outputs"] == len(EXPECTED)
+def test_sweep_stores_a_clean_run_that_the_service_replays(tmp_path):
+    store = RunStore(str(tmp_path / "store"))
+    assert sweep_run("fig1", figure1_graph(), K, ETA, "dict", "full", store)
+    key = run_key_for(figure1_graph(), K, ETA, config("dict", "full"))
+    stored = store.get_run(key)
+    assert stored is not None
+    assert stored.record.num_cliques == len(EXPECTED)
+    assert stored.record.extra["sanitize"] == "full"
+    # The sweep's record is the one every producer writes, so a
+    # service hit on its key replays the sweep's phase seconds.
+    service = EnumerationService(store, config("dict", "full"))
+    hit = service.enumerate(figure1_graph(), K, ETA)
+    assert hit.hit and hit.key == key
+    assert set(hit.result.cliques) == EXPECTED
+    assert set(hit.result.phases) == {
+        "reduction", "ordering", "recursion", "sanitize",
+    }
 
 
-def test_sanitized_harness_records_a_violation(tampered_pivot_cover):
-    # The tamper lives in the dict recursion, so pin the dict backend
-    # (PMUC_PLUS_CONFIG dispatches to the kernel when it can).
-    record = sanitized_config_enumeration(
-        "fig1", figure1_graph(), K, ETA, config("dict", "off")
+def test_sweep_stores_a_violation_as_a_report_only(
+    tmp_path, tampered_pivot_cover
+):
+    # The tamper lives in the dict recursion, so the sweep runs dict.
+    store = RunStore(str(tmp_path / "store"))
+    assert not sweep_run(
+        "fig1", figure1_graph(), K, ETA, "dict", "full", store
     )
-    assert record.stats == {}
-    assert record.extra["violation"]["check"] == "S3"
-    assert record.extra["violation"]["name"] == "pivot-cover"
+    key = run_key_for(figure1_graph(), K, ETA, config("dict", "full"))
+    # No clique set, so no hit; the report stays readable by digest.
+    assert store.get_run(key) is None
+    stored = store.get_by_digest(key.digest())
+    assert stored is not None and stored.cliques is None
+    assert stored.violation["check"] == "S3"
+    assert stored.violation["name"] == "pivot-cover"
 
 
 # ----------------------------------------------------------------------

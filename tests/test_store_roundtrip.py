@@ -135,7 +135,9 @@ def test_violation_round_trips_without_a_clique_set(tmp_path):
     report = {"check": "maximality", "name": "figure1", "witness": [1, 2]}
     record = stamped_record("sanitize:test", 0.1, 0, extra={"k": 3})
     store.put_run(key, record, cliques=None, violation=report)
-    stored = store.get_run(key)
+    # No clique set: a miss for a request, readable by digest.
+    assert store.get_run(key) is None
+    stored = store.get_by_digest(key.digest())
     assert stored is not None
     assert stored.cliques is None
     assert stored.violation == report
@@ -201,7 +203,6 @@ def test_every_damage_mode_is_a_miss_and_reput_heals(tmp_path):
             corrupt(os.path.join(store.run_dir(digest), name), how)
             assert store.get_run(key) is None, (name, how)
             assert store.get_by_digest(digest) is None, (name, how)
-            assert not store.has(key), (name, how)
             # The damaged entry must not pin its digest forever: a
             # fresh put evicts it and the key hits again.
             healed_key, healed_digest, _ = run_and_store(
@@ -246,7 +247,6 @@ def test_tampered_key_file_is_a_miss(tmp_path):
     body = (json.dumps(forged, indent=2, sort_keys=True) + "\n").encode()
     write_entry(store.run_dir(digest), {"key.json": body})
     assert store.get_run(key) is None
-    assert store.misses >= 1
 
 
 @pytest.mark.parametrize(
@@ -302,7 +302,6 @@ def test_format_1_entry_is_a_miss_everywhere(tmp_path):
     assert store.get_run(key) is None
     assert store.get_by_digest(key.digest()) is None
     assert store.get_by_digest(key.digest()[:12]) is None
-    assert not store.has(key)
     assert store.list_runs() == []
 
 

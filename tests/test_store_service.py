@@ -190,6 +190,8 @@ def test_hit_replays_the_phases_of_the_miss_that_stored_it(store):
     live = enumerate_parallel(graph, 3, 0.1, parts=1, store=store)
     replay = enumerate_parallel(graph, 3, 0.1, parts=1, store=store)
     assert live.phases and replay.phases == live.phases
+    assert live.shards and replay.shards == live.shards
+    assert live.fleet and replay.fleet == live.fleet
 
 
 @pytest.fixture
@@ -206,7 +208,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("get_run", "put_run", "get_by_digest", "has"):
+    for name in ("get_run", "put_run", "get_by_digest"):
         count(RunStore, name)
     count(kernel_enumerate, "supports")
     return seen
