@@ -1,12 +1,13 @@
-"""A full parameter study with the session and partition APIs.
+"""A full parameter study with the session and parallel APIs.
 
 Sweeps k on one dataset three ways and reports the cost of each:
 
 1. naive — a fresh ``PMUC+`` run (reduction included) per k;
 2. session — one :class:`CliqueQuerySession` whose core/triangle
    decompositions are computed once and sliced per k;
-3. partitioned — the k = default query split into 4 independent seed
-   chunks (what a parallel deployment would fan out).
+3. partitioned — the k=6 query split into 4 independent seed chunks,
+   run one after another in this process (``processes=1``); more
+   processes fan the same chunks out to a process pool.
 
 Also exports the largest community of the final query as GraphViz DOT.
 
@@ -19,7 +20,7 @@ from repro.applications import community_to_dot
 from repro.core import (
     CliqueQuerySession,
     enumerate_maximal_cliques,
-    enumerate_partitioned,
+    enumerate_parallel,
 )
 from repro.datasets import load_dataset
 
@@ -52,7 +53,7 @@ def main() -> None:
           f"(one decomposition, sliced per k)")
 
     start = time.perf_counter()
-    merged = enumerate_partitioned(graph, 6, ETA, parts=4)
+    merged = enumerate_parallel(graph, 6, ETA, parts=4, processes=1)
     print(f"\npartitioned k=6 run: {len(merged)} cliques in "
           f"{time.perf_counter() - start:.2f}s across 4 independent chunks")
 

@@ -20,11 +20,7 @@ from repro.core.config import (
 from repro.core.dynamic import DynamicCliqueIndex
 from repro.core.maximum import maximum_k_eta_clique, top_r_maximal_cliques
 from repro.core.muc import muc
-from repro.core.partition import (
-    enumerate_parallel,
-    enumerate_partitioned,
-    seed_partitions,
-)
+from repro.core.partition import enumerate_parallel
 from repro.core.session import CliqueQuerySession
 from repro.core.verify import VerificationReport, verify_enumeration
 from repro.core.pmuc import PivotEnumerator, pmuc, pmuc_plus, reduce_graph
@@ -51,8 +47,6 @@ __all__ = [
     "top_r_maximal_cliques",
     "muc",
     "enumerate_parallel",
-    "enumerate_partitioned",
-    "seed_partitions",
     "CliqueQuerySession",
     "VerificationReport",
     "verify_enumeration",

@@ -3,34 +3,32 @@
 Algorithm 3's outer loop decomposes the problem by seed vertex: the
 recursion rooted at ``v`` emits exactly the maximal cliques whose
 minimum-ordered member is ``v``.  The work units are therefore
-embarrassingly parallel, and this module exploits that:
+embarrassingly parallel, and :func:`enumerate_parallel` exploits that.
 
-* :func:`seed_partitions` — split the ordering into balanced chunks
-  (round-robin, so each chunk gets a mix of early/dense and late/sparse
-  seeds);
-* :func:`enumerate_partitioned` — run the chunks sequentially but
-  independently (useful for incremental/checkpointed jobs, and the
-  correctness reference for the parallel path);
-* :func:`enumerate_parallel` — fan the chunks out to a spawn-context
-  process pool.
+The parent reduces the graph and fixes the vertex ordering **once**,
+and :func:`_prepare_jobs` splits that ordering round-robin into chunks
+(so each chunk gets a mix of early/dense and late/sparse seeds).
+Every chunk runs the parent's reduced graph with the reduction
+switched off, the way :class:`~repro.core.session.CliqueQuerySession`
+runs its slices, on the parent's ordering: no chunk repeats the
+preprocessing, and every chunk provably uses the *same* ordering,
+which the one-emitting-seed-per-clique invariant needs.
 
-The reduction and the vertex ordering are computed **once** in the
-parent and shipped to every worker along with its chunk: workers no
-longer repeat that preprocessing, and — just as importantly — every
-worker provably uses the *same* ordering.  (Before this, each worker
-recomputed both; any ordering divergence between spawn workers would
-break the one-emitting-seed-per-clique invariant.)
+With at most one worker (``processes=1``, one chunk or none, or one
+CPU) the chunks run one after another in this process and no pool
+starts; that call is the sequential counter reference for any pool
+with the same ``parts``.  More workers fan the chunks out to a
+spawn-context process pool.
 
-Both drivers keep the *per-shard* view alongside the merged counters:
-each chunk contributes one breakdown dict (its own
-:class:`~repro.core.stats.SearchStats`, wall seconds, pid, peak RSS,
-and — when the config enables observation — the worker's full metrics
-snapshot) to ``EnumerationResult.shards``, and
+Each chunk contributes one breakdown dict (its counters, wall seconds,
+pid, peak RSS, and — when the config enables observation — its full
+metrics snapshot) to ``EnumerationResult.shards``, and
 ``EnumerationResult.fleet`` carries the imbalance/utilization summary.
-With ``flight_dir`` set, every process additionally appends a
-crash-safe flight log (:mod:`repro.obs.flight`): the parent records
-the dispatch fan-out, each worker records its run, and the logs replay
-into the same merged registry the parent computed live.
+With ``flight_dir`` set, every chunk additionally appends a crash-safe
+flight log (:mod:`repro.obs.flight`) whose ``finish`` record is that
+breakdown plus the chunk's flat stats: the parent records the dispatch
+fan-out, each chunk records its run, and the logs replay into the
+same merged registry the parent computed live.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from __future__ import annotations
 import fnmatch
 import os
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
@@ -46,22 +45,6 @@ from repro.core.pmuc import PivotEnumerator, reduce_graph
 from repro.core.stats import EnumerationResult
 from repro.reduction.ordering import vertex_ordering
 from repro.uncertain.graph import UncertainGraph, Vertex
-
-
-def seed_partitions(
-    graph: UncertainGraph,
-    parts: int,
-    eta,
-    config: PivotConfig = PMUC_PLUS_CONFIG,
-) -> List[List[Vertex]]:
-    """Split the enumeration seeds into ``parts`` balanced chunks."""
-    if parts < 1:
-        raise ParameterError(f"parts must be positive, got {parts}")
-    order = vertex_ordering(graph, config.ordering, eta)
-    chunks: List[List[Vertex]] = [[] for _ in range(parts)]
-    for i, v in enumerate(order):
-        chunks[i % parts].append(v)
-    return [c for c in chunks if c]
 
 
 def _prepare_jobs(
@@ -73,10 +56,9 @@ def _prepare_jobs(
 ) -> Tuple[UncertainGraph, List[Vertex], List[List[Vertex]]]:
     """Reduce and order once; chunk the ordering round-robin.
 
-    Chunking the *reduced* ordering (rather than the full-graph
-    ordering of :func:`seed_partitions`) skips seeds the reduction
-    already eliminated, so no worker burns a slot on a root with no
-    surviving candidates.
+    Chunking the *reduced* ordering skips seeds the reduction already
+    eliminated, so no chunk spends a slot on a root with no surviving
+    candidates; a graph the reduction empties has no chunks.
     """
     if parts < 1:
         raise ParameterError(f"parts must be positive, got {parts}")
@@ -86,34 +68,6 @@ def _prepare_jobs(
     for i, v in enumerate(order):
         chunks[i % parts].append(v)
     return reduced, list(order), [c for c in chunks if c]
-
-
-def enumerate_partitioned(
-    graph: UncertainGraph,
-    k: int,
-    eta,
-    parts: int = 4,
-    config: PivotConfig = PMUC_PLUS_CONFIG,
-) -> EnumerationResult:
-    """Enumerate by running each seed chunk as an independent job.
-
-    The merged clique set and ``outputs`` counter equal a single full
-    run (each clique has one emitting seed).  The *effort* counters
-    (``calls``, ``mpivot_skips``, ...) are deterministic for a given
-    chunking but not invariant across chunkings: the M-pivot warm
-    state carries across roots within one chunk, so splitting the seed
-    order re-partitions that reuse.  ``parts=1`` reproduces the
-    monolithic counters exactly; for any fixed ``parts`` this function
-    is the sequential counter-reference for :func:`enumerate_parallel`.
-    The per-chunk breakdown survives in ``result.shards`` (all chunks
-    share this process's pid).
-    """
-    reduced, order, chunks = _prepare_jobs(graph, k, eta, parts, config)
-    outcomes = [
-        _run_chunk((reduced, k, eta, config, chunk, order, index, None))
-        for index, chunk in enumerate(chunks)
-    ]
-    return _merge_outcomes(outcomes)
 
 
 def enumerate_parallel(
@@ -126,11 +80,23 @@ def enumerate_parallel(
     flight_dir: Optional[str] = None,
     store=None,
 ) -> EnumerationResult:
-    """Enumerate with a process pool (one task per seed chunk).
+    """Enumerate by seed chunk, on a process pool of two or more workers.
 
     The parent reduces the graph and fixes the vertex ordering; each
-    worker receives the reduced graph, the shared ordering and its
-    chunk, so per-worker preprocessing is limited to unpickling.
+    chunk receives the reduced graph, the shared ordering and its
+    seeds, so per-chunk preprocessing is limited to unpickling.  The
+    pool has ``processes`` workers (default: one per CPU), never more
+    than there are chunks.  With at most one worker the chunks run in
+    this process and no pool starts: the merged counters are then the
+    sequential reference for every pool with the same ``parts``.
+
+    The merged clique set and ``outputs`` counter equal a single full
+    run (each clique has one emitting seed).  The *effort* counters
+    (``calls``, ``mpivot_skips``, ...) are deterministic for a given
+    ``parts`` but not invariant across chunkings: the M-pivot warm
+    state carries across roots within one chunk, so splitting the seed
+    order re-partitions that reuse.  ``parts=1`` reproduces the
+    monolithic counters exactly.
 
     ``flight_dir`` enables flight recording: the parent writes
     ``flight-parent.jsonl`` (run start, one ``dispatch`` per shard,
@@ -225,10 +191,14 @@ def _fan_out(
         recorder = FlightRecorder(
             os.path.join(flight_dir, "flight-parent.jsonl"), role="parent"
         )
+    # Chunks run the reduced graph with the reduction off, as the
+    # session runs its slices: the parent already reduced it.
+    chunk_config = replace(config, reduction="off")
     jobs = [
-        (reduced, k, eta, config, chunk, order, index, paths[index])
+        (reduced, k, eta, chunk_config, chunk, order, index, paths[index])
         for index, chunk in enumerate(chunks)
     ]
+    workers = min(len(chunks), processes or os.cpu_count() or 1)
     start = time.perf_counter()
     try:
         if recorder is not None:
@@ -244,20 +214,21 @@ def _fan_out(
                 recorder.dispatch(
                     shard=index, seeds=len(chunk), path=paths[index]
                 )
-        if len(chunks) <= 1:
-            # Degenerate fan-out: run in-process, same code path as a
-            # worker so the shard breakdown and flight log still exist.
+        if workers <= 1:
+            # At most one worker: run every chunk here, through the
+            # worker's own code path, and start no pool.
             outcomes = [_run_chunk(job) for job in jobs]
         else:
             # An executor, not a multiprocessing Pool: a worker that
             # dies mid-chunk breaks the executor, which raises
             # BrokenProcessPool, where Pool.map would wait forever.
+            # Imported here: a module-level import would load
+            # multiprocessing for every ``import repro.core``.
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
-                max_workers=processes
-                or min(len(chunks), multiprocessing.cpu_count()),
+                max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn"),
             )
             try:
@@ -291,10 +262,12 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
     """One shard, in whatever process it landed in.
 
     Returns the chunk's own :class:`EnumerationResult` plus its
-    breakdown dict; everything is built locally and *returned* — spawn
-    workers share nothing with the parent (REP014).  On the
-    kernel the result's cliques are still id rows over the shared
-    ordering, so they cross the pipe as small int tuples.
+    breakdown dict, which is also the ``finish`` record of the chunk's
+    flight log (with the flat stats added); everything is built
+    locally and *returned* — spawn workers share nothing with the
+    parent (REP014).  On the kernel the result's cliques are still id
+    rows over the shared ordering, so they cross the pipe as small int
+    tuples.
     """
     reduced, k, eta, config, chunk, order, shard, flight_path = job
     recorder = None
@@ -323,13 +296,9 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
             # ride the per-node ``on_emit`` hook) land in this
             # worker's log.
             with observe(flight=recorder):
-                result = enumerator.run(
-                    seeds=chunk, reduced_graph=reduced, order=order
-                )
+                result = enumerator.run(seeds=chunk, order=order)
         else:
-            result = enumerator.run(
-                seeds=chunk, reduced_graph=reduced, order=order
-            )
+            result = enumerator.run(seeds=chunk, order=order)
     except Exception as error:
         if recorder is not None:
             recorder.violation(type(error).__name__, str(error))
@@ -339,7 +308,6 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
     from repro.obs.runtime import peak_rss_bytes
 
     obs = enumerator.obs
-    metrics = obs.metrics.as_dict() if obs is not None else None
     info: Dict[str, object] = {
         "shard": shard,
         "seeds": len(chunk),
@@ -350,18 +318,13 @@ def _run_chunk(job) -> Tuple[EnumerationResult, Dict[str, object]]:
         "peak_rss_bytes": peak_rss_bytes(),
         "backend": enumerator.backend_used,
         "variant": enumerator.variant_used,
-        "metrics": metrics,
+        "metrics": obs.metrics.as_dict() if obs is not None else None,
         "flight": flight_path,
     }
     if recorder is not None:
         for name, seconds in result.phases.items():
             recorder.phase(name, seconds)
-        recorder.finish(
-            stats=result.stats.as_dict(),
-            metrics=metrics,
-            wall_s=round(wall, 6),
-            outputs=result.stats.outputs,
-        )
+        recorder.finish(stats=result.stats.as_dict(), **info)
         recorder.close()
     return result, info
 
@@ -387,15 +350,15 @@ def _merge_outcomes(
 
 
 def _accumulate(merged: EnumerationResult, part: EnumerationResult) -> None:
+    """Add ``part``'s counters and phase seconds into ``merged``: every
+    counter sums, and ``max_depth`` keeps the deeper shard's."""
     stats = merged.stats
-    other = part.stats
-    stats.calls += other.calls
-    stats.expansions += other.expansions
-    stats.outputs += other.outputs
-    stats.mpivot_skips += other.mpivot_skips
-    stats.kpivot_stops += other.kpivot_stops
-    stats.size_prunes += other.size_prunes
-    stats.max_depth = max(stats.max_depth, other.max_depth)
+    for name, value in part.stats.as_dict().items():
+        if name == "max_depth":
+            value = max(stats.max_depth, value)
+        else:
+            value += getattr(stats, name)
+        setattr(stats, name, value)
     phases = merged.phases
     for name, seconds in part.phases.items():
         phases[name] = phases.get(name, 0.0) + seconds

@@ -45,8 +45,8 @@ def reduce_graph(
     Reductions drop vertices that cannot appear in any maximal
     ``(k, η)``-clique; they are only sound for ``k >= 2`` (core) and
     ``k >= 3`` (triangle), because smaller cliques need no incident
-    structure at all.  Exposed at module level so the partitioned and
-    parallel drivers can reduce once and ship the result to workers.
+    structure at all.  Exposed at module level so the parallel driver
+    can reduce once and ship the result to every chunk.
     """
     mode = config.reduction
     if mode == "off" or k < 2:
@@ -85,11 +85,9 @@ class DictStateOps(StateOps):
         self._backbone = None
 
     # -- prelude -------------------------------------------------------
-    def prepare_reduction(self, reduced_graph) -> None:
-        self.search_graph = (
-            reduced_graph
-            if reduced_graph is not None
-            else reduce_graph(self.graph, self._k, self._eta, self._config)
+    def prepare_reduction(self) -> None:
+        self.search_graph = reduce_graph(
+            self.graph, self._k, self._eta, self._config
         )
 
     def prepare_ordering(self, order) -> None:
@@ -251,7 +249,6 @@ class PivotEnumerator:
         self,
         seeds=None,
         *,
-        reduced_graph: Optional[UncertainGraph] = None,
         order: Optional[Sequence[Vertex]] = None,
     ) -> EnumerationResult:
         """Execute the enumeration and return cliques plus statistics.
@@ -264,16 +261,13 @@ class PivotEnumerator:
             exactly one root (its minimum vertex in the global
             ordering), so running disjoint seed sets covering ``V`` and
             taking the union reproduces the full result — the basis of
-            the partitioned/parallel driver in
-            :mod:`repro.core.partition`.
-        reduced_graph:
-            Optional pre-reduced graph (as returned by
-            :func:`reduce_graph` for this configuration); skips the
-            in-run reduction.  Used by the parallel driver so workers
-            do not repeat the reduction.
+            the parallel driver in :mod:`repro.core.partition`.
         order:
-            Optional precomputed vertex ordering over
-            ``reduced_graph``; skips the in-run ordering computation.
+            Optional precomputed vertex ordering over the reduced
+            graph; skips the in-run ordering computation.  The
+            parallel driver hands every chunk the parent's ordering
+            (and the parent's reduced graph with ``reduction="off"``),
+            so all chunks agree on each clique's emitting seed.
         """
         # Imported lazily: the engine driver reaches into repro.sanitize
         # / repro.obs, which pull repro.core.config back in — a
@@ -304,9 +298,7 @@ class PivotEnumerator:
             self._limit,
         )
         try:
-            return engine.run(
-                seeds, reduced_graph=reduced_graph, order=order
-            )
+            return engine.run(seeds, order=order)
         finally:
             self._san = engine.san
             self.obs = engine.obs

@@ -232,8 +232,8 @@ class EnumerationResult:
     parallel workers fill it with id rows, and each clique's frozenset
     is built only when that clique is read.
 
-    Monolithic runs leave ``shards``/``fleet`` empty.  The partitioned
-    and parallel drivers (:mod:`repro.core.partition`) fill them: one
+    Monolithic runs leave ``shards``/``fleet`` empty.  The parallel
+    driver (:mod:`repro.core.partition`) fills them: one
     breakdown dict per seed chunk (its own counters, wall seconds,
     pid, peak RSS, optional metrics snapshot and flight-log path) plus
     the cross-worker imbalance/utilization summary of

@@ -1034,13 +1034,12 @@ class SearchEngine:
         #: selected; populated by :meth:`run`.
         self.variant = None
 
-    def run(self, seeds=None, *, reduced_graph=None, order=None):
+    def run(self, seeds=None, *, order=None):
         """Execute the enumeration; returns the backend's result.
 
         Same contract as ``PivotEnumerator.run``: optional ``seeds``
-        restrict the outer loop, and ``reduced_graph``/``order`` skip
-        the in-run reduction/ordering (the partitioned and parallel
-        drivers prepare them once for all workers).
+        restrict the outer loop, and ``order`` skips the in-run
+        ordering (the parallel driver orders once for all chunks).
         """
         ops = self.ops
         config = self.config
@@ -1063,7 +1062,7 @@ class SearchEngine:
         if obs is not None:
             obs.on_gauge("vertices_input", ops.graph.num_vertices)
         start = perf_counter()
-        ops.prepare_reduction(reduced_graph)
+        ops.prepare_reduction()
         reduction_s = perf_counter() - start
         start = perf_counter()
         ops.prepare_ordering(order)

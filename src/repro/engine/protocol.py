@@ -155,12 +155,12 @@ class StateOps:
     #: Accumulated probability of a single-vertex clique.
     unit: object = 1
 
-    def prepare_reduction(self, reduced_graph) -> None:
-        """Apply (or adopt) the pre-enumeration graph reduction.
+    def prepare_reduction(self) -> None:
+        """Apply the configured pre-enumeration graph reduction.
 
-        ``reduced_graph`` is an optional already-reduced uncertain
-        graph (the partitioned/parallel drivers reduce once and ship
-        the result to workers); ``None`` means reduce here.
+        A caller that already holds a reduced graph (a session slice,
+        a parallel chunk) runs it with ``reduction="off"``, which
+        makes this the identity.
         """
         raise NotImplementedError
 

@@ -144,13 +144,10 @@ class KernelStateOps(StateOps):
             )
         return cg.induced(core)
 
-    def prepare_reduction(self, reduced_graph) -> None:
-        if reduced_graph is not None:
-            self._cg_red = CompactGraph.from_uncertain(reduced_graph)
-        else:
-            self._cg_red = self._reduce_ids(
-                CompactGraph.from_uncertain(self.graph)
-            )
+    def prepare_reduction(self) -> None:
+        self._cg_red = self._reduce_ids(
+            CompactGraph.from_uncertain(self.graph)
+        )
 
     def prepare_ordering(self, order_labels) -> None:
         cg_red = self._cg_red

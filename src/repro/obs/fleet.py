@@ -8,7 +8,9 @@ views:
   parallel driver stamps into ``EnumerationResult.fleet``;
 * :func:`render_fleet` — a per-worker utilization table
   (``python -m repro.obs fleet flight-*.jsonl``), the one view that
-  marks a worker log with no ``finish`` record as ``crashed``.
+  marks a worker log with no ``finish`` record as ``crashed``, over
+  the :func:`fleet_summary` of the finished workers (a worker's
+  ``finish`` record is its shard breakdown).
 
 One stream at a time renders through ``python -m repro.obs report``.
 """
@@ -25,8 +27,10 @@ from repro.obs.report import _table
 def fleet_summary(shards: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Imbalance/utilization summary over per-shard breakdown dicts.
 
-    ``shards`` are the records the partition drivers collect from each
-    worker (see :func:`repro.core.partition.enumerate_parallel`).  The
+    ``shards`` are the breakdowns the parallel driver collects from
+    each chunk, or the ``finish`` records of the chunks' flight logs,
+    which hold the same fields (see
+    :func:`repro.core.partition.enumerate_parallel`).  The
     result is deterministic: shards are ordered by index and the
     merged registry uses max-mode gauges, so worker completion order
     cannot change a byte.
@@ -79,6 +83,10 @@ def _fmt_rss(value) -> str:
     return "%.1f" % (float(value) / (1024.0 * 1024.0))
 
 
+def _fmt_ratio(value) -> str:
+    return "-" if value is None else "%.3f" % value
+
+
 def fleet_rows(logs: Sequence[FlightLog]) -> List[List[str]]:
     rows = []
     for log in logs:
@@ -108,24 +116,22 @@ def render_fleet(logs: Sequence[FlightLog]) -> str:
          "rss_mib", "status"],
         fleet_rows(logs),
     )
-    walls = [
-        log.wall_s()
+    summary = fleet_summary([
+        log.finish()
         for log in logs
-        if log.role != "parent" and log.wall_s() is not None
-    ]
-    if walls:
-        wall_max = max(walls)
-        wall_mean = sum(walls) / len(walls)
+        if log.role != "parent" and log.finish() is not None
+    ])
+    if summary:
         lines.append("")
         lines.append(
             "workers: %d  wall max %.4fs  mean %.4fs  imbalance %s  "
             "utilization %s"
             % (
-                len(walls),
-                wall_max,
-                wall_mean,
-                "%.3f" % (wall_max / wall_mean) if wall_mean else "-",
-                "%.3f" % (wall_mean / wall_max) if wall_max else "-",
+                summary["workers"],
+                summary["wall_max_s"],
+                summary["wall_mean_s"],
+                _fmt_ratio(summary["imbalance"]),
+                _fmt_ratio(summary["utilization"]),
             )
         )
     return "\n".join(lines) + "\n"

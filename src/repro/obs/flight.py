@@ -24,7 +24,8 @@ event           meaning
 ``heartbeat``   throttled liveness sample: peak RSS plus caller gauges
 ``violation``   the run died (sanitizer violation or any exception)
 ``finish``      run completed: flat stats, full metrics snapshot,
-                wall seconds
+                wall seconds, peak RSS (a worker's is its shard
+                breakdown, see :mod:`repro.core.partition`)
 ==============  =====================================================
 
 Every record carries a monotonically increasing ``seq`` and a ``t_s``
@@ -142,8 +143,12 @@ class FlightRecorder:
         self.record("violation", kind=kind, detail=detail)
 
     def finish(self, **fields) -> None:
-        """Run completed; carries stats/metrics for exact replay."""
-        self.record("finish", peak_rss_bytes=peak_rss_bytes(), **fields)
+        """Run completed; carries stats/metrics for exact replay.
+
+        Stamps the process's peak RSS unless ``fields`` carries one.
+        """
+        fields.setdefault("peak_rss_bytes", peak_rss_bytes())
+        self.record("finish", **fields)
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -197,7 +202,8 @@ class FlightLog:
 
         Prefers the full ``metrics`` snapshot of the ``finish`` record
         (byte-identical to the live registry); falls back to folding
-        the flat ``stats`` counters exactly like
+        the flat ``stats`` counters through
+        :meth:`~repro.obs.metrics.MetricsRegistry.add_stats`, as
         :meth:`repro.obs.observer.Observer.on_finish` does, so an
         obs-off flight log still replays into comparable counters.
         Returns None when the log has no ``finish`` record (crash).
@@ -212,12 +218,7 @@ class FlightLog:
         if stats is None:
             return None
         registry = MetricsRegistry()
-        flat = dict(stats)
-        for name in sorted(flat):
-            if name == "max_depth":
-                registry.set_gauge("max_depth", flat[name])
-            else:
-                registry.inc(name, int(flat[name]))
+        registry.add_stats(stats)
         return registry
 
 

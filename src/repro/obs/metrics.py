@@ -60,6 +60,15 @@ class MetricsRegistry:
         """Accumulate ``seconds`` onto phase timer ``name``."""
         self._timers[name] = self._timers.get(name, 0.0) + seconds
 
+    def add_stats(self, flat: Dict[str, int]) -> None:
+        """Fold flat :class:`~repro.core.stats.SearchStats` counters:
+        ``max_depth`` is a gauge, every other field a counter."""
+        for name in sorted(flat):
+            if name == "max_depth":
+                self.set_gauge(name, flat[name])
+            else:
+                self.inc(name, int(flat[name]))
+
     def observe_depth(self, name: str, depth: int, amount: int = 1) -> None:
         """Count one (or ``amount``) events at ``depth`` in histogram
         ``name``."""

@@ -288,12 +288,7 @@ class Observer:
     def on_finish(self, stats=None) -> None:
         """Fold the run's flat ``SearchStats`` into the registry."""
         if stats is not None:
-            flat = stats.as_dict()
-            for name in sorted(flat):
-                if name == "max_depth":
-                    self.metrics.set_gauge("max_depth", flat[name])
-                else:
-                    self.metrics.inc(name, flat[name])
+            self.metrics.add_stats(stats.as_dict())
         if self._full:
             self.metrics.set_gauge(
                 "sampled_nodes", self.folded.total_weight()

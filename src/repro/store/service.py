@@ -17,8 +17,7 @@ answers enumeration requests through it:
 :class:`ServeLoop` wraps the service in a JSON-lines request protocol
 (one request object per line, one response object per line) for
 ``repro.store serve`` — stdin/stdout by default, a TCP socket when
-asked.  ``handle_batch`` reorders a request batch so requests sharing
-a reduction run consecutively (responses return in input order).
+asked.
 """
 
 from __future__ import annotations
@@ -301,32 +300,13 @@ class ServeLoop:
     def handle_batch(
         self, requests: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
-        """Answer a batch, grouping requests that share a reduction.
+        """Answer a batch in input order.
 
-        Enumerate requests with the same ``(dataset, seed, model, η)``
-        are handled consecutively, so the whole group pays for (at
-        most) one decomposition; responses come back in input order.
+        Slice requests that share a ``(dataset, η)`` pair share one
+        decomposition wherever they sit in the batch: the service keeps
+        one session per ``(fingerprint, η, config)`` for its whole life.
         """
-        def group(indexed):
-            index, request = indexed
-            if isinstance(request, dict) and request.get("op") == "enumerate":
-                try:
-                    return (
-                        0,
-                        str(request.get("dataset")),
-                        int(request.get("seed", 0)),
-                        str(request.get("probability_model", "exponential")),
-                        str(request.get("eta")),
-                        index,
-                    )
-                except (TypeError, ValueError):
-                    pass
-            return (1, "", 0, "", "", index)
-
-        responses: List[Optional[Dict[str, object]]] = [None] * len(requests)
-        for index, request in sorted(enumerate(requests), key=group):
-            responses[index] = self.handle(request)
-        return [r for r in responses if r is not None]
+        return [self.handle(request) for request in requests]
 
     def handle_line(self, line: str) -> str:
         """One protocol round: JSON request line in, response line out."""

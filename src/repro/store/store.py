@@ -24,8 +24,12 @@ rows in (size, ids) order keep the canonical order of
 **Crash safety** — every entry is staged in a temporary directory and
 published with one atomic ``os.rename``; a crashed writer leaves only
 an unreachable temp dir, never a half-entry.  First write wins: if the
-destination exists the stage is discarded, which is correct because
-entries are content-addressed (same key ⇒ byte-identical payload).
+destination exists and verifies, the stage is discarded, which is
+correct because entries are content-addressed (same key ⇒
+byte-identical payload).  One exception: a run stage that holds
+``cliques.jsonl`` replaces an entry that holds none (a sanitizer
+violation report), or that report would pin its key as a permanent
+miss.  A later violation never evicts a clique set.
 
 **Corruption degrades to a miss** — every read re-hashes each file
 against the manifest; a flipped byte, a truncated tail (the flight
@@ -209,13 +213,18 @@ class RunStore:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             if os.path.exists(final):
-                if self._verified_read(kind, digest) is not None:
+                existing = self._verified_read(kind, digest)
+                if existing is not None and (
+                    "cliques.jsonl" in existing
+                    or "cliques.jsonl" not in files
+                ):
                     # Content-addressed: the existing entry is
                     # equivalent (same key ⇒ byte-identical payload).
                     shutil.rmtree(stage, ignore_errors=True)
                     return final
-                # A damaged entry would otherwise pin its digest as a
-                # permanent miss: evict it and let the fresh stage win.
+                # A damaged entry, or a violation report that this
+                # clean run answers, would otherwise pin its digest as
+                # a permanent miss: evict it and let the fresh stage win.
                 shutil.rmtree(final, ignore_errors=True)
             try:
                 os.rename(stage, final)

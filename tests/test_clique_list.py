@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import repro.core.stats as stats_module
 import repro.store.store as store_module
 from repro.core.config import PMUC_PLUS_CONFIG
-from repro.core.partition import enumerate_partitioned
+from repro.core.partition import enumerate_parallel
 from repro.core.pmuc import PivotEnumerator
 from repro.core.stats import CliqueList, EnumerationResult, SearchStats
 from repro.datasets.figure1 import figure1_graph
@@ -242,7 +242,7 @@ def test_kernel_collects_rows_and_streams_sets():
 
 def test_partitioned_merge_concatenates_rows():
     graph = figure1_graph()
-    merged = enumerate_partitioned(graph, 3, 0.1, parts=3)
+    merged = enumerate_parallel(graph, 3, 0.1, parts=3, processes=1)
     whole = PivotEnumerator(graph, 3, 0.1).run()
     assert merged.cliques.id_rows() is not None
     assert sorted(map(sorted, merged.cliques)) == sorted(

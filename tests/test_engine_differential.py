@@ -474,9 +474,9 @@ def test_finished_kernel_ops_are_freed_without_a_gc_pass(monkeypatch):
     built = []
     real = KernelStateOps.prepare_reduction
 
-    def spy(self, reduced_graph):
+    def spy(self):
         built.append(weakref.ref(self))
-        return real(self, reduced_graph)
+        return real(self)
 
     monkeypatch.setattr(KernelStateOps, "prepare_reduction", spy)
     graph, k, eta, axes = _random_case(3)

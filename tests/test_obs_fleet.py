@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.kernel_speedup import WORKLOADS, build_graph
-from repro.core import enumerate_parallel, enumerate_partitioned
+from repro.core import enumerate_parallel
 from repro.core.config import PMUC_PLUS_CONFIG
 from repro.core.partition import _accumulate
 from repro.core.pmuc import PivotEnumerator
@@ -55,7 +55,7 @@ class TestFleetSummary:
 class TestPartitionedBreakdown:
     def test_shards_survive_the_merge(self):
         g = random_uncertain_graph(13, 16, 0.5)
-        merged = enumerate_partitioned(g, 2, 0.4, parts=3)
+        merged = enumerate_parallel(g, 2, 0.4, parts=3, processes=1)
         assert len(merged.shards) == 3
         assert sum(s["outputs"] for s in merged.shards) == \
             merged.stats.outputs
@@ -65,7 +65,7 @@ class TestPartitionedBreakdown:
 
     def test_merged_phases_sum_the_shards(self):
         g = random_uncertain_graph(13, 16, 0.5)
-        merged = enumerate_partitioned(g, 2, 0.4, parts=3)
+        merged = enumerate_parallel(g, 2, 0.4, parts=3, processes=1)
         assert sorted(merged.phases) == [
             "ordering", "recursion", "reduction", "sanitize"
         ]
@@ -90,7 +90,9 @@ class TestPartitionedBreakdown:
     def test_observed_shards_carry_metrics(self):
         g = random_uncertain_graph(13, 16, 0.5)
         config = replace(PMUC_PLUS_CONFIG, obs="light")
-        merged = enumerate_partitioned(g, 2, 0.4, parts=2, config=config)
+        merged = enumerate_parallel(
+            g, 2, 0.4, parts=2, processes=1, config=config
+        )
         assert all(s["metrics"] is not None for s in merged.shards)
         live = merged.fleet["metrics"]
         stats = merged.stats.as_dict()
@@ -123,8 +125,8 @@ class TestParallelFlightParity:
             g, k, eta, parts=2, processes=2, config=config,
             flight_dir=flight_dir,
         )
-        sequential = enumerate_partitioned(
-            g, k, eta, parts=2, config=config
+        sequential = enumerate_parallel(
+            g, k, eta, parts=2, processes=1, config=config
         )
         single = PivotEnumerator(g, k, eta, config).run()
 

@@ -1,6 +1,8 @@
 """Partitioned/parallel enumeration and multi-k query sessions."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -15,10 +17,9 @@ from repro.core import (
     PivotEnumerator,
     enumerate_maximal_cliques,
     enumerate_parallel,
-    enumerate_partitioned,
-    seed_partitions,
 )
 from repro.datasets import figure1_graph, load_dataset
+from repro.uncertain import UncertainGraph
 from tests.conftest import as_sorted_sets, random_uncertain_graph
 
 REPO = Path(__file__).resolve().parents[1]
@@ -72,9 +73,9 @@ class TestSeedFilter:
         g = random_uncertain_graph(12, 14, 0.5)
         k, eta = 2, 0.4
         full = as_sorted_sets(PivotEnumerator(g, k, eta).run().cliques)
-        chunks = seed_partitions(g, 3, eta)
+        vertices = list(g.vertices())
         union = []
-        for chunk in chunks:
+        for chunk in (vertices[i::3] for i in range(3)):
             union.extend(PivotEnumerator(g, k, eta).run(seeds=chunk).cliques)
         assert as_sorted_sets(union) == full
         assert len(union) == len(set(union))  # no cross-chunk duplicates
@@ -92,23 +93,45 @@ class TestPartitioned:
             enumerate_maximal_cliques(g, 2, 0.4, "pmuc+").cliques
         )
         for parts in (1, 2, 5):
-            merged = enumerate_partitioned(g, 2, 0.4, parts=parts)
+            merged = enumerate_parallel(g, 2, 0.4, parts=parts, processes=1)
             assert as_sorted_sets(merged.cliques) == expected
             assert merged.stats.outputs == len(expected)
 
     def test_parts_validation(self, triangle_graph):
         with pytest.raises(ParameterError):
-            seed_partitions(triangle_graph, 0, 0.5)
-
-    def test_partitions_cover_all_vertices(self):
-        g = random_uncertain_graph(3, 10, 0.5)
-        chunks = seed_partitions(g, 3, 0.5)
-        flat = [v for c in chunks for v in c]
-        assert sorted(flat, key=repr) == sorted(g.vertices(), key=repr)
+            enumerate_parallel(triangle_graph, 3, 0.5, parts=0)
 
     def test_more_parts_than_vertices(self, triangle_graph):
-        chunks = seed_partitions(triangle_graph, 10, 0.5)
-        assert len(chunks) == 3
+        merged = enumerate_parallel(
+            triangle_graph, 3, 0.5, parts=10, processes=1
+        )
+        assert len(merged.shards) == 3
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("a pool was started for one worker")
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", tripwire
+        )
+        g = random_uncertain_graph(13, 16, 0.5)
+        merged = enumerate_parallel(g, 2, 0.4, parts=3, processes=1)
+        assert len(merged.shards) == 3
+        assert {shard["pid"] for shard in merged.shards} == {os.getpid()}
+        assert as_sorted_sets(merged.cliques) == as_sorted_sets(
+            PivotEnumerator(g, 2, 0.4).run().cliques
+        )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_a_graph_the_reduction_empties_has_no_chunks(self, processes):
+        path = UncertainGraph([(0, 1, 0.9), (1, 2, 0.9)])
+        merged = enumerate_parallel(
+            path, 5, 0.5, parts=3, processes=processes
+        )
+        assert list(merged.cliques) == []
+        assert merged.shards == []
+        assert merged.fleet == {}
 
 
 class TestParallel:
@@ -165,8 +188,6 @@ class TestQuerySession:
         assert profile[3] >= profile[4] >= profile[5]
 
     def test_k1_uses_full_graph(self):
-        from repro.uncertain import UncertainGraph
-
         g = UncertainGraph([(0, 1, 0.9)])
         g.add_vertex(5)
         session = CliqueQuerySession(g, eta=0.5)

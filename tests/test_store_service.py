@@ -8,6 +8,7 @@ sessions and the JSON-lines protocol's ordering/error contracts.
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from repro.core.config import PMUC_PLUS_CONFIG
 from repro.core.partition import enumerate_parallel
 from repro.core.session import CliqueQuerySession
 from repro.datasets.figure1 import figure1_graph
-from repro.store.key import graph_fingerprint
+from repro.store.key import graph_fingerprint, run_key_for
+from repro.store.records import stamped_record
 from repro.store.service import EnumerationService, ServeLoop, parse_eta
 from repro.store.store import RunStore
 from repro.uncertain.graph import UncertainGraph
@@ -194,6 +196,42 @@ def test_hit_replays_the_phases_of_the_miss_that_stored_it(store):
     assert live.fleet and replay.fleet == live.fleet
 
 
+def _violation_case(store):
+    """A sanitized figure-1 service and the key its k=3, η=0.5 run uses."""
+    config = replace(PMUC_PLUS_CONFIG, backend="dict", sanitize="full")
+    key = run_key_for(figure1_graph(), 3, 0.5, config)
+    return EnumerationService(store, config), key
+
+
+def _put_violation(store, key):
+    store.put_run(
+        key, stamped_record("sanitize:test", 0.1, 0),
+        violation={"check": "maximality", "name": "figure1"},
+    )
+
+
+def test_a_clean_run_replaces_a_violation_only_entry(store):
+    service, key = _violation_case(store)
+    _put_violation(store, key)
+    outcomes = [service.enumerate(figure1_graph(), 3, 0.5) for _ in range(3)]
+    assert [outcome.digest for outcome in outcomes] == [key.digest()] * 3
+    assert [outcome.hit for outcome in outcomes] == [False, True, True]
+    stored = store.get_by_digest(key.digest())
+    assert stored.cliques is not None and stored.violation is None
+
+
+def test_a_later_violation_keeps_the_clean_entry(store):
+    service, key = _violation_case(store)
+    clean = service.enumerate(figure1_graph(), 3, 0.5)
+    _put_violation(store, key)
+    stored = store.get_by_digest(key.digest())
+    assert stored.violation is None
+    assert as_sorted_sets(stored.cliques) == as_sorted_sets(
+        clean.result.cliques
+    )
+    assert service.enumerate(figure1_graph(), 3, 0.5).hit
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Every store read/write and every ``supports()`` walk, in order."""
@@ -327,7 +365,7 @@ def test_batch_returns_responses_in_input_order(loop):
     ]
     assert responses[0]["k"] == 4
     assert responses[2]["k"] == 3
-    # The repeat of k=4 ran after its twin (batch grouping) and hit.
+    # The repeat of k=4 runs after its twin, in input order, and hits.
     assert responses[3]["hit"] is True
     assert responses[3]["digest"] == responses[0]["digest"]
 
@@ -337,6 +375,22 @@ def test_batch_shares_one_reduction_across_the_group(loop, store):
     # One decomposition was published; every query after the first
     # reused the session's in-memory copy.
     assert len(list(store._iter_digests("reductions"))) == 1
+
+
+def test_interleaved_datasets_answer_in_input_order(store):
+    loop = ServeLoop(EnumerationService(store))
+    asked = [("enron", 4), ("cahepph", 4), ("enron", 5), ("cahepph", 5),
+             ("enron", 4)]
+    responses = loop.handle_batch(
+        [enumerate_request(dataset=name, k=k) for name, k in asked]
+    )
+    assert [(r["dataset"], r["k"]) for r in responses] == asked
+    assert [r["hit"] for r in responses] == [False] * 4 + [True]
+    assert responses[4]["digest"] == responses[0]["digest"]
+    # One session and one published decomposition per dataset, though
+    # each dataset's requests are not adjacent.
+    assert len(loop.service._sessions) == 2
+    assert len(list(store._iter_digests("reductions"))) == 2
 
 
 def test_errors_are_reported_not_raised(loop):
