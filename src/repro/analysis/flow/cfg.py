@@ -14,25 +14,26 @@ taint picked up by ``a`` in ``if a and f(a):`` is visible on the edge
 into ``f(a)``.
 
 Exceptional flow is modeled conservatively for a *may* analysis: every
-statement that can plausibly raise (it contains a call, an attribute
-or subscript access, arithmetic, or an explicit ``raise``) gets edges
-to the innermost enclosing handlers and ``finally`` blocks, and from
-there outward to the synthetic :attr:`CFG.raise_exit` node.  A
-``finally`` body is built once; its exit fans out to the normal
-continuation, the outward exceptional continuation, and the function
-exit (covering ``return``/``break`` pass-through), which
-over-approximates but never drops a path — exactly what the rules
-need.
+node that can plausibly raise (what it evaluates itself holds a call,
+an attribute or subscript access, arithmetic, or an explicit
+``raise``) gets edges to the innermost enclosing handlers and
+``finally`` blocks, and from there outward to the synthetic
+:attr:`CFG.raise_exit` node.  A ``finally`` body is built once; its
+exit fans out to the normal continuation, the outward exceptional
+continuation, and the function exit (covering ``return``/``break``
+pass-through), which over-approximates but never drops a path —
+exactly what the rules need.
 
 Nested function and class definitions are opaque single nodes: each
-function gets its own CFG (see :func:`build_cfg` /
-:func:`function_cfgs`).
+function gets its own CFG (see :func:`build_cfg` / :func:`cfgs_for`).
 """
 
 from __future__ import annotations
 
 import ast
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.analysis.source import walk_own
 
 
 class Node:
@@ -60,21 +61,14 @@ class Node:
         self._walrus: Optional[List[ast.NamedExpr]] = None
 
     def exprs(self) -> List[ast.AST]:
-        """Every AST node this CFG node evaluates itself, pre-order: a
-        compound statement's header only (its body has nodes of its
-        own), never inside a nested ``def``/``class``/``lambda``.
-        Collected once per node, as are its :meth:`walrus_bindings`."""
+        """Every AST node this CFG node evaluates itself, pre-order
+        (:func:`~repro.analysis.source.walk_own`): a compound
+        statement's header only (its body has nodes of its own), never
+        inside a nested ``def``/``class``/``lambda``, and a ``def`` or
+        ``class`` statement is only itself.  Collected once per node,
+        as are its :meth:`walrus_bindings`."""
         if self._exprs is None:
-            self._exprs = []
-            stack = _scan_roots(self)[::-1]
-            while stack:
-                node = stack.pop()
-                self._exprs.append(node)
-                stack.extend(
-                    child
-                    for child in reversed(list(ast.iter_child_nodes(node)))
-                    if not isinstance(child, _SCOPE_BARRIERS)
-                )
+            self._exprs = walk_own(_scan_roots(self))
         return self._exprs
 
     def walrus_bindings(self) -> List[ast.NamedExpr]:
@@ -122,11 +116,6 @@ class CFG:
 # ----------------------------------------------------------------------
 # the expressions one node evaluates
 # ----------------------------------------------------------------------
-_SCOPE_BARRIERS = (
-    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
-)
-
-
 def _scan_roots(node: Node) -> List[ast.AST]:
     """The root expressions of :meth:`Node.exprs`."""
     stmt = node.stmt
@@ -136,9 +125,7 @@ def _scan_roots(node: Node) -> List[ast.AST]:
         return [stmt.type] if stmt.type is not None else []
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
         return [item.context_expr for item in stmt.items]
-    if stmt is None or isinstance(stmt, _SCOPE_BARRIERS):
-        return []
-    return [stmt]
+    return [] if stmt is None else [stmt]
 
 
 # ----------------------------------------------------------------------
@@ -151,34 +138,29 @@ _RAISING_EXPRS = (
     ast.BinOp,
     ast.UnaryOp,
     ast.Await,
+    ast.Raise,
+    ast.Assert,
 )
 
 
-def can_raise(node: ast.AST) -> bool:
-    """Can evaluating ``node`` plausibly raise?
+def can_raise(node: Node) -> bool:
+    """Can evaluating ``node`` (its :meth:`Node.exprs`) plausibly raise?
 
     Deliberately conservative: calls, attribute/subscript access,
     arithmetic, comparisons other than ``is``/``is not``, and explicit
     ``raise``/``assert`` statements all count.  Pure ``Name`` /
-    ``Constant`` traffic does not.
+    ``Constant`` traffic does not, and neither does a nested ``def``,
+    ``class`` or ``lambda``: its body runs later (decorators and
+    defaults could raise, but the extra edge adds nothing the
+    conservative model needs).
     """
-    if isinstance(node, (ast.Raise, ast.Assert)):
-        return True
-    for sub in ast.walk(node):
+    for sub in node.exprs():
         if isinstance(sub, _RAISING_EXPRS):
             return True
         if isinstance(sub, ast.Compare) and any(
             not isinstance(op, (ast.Is, ast.IsNot)) for op in sub.ops
         ):
             return True
-        if isinstance(
-            sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            # Opaque nested scope: its body runs later (or, for a
-            # class, contributes only definition-time effects we do
-            # not model).  Decorators/defaults could raise, but the
-            # extra edge adds nothing the conservative model needs.
-            return False
     return False
 
 
@@ -239,8 +221,8 @@ class _Builder:
                 return frame.finally_entry
         return target
 
-    def add_raise_edges(self, node: Node, anchor: ast.AST) -> None:
-        if can_raise(anchor):
+    def add_raise_edges(self, node: Node) -> None:
+        if can_raise(node):
             for target in self.raise_targets():
                 self.cfg.edge(node, target)
 
@@ -295,7 +277,7 @@ class _Builder:
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             head = cfg.new("iter", stmt)
             self.link(preds, head)
-            self.add_raise_edges(head, stmt.iter)
+            self.add_raise_edges(head)
             after = cfg.new("stmt", None)
             frame = _LoopFrame(break_to=after, continue_to=head)
             self.frames.append(frame)
@@ -312,15 +294,14 @@ class _Builder:
             node = cfg.new("stmt", stmt)
             self.link(preds, node)
             node.finally_of = self.current_finally
-            self.add_raise_edges(node, stmt)
+            self.add_raise_edges(node)
             return self.build_body(stmt.body, [node])
         # -- simple statements ----------------------------------------
         node = cfg.new("stmt", stmt)
         node.finally_of = self.current_finally
         self.link(preds, node)
         if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self.add_raise_edges(node, stmt.value)
+            self.add_raise_edges(node)
             cfg.edge(node, self.exit_through_finally(cfg.exit))
             return []
         if isinstance(stmt, ast.Break):
@@ -341,7 +322,7 @@ class _Builder:
             for target in self.raise_targets():
                 cfg.edge(node, target)
             return []
-        self.add_raise_edges(node, stmt)
+        self.add_raise_edges(node)
         return [node]
 
     def _innermost_loop(self) -> _LoopFrame:
@@ -398,7 +379,7 @@ class _Builder:
         node = cfg.new("test", test)
         node.finally_of = self.current_finally
         self.link(preds, node)
-        self.add_raise_edges(node, test)
+        self.add_raise_edges(node)
         if entry_out is not None:
             entry_out.append(node)
         # Constant tests prune dead branches (``while True:`` must not
@@ -470,39 +451,23 @@ def build_cfg(body: Sequence[ast.stmt]) -> CFG:
 # ----------------------------------------------------------------------
 # per-file helpers
 # ----------------------------------------------------------------------
-def function_cfgs(
-    tree: ast.AST,
-) -> List[Tuple[Optional[ast.AST], CFG]]:
-    """``(function, cfg)`` for the module body and every function.
-
-    The module body comes first with ``function=None``.  Nested
-    functions each get their own entry; class bodies are traversed for
-    the methods they hold but do not form scopes of their own.
-    """
-    out: List[Tuple[Optional[ast.AST], CFG]] = []
-    if isinstance(tree, ast.Module):
-        out.append((None, build_cfg(tree.body)))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((node, build_cfg(node.body)))
-    return out
-
-
 #: Cache key attribute stashed on SourceFile objects.
 _CACHE_ATTR = "_flow_cfg_cache"
 
 
 def cfgs_for(src) -> Dict[int, Tuple[Optional[ast.AST], CFG]]:
-    """Memoized :func:`function_cfgs` for one parsed SourceFile.
+    """``id(function) -> (function, cfg)`` for the module body and
+    every function of one parsed SourceFile, built once per file.
 
-    Keyed by ``id`` of the function node so several flow rules share
-    one CFG build per file.
+    The module body comes first, under ``id(None)`` with
+    ``function=None``; then every function, nested ones included, in
+    ``ast.walk`` order (the file's node index).  Class bodies hold
+    methods but do not form scopes of their own.
     """
     cache = getattr(src, _CACHE_ATTR, None)
     if cache is None:
-        cache = {
-            id(func): (func, cfg)
-            for func, cfg in function_cfgs(src.tree)
-        }
+        cache = {id(None): (None, build_cfg(src.tree.body))}
+        for func in src.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+            cache[id(func)] = (func, build_cfg(func.body))
         setattr(src, _CACHE_ATTR, cache)
     return cache

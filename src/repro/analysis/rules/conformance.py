@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
-from repro.analysis.source import SourceFile, terminal_name, walk_functions
+from repro.analysis.source import SourceFile, terminal_name
 from repro.engine.protocol import HOT_PATHS, PROTOCOL_ATTRS, PROTOCOL_METHODS
 
 #: The protocol base class backends subclass.
@@ -83,10 +83,10 @@ def _is_self_recursive(func: ast.AST) -> bool:
     )
 
 
-def _search_markers(func: ast.AST) -> Tuple[bool, bool]:
-    """``(mpivot, kpivot)`` marker presence inside ``func``."""
+def _search_markers(nodes: Iterable[ast.AST]) -> Tuple[bool, bool]:
+    """``(mpivot, kpivot)`` marker presence among ``nodes``."""
     mpivot = kpivot = False
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.AugAssign):
             name = terminal_name(node.target)
             if name in _MPIVOT_COUNTERS:
@@ -110,9 +110,7 @@ def _search_markers(func: ast.AST) -> Tuple[bool, bool]:
     "copied outside repro.engine",
 )
 def check_engine_conformance(src: SourceFile) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
+    for node in src.nodes(ast.ClassDef):
         if not _is_stateops_subclass(node):
             continue
         methods, attrs = _class_surface(node)
@@ -144,13 +142,13 @@ def check_engine_conformance(src: SourceFile) -> Iterator[Finding]:
                 ),
                 line_text=src.line_text(node.lineno),
             )
-    if _in_engine_package(src.path):
+    # A copy needs both marker families, so a file without both has none.
+    if _in_engine_package(src.path) or not all(
+        _search_markers(src.nodes(ast.AugAssign, ast.Assign))
+    ):
         return
-    for func, _stack in walk_functions(src.tree):
-        if not _is_self_recursive(func):
-            continue
-        mpivot, kpivot = _search_markers(func)
-        if mpivot and kpivot:
+    for func in src.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+        if _is_self_recursive(func) and all(_search_markers(ast.walk(func))):
             yield Finding(
                 path=src.path,
                 line=func.lineno,

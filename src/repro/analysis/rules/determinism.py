@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.findings import Finding, Severity, flow_fingerprint
 from repro.analysis.registry import rule
-from repro.analysis.source import SourceFile, call_name
+from repro.analysis.source import SourceFile, call_name, walk_own
 
 #: Callables whose result does not depend on the iteration order of
 #: their argument: feeding them an unordered comprehension is fine.
@@ -143,37 +143,14 @@ def _container_of_sets(value: ast.AST, env: "_SetTypes") -> bool:
     return False
 
 
-_SCOPE_BARRIERS = (
-    ast.FunctionDef,
-    ast.AsyncFunctionDef,
-    ast.ClassDef,
-    ast.Lambda,
-)
-
-
-def _walk_scope(stmts: List[ast.stmt]) -> Iterator[ast.AST]:
-    """Document-order walk that does not enter nested scopes."""
-
-    def visit(node: ast.AST) -> Iterator[ast.AST]:
-        yield node
-        if isinstance(node, _SCOPE_BARRIERS):
-            return
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child)
-
-    for stmt in stmts:
-        yield from visit(stmt)
-
-
 def _loop_has_ordered_sink(loop: ast.For) -> bool:
     """Does the loop body feed an ordered collection or a yield?"""
-    for stmt in loop.body + loop.orelse:
-        for node in _walk_scope([stmt]):
-            if isinstance(node, ast.Call):
-                if call_name(node) in _ORDERED_SINKS:
-                    return True
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+    for node in walk_own(loop.body + loop.orelse):
+        if isinstance(node, ast.Call):
+            if call_name(node) in _ORDERED_SINKS:
                 return True
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
     return False
 
 
@@ -439,7 +416,7 @@ _NP_RANDOM_OK = {"Generator", "default_rng", "RandomState", "SeedSequence"}
     "Generator, never the module-level global state",
 )
 def check_module_randomness(src: SourceFile) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
+    for node in src.nodes(ast.Call, ast.ImportFrom):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
             base = func.value

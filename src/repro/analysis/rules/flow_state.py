@@ -8,13 +8,17 @@ back.  PR 6 fixed exactly this bug by hand in the engine driver
 ``try`` could raise and leave the limit raised); this rule makes the
 check mechanical.
 
-For every mutation site the rule asks the CFG: *can execution reach
-the exceptional exit without first entering the* ``finally`` *body of
-a try whose* ``finally`` *restores this state?*  Entering the
-``finally`` counts as restored even when the restore inside it is
-conditional (``if raised: sys.setrecursionlimit(previous)``) — path
-sensitivity inside the finally body is the author's responsibility,
-the rule checks the structural guarantee that the finally runs.
+A mutation belongs to the CFG node that evaluates it
+(:meth:`~repro.analysis.flow.cfg.Node.exprs`), so it is reported once,
+at its own statement: never again at an enclosing ``for``, ``with``
+or ``def`` line.  For every mutation site the rule asks the CFG: *can
+execution reach the exceptional exit without first entering the*
+``finally`` *body of a try whose* ``finally`` *restores this state?*
+Entering the ``finally`` counts as restored even when the restore
+inside it is conditional
+(``if raised: sys.setrecursionlimit(previous)``) — path sensitivity
+inside the finally body is the author's responsibility, the rule
+checks the structural guarantee that the finally runs.
 
 Deliberately exempt:
 
@@ -40,46 +44,35 @@ from repro.analysis.findings import Finding, Severity, flow_fingerprint
 from repro.analysis.flow import cfgs_for
 from repro.analysis.flow.cfg import CFG, Node
 from repro.analysis.registry import rule
-from repro.analysis.source import SourceFile, root_name, terminal_name
+from repro.analysis.source import SCOPE_BARRIERS, SourceFile, terminal_name
 
 #: ``os.environ`` methods that mutate the process environment.
 _ENV_MUTATORS = {
     "update", "pop", "setdefault", "clear", "popitem", "__setitem__",
 }
-_SCOPE_BARRIERS = (
-    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
-)
 
 #: A mutation key: ``("reclimit", "sys")``, ``("environ", "environ")``
 #: or ``("global", <name>)``.
 Key = Tuple[str, str]
 
 
-def _walk_shallow(node: ast.AST, include_root: bool = True):
-    if include_root:
-        yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, _SCOPE_BARRIERS):
-            continue
-        yield from _walk_shallow(child)
+def _global_names(cfg: CFG) -> Set[str]:
+    """Names this function's own statements declare ``global`` (a
+    nested function's declarations are its own)."""
+    return {
+        name
+        for node in cfg.nodes
+        for sub in node.exprs()
+        if isinstance(sub, ast.Global)
+        for name in sub.names
+    }
 
 
-def _global_names(func: Optional[ast.AST]) -> Set[str]:
-    """Names declared ``global`` in this function (not nested ones)."""
-    if func is None:
-        return set()
-    names: Set[str] = set()
-    for stmt in func.body:
-        for sub in _walk_shallow(stmt):
-            if isinstance(sub, ast.Global):
-                names.update(sub.names)
-    return names
-
-
-def _stmt_mutations(stmt: ast.AST, global_names: Set[str]) -> List[Key]:
-    """Every state mutation one simple statement performs."""
+def _node_mutations(node: Node, global_names: Set[str]) -> List[Key]:
+    """Every state mutation one CFG node performs itself."""
     keys: List[Key] = []
-    for sub in _walk_shallow(stmt):
+    stmt = node.stmt
+    for sub in node.exprs():
         if isinstance(sub, ast.Call):
             callee = terminal_name(sub.func)
             if callee == "setrecursionlimit":
@@ -110,27 +103,21 @@ def _stmt_mutations(stmt: ast.AST, global_names: Set[str]) -> List[Key]:
     return keys
 
 
-def _restoring_trys(
-    func_body: List[ast.stmt], key: Key
-) -> Set[int]:
+def _restoring_trys(cfg: CFG, key: Key) -> Set[int]:
     """``id(Try)`` for every try whose ``finally`` restores ``key``.
 
-    The restore test is "the finalbody lexically contains a compatible
-    mutation of the same state" — which covers unconditional restores,
-    conditional ``if raised:`` restores, and counter decrements alike.
+    The restore test is "a node of the finally body evaluates a
+    compatible mutation of the same state" — which covers
+    unconditional restores, conditional ``if raised:`` restores, and
+    counter decrements alike.
     """
-    out: Set[int] = set()
     kind, name = key
-    for stmt in func_body:
-        for sub in _walk_shallow(stmt):
-            if not (isinstance(sub, ast.Try) and sub.finalbody):
-                continue
-            for final_stmt in sub.finalbody:
-                for inner in _walk_shallow(final_stmt):
-                    if _restores(inner, kind, name):
-                        out.add(id(sub))
-                        break
-    return out
+    return {
+        id(node.finally_of)
+        for node in cfg.nodes
+        if node.finally_of is not None
+        and any(_restores(sub, kind, name) for sub in node.exprs())
+    }
 
 
 def _restores(node: ast.AST, kind: str, name: str) -> bool:
@@ -175,7 +162,7 @@ def _restores(node: ast.AST, kind: str, name: str) -> bool:
 def _is_memo_fill(src: SourceFile, stmt: ast.AST, name: str) -> bool:
     """``if NAME is None: NAME = ...`` — fill-once memo, exempt."""
     node: Optional[ast.AST] = stmt
-    while node is not None and not isinstance(node, _SCOPE_BARRIERS):
+    while node is not None and not isinstance(node, SCOPE_BARRIERS):
         parent = src.parent(node)
         if isinstance(parent, ast.If):
             test = parent.test
@@ -254,19 +241,18 @@ _KIND_LABEL = {
 )
 def check_unrestored_state(src: SourceFile) -> Iterator[Finding]:
     for func, cfg in cfgs_for(src).values():
-        global_names = _global_names(func)
-        body = func.body if func is not None else src.tree.body
+        global_names = _global_names(cfg) if func is not None else set()
         restoring_cache: Dict[Key, Set[int]] = {}
         for node in cfg.nodes:
             stmt = node.stmt
             if stmt is None or node.kind not in ("stmt", "iter"):
                 continue
-            for key in _stmt_mutations(stmt, global_names):
+            for key in _node_mutations(node, global_names):
                 kind, name = key
                 if kind == "global" and _is_memo_fill(src, stmt, name):
                     continue
                 if key not in restoring_cache:
-                    restoring_cache[key] = _restoring_trys(body, key)
+                    restoring_cache[key] = _restoring_trys(cfg, key)
                 blocked = restoring_cache[key]
                 # The restore itself lives inside a restoring finally.
                 if (

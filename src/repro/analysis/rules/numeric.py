@@ -79,9 +79,7 @@ def _exact_compares(node: ast.Compare):
 )
 def check_float_equality(src: SourceFile) -> Iterator[Finding]:
     direct_hits = set()
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.Compare):
-            continue
+    for node in src.nodes(ast.Compare):
         for op, left, right in _exact_compares(node):
             what = _is_prob_operand(left) or _is_prob_operand(right)
             if what is None:
@@ -163,7 +161,9 @@ def _is_mutable_default(node: ast.AST) -> bool:
     "mutable default argument values and bare except: clauses",
 )
 def check_mutable_defaults(src: SourceFile) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
+    for node in src.nodes(
+        ast.FunctionDef, ast.AsyncFunctionDef, ast.ExceptHandler
+    ):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None
@@ -183,7 +183,7 @@ def check_mutable_defaults(src: SourceFile) -> Iterator[Finding]:
                         ),
                         line_text=src.line_text(default.lineno),
                     )
-        elif isinstance(node, ast.ExceptHandler) and node.type is None:
+        elif node.type is None:
             yield Finding(
                 path=src.path,
                 line=node.lineno,

@@ -35,7 +35,10 @@ is a key function and gets four checks:
 
 ``key`` alone does not match the name pattern, so a method named
 ``key`` on a deliberately machine-local index (one that may hash an
-abspath) stays out of scope.
+abspath) stays out of scope.  A key function's scope is its own body
+(:func:`~repro.analysis.source.walk_own`): a nested ``def`` or
+``class`` is scoped by its own name, while a lambda, which has no name
+of its own, stays in the key function's scope.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Iterator, List, Set
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import rule
-from repro.analysis.source import SourceFile, call_name, root_name
+from repro.analysis.source import SourceFile, call_name, root_name, walk_own
 
 #: A function with one of these substrings in its name builds (part
 #: of) a content address and is held to key-hygiene rules.
@@ -86,29 +89,6 @@ _DIGEST_SINKS = {"update", "sha256", "sha1", "sha512", "md5", "blake2b"}
 _DICT_VIEWS = {"items", "keys", "values"}
 
 
-def _is_key_function(node: ast.AST) -> bool:
-    return isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef)
-    ) and KEY_FUNC_RE.search(node.name) is not None
-
-
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk the function body without entering nested functions —
-    a nested helper is scoped by its *own* name, not its parent's."""
-
-    def visit(node: ast.AST) -> Iterator[ast.AST]:
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield from visit(child)
-
-    for stmt in func.body:
-        yield from visit(stmt)
-
-
 def _nondet_call_reason(node: ast.Call) -> str:
     """Why this call is a nondeterministic source ('' when it is not)."""
     func = node.func
@@ -143,10 +123,10 @@ def _path_call(node: ast.AST) -> bool:
     )
 
 
-def _path_tainted_names(func: ast.AST) -> Set[str]:
+def _path_tainted_names(own: List[ast.AST]) -> Set[str]:
     """Names assigned (directly) from a path-resolver call."""
     names: Set[str] = set()
-    for node in _own_nodes(func):
+    for node in own:
         if isinstance(node, ast.Assign) and _path_call(node.value):
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -173,14 +153,15 @@ def _path_feed(subtree: ast.AST, tainted: Set[str]) -> bool:
     "unsorted dict views in a content address",
 )
 def check_key_content(src: SourceFile) -> Iterator[Finding]:
-    for node in ast.walk(src.tree):
-        if _is_key_function(node):
+    for node in src.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+        if KEY_FUNC_RE.search(node.name) is not None:
             yield from _check_one(src, node)
 
 
 def _check_one(src: SourceFile, func: ast.AST) -> Iterator[Finding]:
-    tainted = _path_tainted_names(func)
-    for node in _own_nodes(func):
+    own = walk_own(func.body, lambdas=True)
+    tainted = _path_tainted_names(own)
+    for node in own:
         if isinstance(node, ast.Call):
             reason = _nondet_call_reason(node)
             if reason:

@@ -201,8 +201,10 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
             ),
         )
 
+    sites = dispatch_sites(src)
+
     # 1. Unserializable dispatch payloads.
-    for escape in payload_escapes(src):
+    for escape in payload_escapes(src, sites):
         root = escape.origin.root()
         line = escape.site.line
         yield from emit(
@@ -225,10 +227,10 @@ def check_frontier_escape(src: SourceFile) -> Iterator[Finding]:
     # 2. Workers whose summaries mutate parent-owned state: one finding
     #    per write, reported at the boundary (the dispatch is what makes
     #    the write a bug) with the write itself in the trace.
-    summaries = module_worker_summaries(src)
+    summaries = module_worker_summaries(src, sites)
     if summaries:
         boundary_of: Dict[str, int] = {}
-        for site in dispatch_sites(src.tree):
+        for site in sites:
             if isinstance(site.worker, ast.Name):
                 boundary_of.setdefault(site.worker.id, site.line)
         for name, mutations in summaries.items():

@@ -75,7 +75,7 @@ def run_rules(
                     suppressed.append(finding)
                 else:
                     kept.append(finding)
-    return sorted(kept), suppressed
+    return sorted(kept), sorted(suppressed)
 
 
 def check_file(path: str) -> "Tuple[List[Finding], List[Finding]]":

@@ -46,7 +46,6 @@ from repro.analysis.semantics.escape import (
     module_worker_summaries,
     payload_escapes,
     worker_mutations,
-    worker_names,
 )
 
 __all__ = [
@@ -73,5 +72,4 @@ __all__ = [
     "validate_template_source",
     "validate_variant",
     "worker_mutations",
-    "worker_names",
 ]

@@ -30,8 +30,7 @@ from repro.analysis.flow import (
     Origin,
     TaintAnalysis,
     Tags,
-    build_cfg,
-    merge_tags,
+    cfgs_for,
     origin_for,
 )
 from repro.analysis.source import SourceFile, root_name, terminal_name
@@ -90,12 +89,10 @@ class DispatchSite:
         return f"`{name}(...)`"
 
 
-def dispatch_sites(tree: ast.AST) -> List[DispatchSite]:
-    """Every multiprocessing dispatch in ``tree``, in source order."""
+def dispatch_sites(src: SourceFile) -> List[DispatchSite]:
+    """Every multiprocessing dispatch in the file, in source order."""
     sites: List[DispatchSite] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in src.nodes(ast.Call):
         func = node.func
         if (
             isinstance(func, ast.Attribute)
@@ -118,15 +115,6 @@ def dispatch_sites(tree: ast.AST) -> List[DispatchSite]:
                 sites.append(DispatchSite(node, kind, worker, payloads))
     sites.sort(key=lambda s: (s.line, s.call.col_offset))
     return sites
-
-
-def worker_names(tree: ast.AST) -> Set[str]:
-    """Names of functions dispatched to another process in ``tree``."""
-    names: Set[str] = set()
-    for site in dispatch_sites(tree):
-        if isinstance(site.worker, ast.Name):
-            names.add(site.worker.id)
-    return names
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +187,17 @@ class PickleTaint(TaintAnalysis):
         return super().call_tags(call, env)
 
 
-def _local_def_names(func: ast.AST) -> Set[str]:
+def _local_def_names(src: SourceFile, func: Optional[ast.AST]) -> Set[str]:
+    """Names of the functions defined inside ``func``; at module level
+    (``func`` None), of every function in the file."""
+    defs = (
+        src.nodes(ast.FunctionDef, ast.AsyncFunctionDef)
+        if func is None
+        else ast.walk(func)
+    )
     return {
         node.name
-        for node in ast.walk(func)
+        for node in defs
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node is not func
     }
@@ -220,36 +215,29 @@ class PayloadEscape:
         self.origin = origin
 
 
-def _enclosing_functions(src: SourceFile, call: ast.Call) -> ast.AST:
-    node: ast.AST = call
-    while node is not None:
-        node = src.parent(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node
-        if node is None or isinstance(node, ast.Module):
-            return src.tree
-    return src.tree
+def _enclosing_function(src: SourceFile, node: ast.AST) -> Optional[ast.AST]:
+    """The innermost function around ``node`` (None at module level)."""
+    scope = src.parent(node)
+    while scope is not None and not isinstance(
+        scope, (ast.FunctionDef, ast.AsyncFunctionDef)
+    ):
+        scope = src.parent(scope)
+    return scope
 
 
-def payload_escapes(src: SourceFile) -> List[PayloadEscape]:
-    """Unpicklable taint flowing into dispatch payloads in ``src``."""
-    sites = dispatch_sites(src.tree)
-    if not sites:
-        return []
+def payload_escapes(
+    src: SourceFile, sites: List[DispatchSite]
+) -> List[PayloadEscape]:
+    """Unpicklable taint flowing into the file's dispatch payloads."""
     out: List[PayloadEscape] = []
     by_scope: Dict[int, List[DispatchSite]] = {}
-    scopes: Dict[int, ast.AST] = {}
     for site in sites:
-        scope = _enclosing_functions(src, site.call)
-        scopes[id(scope)] = scope
+        scope = _enclosing_function(src, site.call)
         by_scope.setdefault(id(scope), []).append(site)
+    cfgs = cfgs_for(src)
     for scope_id, scope_sites in by_scope.items():
-        scope = scopes[scope_id]
-        body = scope.body if not isinstance(scope, ast.Module) else (
-            scope.body
-        )
-        analysis = PickleTaint(src.lines, _local_def_names(scope))
-        cfg = build_cfg(list(body))
+        scope, cfg = cfgs[scope_id]
+        analysis = PickleTaint(src.lines, _local_def_names(src, scope))
         before = analysis.run(cfg)
         # Locate each dispatch statement's node to read its entry env.
         for node in cfg.nodes:
@@ -352,7 +340,7 @@ def worker_mutations(
         }
         for name in params
     }
-    cfg = build_cfg(list(func.body))
+    _func, cfg = cfgs_for(src)[id(func)]
     before = analysis.run(cfg, initial)
     mutations: List[Mutation] = []
     seen: Set[Tuple[int, int]] = set()
@@ -416,15 +404,21 @@ def worker_mutations(
     return mutations
 
 
-def module_worker_summaries(src: SourceFile) -> Dict[str, List[Mutation]]:
-    """``{worker_name: mutations}`` for every dispatched worker."""
+def module_worker_summaries(
+    src: SourceFile, sites: List[DispatchSite]
+) -> Dict[str, List[Mutation]]:
+    """``{worker_name: mutations}`` for every module-level function
+    the file's dispatch ``sites`` send to another process."""
     defs = {
         node.name: node
         for node in src.tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+    names = {
+        site.worker.id for site in sites if isinstance(site.worker, ast.Name)
+    }
     out: Dict[str, List[Mutation]] = {}
-    for name in sorted(worker_names(src.tree)):
+    for name in sorted(names):
         func = defs.get(name)
         if func is not None:
             out[name] = worker_mutations(src, func)
@@ -445,9 +439,8 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
     anything unserializable inside them is a crash at dispatch.
     """
     out: List[Tuple[ast.Return, Origin]] = []
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
+    cfgs = cfgs_for(src)
+    for node in src.nodes(ast.ClassDef):
         methods = {
             sub.name: sub
             for sub in node.body
@@ -458,8 +451,8 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
         ):
             continue
         func = methods["root_state"]
-        analysis = PickleTaint(src.lines, _local_def_names(func))
-        cfg = build_cfg(list(func.body))
+        analysis = PickleTaint(src.lines, _local_def_names(src, func))
+        _func, cfg = cfgs[id(func)]
         before = analysis.run(cfg)
         for cfg_node in cfg.nodes:
             stmt = cfg_node.stmt

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.analysis.source import root_name, terminal_name
+from repro.analysis.source import root_name, terminal_name, walk_own
 
 #: Callee names that emit a clique into the run's sink.  The template
 #: devirtualizes the sink into ``sink_call``; fixtures may use the
@@ -52,10 +52,6 @@ HOOK_ROOTS = frozenset({"san", "obs"})
 MAX_GUARD_ATOMS = 8
 
 FlagEnv = Dict[str, bool]
-
-_SCOPE_BARRIERS = (
-    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
-)
 
 
 # ----------------------------------------------------------------------
@@ -330,15 +326,6 @@ Item = Union[Effect, Branch, Loop, TryBlock, Block, Nested]
 # ----------------------------------------------------------------------
 # normalization
 # ----------------------------------------------------------------------
-def _walk_own_expr(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into nested scopes."""
-    yield node
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, _SCOPE_BARRIERS):
-            continue
-        yield from _walk_own_expr(child)
-
-
 def hook_label(call: ast.Call) -> Optional[str]:
     """``root:hook:on_name[:detail]`` for a hook call, else None.
 
@@ -383,7 +370,7 @@ def _effect_for(stmt: ast.stmt, scope: Optional[str]) -> Effect:
         kind = "global" if isinstance(stmt, ast.Global) else "nonlocal"
         return Effect("scope", f"{kind} {', '.join(stmt.names)}", canon, line)
     calls = [
-        sub for sub in _walk_own_expr(stmt) if isinstance(sub, ast.Call)
+        sub for sub in walk_own([stmt]) if isinstance(sub, ast.Call)
     ]
     emits = [
         c for c in calls if terminal_name(c.func) in EMIT_CALLEES

@@ -3,14 +3,24 @@
 Every rule receives :class:`SourceFile` objects — the parsed module
 plus the raw lines — so the expensive work (reading, parsing, parent
 links, per-line suppression scanning) happens exactly once per file no
-matter how many rules run.
+matter how many rules run.  The one walk that builds the parent links
+also builds the **node index**: :meth:`SourceFile.nodes` returns the
+nodes of the requested AST types in the order ``ast.walk`` yields
+them, so a rule that would walk the whole module queries it instead.
+
+:func:`walk_own` is the one definition of "the nodes a statement
+evaluates in its own scope": the pre-order walk behind
+:meth:`~repro.analysis.flow.cfg.Node.exprs`, which never enters the
+body of a nested ``def``, ``class`` or ``lambda``.
 """
 
 from __future__ import annotations
 
 import ast
+import heapq
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 #: Inline suppression syntax, e.g.::
 #:
@@ -33,9 +43,18 @@ class SourceFile:
         self.lines: List[str] = text.splitlines()
         self.tree: ast.Module = ast.parse(text, filename=path)
         self._parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(self.tree):
+        #: AST type -> ``(walk position, node)`` in ``ast.walk`` order.
+        self._index: Dict[type, List[Tuple[int, ast.AST]]] = {}
+        # ``ast.walk``'s own breadth-first loop, visiting each node once.
+        todo: Deque[ast.AST] = deque([self.tree])
+        position = 0
+        while todo:
+            node = todo.popleft()
+            self._index.setdefault(type(node), []).append((position, node))
+            position += 1
             for child in ast.iter_child_nodes(node):
                 self._parents[child] = node
+                todo.append(child)
         #: line number -> set of suppressed rule ids (empty set = all).
         self._suppressions: Dict[int, Set[str]] = {}
         for lineno, line in enumerate(self.lines, start=1):
@@ -53,6 +72,11 @@ class SourceFile:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         """The syntactic parent of ``node`` (None for the module)."""
         return self._parents.get(node)
+
+    def nodes(self, *types: type) -> List[ast.AST]:
+        """Every node of exactly these AST types, in ``ast.walk`` order."""
+        merged = heapq.merge(*(self._index.get(t, []) for t in types))
+        return [node for _position, node in merged]
 
     def line_text(self, lineno: int) -> str:
         """The stripped source text of one 1-indexed line."""
@@ -107,22 +131,33 @@ def root_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-    """Yield every function with its stack of enclosing scopes.
+#: Definitions whose bodies run in a scope of their own.
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: ... and a lambda, whose body runs only when it is called.
+SCOPE_BARRIERS = _DEFINITIONS + (ast.Lambda,)
 
-    The stack contains the enclosing Module/ClassDef/FunctionDef nodes
-    from outermost to innermost (excluding the function itself).
+
+def walk_own(
+    roots: Iterable[ast.AST], lambdas: bool = False
+) -> List[ast.AST]:
+    """The nodes ``roots`` evaluate in their own scope, pre-order.
+
+    A nested ``def``, ``class`` or ``lambda`` is skipped with its body,
+    and a root of one of those kinds contributes only itself.  With
+    ``lambdas`` the walk enters lambda bodies: a lambda has no name of
+    its own to be scoped by.
     """
-    def visit(node: ast.AST, stack: List[ast.AST]) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, stack
-                yield from visit(child, stack + [child])
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, stack + [child])
-            else:
-                yield from visit(child, stack)
-
-    yield from visit(tree, [tree])
+    barriers: Tuple[type, ...] = _DEFINITIONS if lambdas else SCOPE_BARRIERS
+    out: List[ast.AST] = []
+    stack = list(roots)[::-1]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, barriers):
+            continue  # only a root can be one: children are filtered
+        stack.extend(
+            child
+            for child in reversed(list(ast.iter_child_nodes(node)))
+            if not isinstance(child, barriers)
+        )
+    return out

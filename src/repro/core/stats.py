@@ -243,13 +243,16 @@ class EnumerationResult:
     ``phases`` holds the engine's per-phase seconds (``reduction``,
     ``ordering``, ``recursion``, ``sanitize``), recorded on every
     engine run whether or not an observer is bound; merged results sum
-    them over shards.  Wall time is never part of result equality.
+    them over shards.  Wall time is never part of result equality, so
+    ``shards``, ``fleet`` and ``phases`` (which all carry it) are left
+    out of ``==``: two results are equal when their cliques and
+    ``stats`` are.
     """
 
     cliques: CliqueList = field(default_factory=CliqueList)
     stats: SearchStats = field(default_factory=SearchStats)
-    shards: list = field(default_factory=list)
-    fleet: dict = field(default_factory=dict)
+    shards: list = field(default_factory=list, compare=False)
+    fleet: dict = field(default_factory=dict, compare=False)
     phases: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):

@@ -84,10 +84,12 @@ def open_for_salt(path):
 
 
 def helper_inside_key_for(fields):
-    # A nested non-key helper may resolve paths for I/O; its body is
-    # scoped by its own name, not the enclosing key function's.
+    # A nested non-key helper may resolve paths and read the clock for
+    # I/O; its body is scoped by its own name, not the enclosing key
+    # function's.
     def locate(name):
-        return os.path.join(os.getcwd(), name)
+        stamp = time.time()
+        return os.path.join(os.getcwd(), "%s.%d" % (name, stamp))
 
     payload = json.dumps(fields, sort_keys=True)
     assert locate("x")

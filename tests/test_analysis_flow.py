@@ -354,6 +354,99 @@ def test_rep012_exempts_fill_once_memo_globals():
     )
 
 
+def test_rep012_reports_a_mutation_in_a_with_body_once_at_its_line():
+    found = assert_flags(
+        """
+        import os
+
+        def f(lock, value, graph):
+            with lock:
+                os.environ.update(MODE=value)
+            return render(graph)
+        """,
+        "REP012",
+    )
+    assert found[0].line_text == "os.environ.update(MODE=value)"
+
+
+def test_rep012_reports_a_mutation_in_a_for_body_once_at_its_line():
+    found = assert_flags(
+        """
+        import os
+
+        def f(names, graph):
+            for name in names:
+                os.environ.pop(name, None)
+            return render(graph)
+        """,
+        "REP012",
+    )
+    assert found[0].line_text == "os.environ.pop(name, None)"
+
+
+def test_rep012_does_not_report_a_nested_def_at_the_def_line():
+    # The pop belongs to `clear`, and is reported there; the module
+    # body only defines `clear`.
+    found = assert_flags(
+        """
+        import os
+
+        def clear(name, graph):
+            os.environ.pop(name, None)
+            return render(graph)
+
+        clear("MODE", load())
+        """,
+        "REP012",
+    )
+    assert found[0].line_text == "os.environ.pop(name, None)"
+
+
+def test_rep012_outer_local_shadowing_a_nested_global_is_silent():
+    assert_clean(
+        """
+        X = 1
+
+        def outer(graph):
+            def inner():
+                global X
+                X = 3
+            X = 2
+            return render(graph, X)
+        """,
+        "REP012",
+    )
+
+
+def test_rep012_names_the_raising_call_in_a_with_body_as_the_escape():
+    # A `with lock:` header evaluates only `lock`, which cannot raise;
+    # the escape is the call in its body, with or without a nested def
+    # before it.
+    plain = """
+        import sys
+
+        def f(lock):
+            sys.setrecursionlimit(5000)
+            with lock:
+                foo()
+            sys.setrecursionlimit(1000)
+        """
+    nested = """
+        import sys
+
+        def f(lock):
+            sys.setrecursionlimit(5000)
+            with lock:
+                def helper():
+                    return 1
+                foo()
+            sys.setrecursionlimit(1000)
+        """
+    for code in (plain, nested):
+        found = assert_flags(code, "REP012")
+        assert found[0].trace[-1]["text"] == "foo()", found[0].trace
+
+
 # ----------------------------------------------------------------------
 # seeded mutant corpus: every mutant fires with the expected trace
 # ----------------------------------------------------------------------
@@ -765,6 +858,37 @@ def test_one_flow_domain_pass_per_file(monkeypatch):
     run_rules([src], all_rules())
     assert sorted(folds) == sorted(driver.legal_variant_keys())
     assert summaries == [src.path]
+
+
+def test_node_index_keeps_ast_walk_order():
+    src = SourceFile.read(str(SRC_REPRO / "engine" / "driver.py"))
+    walk = list(ast.walk(src.tree))
+    assert src.nodes(*{type(node) for node in walk}) == walk
+    assert src.nodes(ast.AsyncFunctionDef, ast.FunctionDef) == [
+        node for node in walk
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_rules_never_walk_the_whole_module(monkeypatch):
+    # The one walk over each tree is SourceFile's own, which builds the
+    # parent map and the node index; every rule reads those.
+    from repro.analysis.registry import all_rules
+
+    real_walk = ast.walk
+    for rel in ("core/partition.py", "engine/driver.py", "store/key.py"):
+        src = SourceFile.read(str(SRC_REPRO / rel))
+        module_walks = []
+
+        def counting_walk(node, tree=src.tree, seen=module_walks):
+            if node is tree:
+                seen.append(node)
+            return real_walk(node)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        run_rules([src], all_rules())
+        monkeypatch.setattr(ast, "walk", real_walk)
+        assert len(module_walks) == 0, rel
 
 
 def test_rep010_walrus_in_a_nested_def_stays_in_its_scope():

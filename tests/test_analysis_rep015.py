@@ -141,6 +141,20 @@ def test_functions_outside_the_name_pattern_are_out_of_scope():
     assert findings == []
 
 
+def test_hash_inside_a_lambda_sort_key_is_in_the_key_functions_scope():
+    # A lambda has no name of its own to be scoped by, so its body is
+    # the key function's.
+    findings = _findings(text=(
+        "import hashlib\n"
+        "def run_key_for(parts):\n"
+        "    ordered = sorted(parts, key=lambda part: hash(part))\n"
+        "    return hashlib.sha256(repr(ordered).encode()).hexdigest()\n"
+    ))
+    assert len(findings) == 1
+    assert findings[0].line == 3
+    assert "hash() is an interpreter-session value" in findings[0].message
+
+
 def test_suppression_comment_silences_the_rule():
     findings = _findings(text=(
         "import json\n"

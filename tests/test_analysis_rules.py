@@ -285,6 +285,32 @@ def test_suppression_for_other_rule_does_not_apply():
     assert suppressed == []
 
 
+def test_suppressed_findings_come_out_sorted(tmp_path):
+    # REP001 runs before REP003, yet the REP003 on line 2 comes first.
+    import io
+    import json
+
+    from repro.analysis.cli import main
+
+    path = tmp_path / "two_rules.py"
+    path.write_text(
+        "def f(p, values):\n"
+        "    exact = p == 0.5  # repro-lint: ok REP003 exact sentinel\n"
+        "    seen = set(values)\n"
+        "    out = []\n"
+        "    if exact:\n"
+        "        return out\n"
+        "    return [v for v in seen]  # repro-lint: ok REP001 caller sorts\n"
+    )
+    out = io.StringIO()
+    code = main([str(path), "--no-baseline", "--format=json"], out=out)
+    assert code == 0
+    suppressed = json.loads(out.getvalue())["suppressed"]
+    assert [(f["rule"], f["line"]) for f in suppressed] == [
+        ("REP003", 2), ("REP001", 7),
+    ]
+
+
 # ----------------------------------------------------------------------
 # REP002 — module-level randomness
 # ----------------------------------------------------------------------

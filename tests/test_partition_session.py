@@ -133,6 +133,17 @@ class TestPartitioned:
         assert merged.shards == []
         assert merged.fleet == {}
 
+    def test_equal_runs_compare_equal_whatever_their_wall_times(self):
+        # Shards and fleet carry wall seconds, pids and peak RSS, which
+        # are never part of result equality.
+        a, b = (
+            enumerate_parallel(figure1_graph(), 3, 0.1, parts=2, processes=1)
+            for _ in range(2)
+        )
+        assert a.shards and a.fleet
+        assert a.stats == b.stats
+        assert a == b
+
 
 class TestParallel:
     def test_parallel_matches_monolithic(self):
