@@ -24,19 +24,15 @@ classes this reproduction lives by:
   (REP015).
 
 Run it with ``python -m repro.analysis [paths…]``; see
-``docs/analysis.md`` for the rule catalog, suppression syntax and
-baseline workflow.
+``docs/analysis.md`` for the rule catalog and the suppression syntax.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules, get_rule, rule
 from repro.analysis.runner import AnalysisReport, analyze
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "Rule",
     "Severity",

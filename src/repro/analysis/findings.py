@@ -2,8 +2,8 @@
 
 A :class:`Finding` is one diagnosed violation: a rule id, a severity,
 a source location and a human-readable message.  Findings are plain
-frozen dataclasses so they can be sorted, hashed, serialized to JSON
-and compared against baseline entries without any rule-specific logic.
+frozen dataclasses so they can be sorted, hashed and serialized to
+JSON without any rule-specific logic.
 """
 
 from __future__ import annotations
@@ -39,18 +39,16 @@ class Finding:
     rule: str
     severity: Severity = field(compare=False)
     message: str = field(compare=False)
-    #: The stripped source line the finding points at.  Baseline
-    #: matching keys on this text instead of the line number, so
-    #: unrelated edits above a grandfathered finding do not invalidate
-    #: the baseline entry.
+    #: The stripped source line the finding points at.
     line_text: str = field(compare=False, default="")
     #: Dataflow trace (flow rules only): a tuple of step dicts with
     #: ``line``/``col``/``text``/``note`` keys, oldest (the source)
     #: first and the sink last.  Empty for single-point rules.
     trace: Tuple[Dict[str, object], ...] = field(compare=False, default=())
     #: Structural fingerprint (flow rules only): hashes the source and
-    #: sink *text*, never line numbers, so unrelated edits do not
-    #: invalidate baseline suppressions.  Empty for single-point rules.
+    #: sink *text*, never line numbers, so a result keeps its identity
+    #: across unrelated edits (SARIF ``partialFingerprints``).  Empty
+    #: for single-point rules.
     fingerprint: str = field(compare=False, default="")
 
     def format_text(self) -> str:
@@ -81,8 +79,8 @@ class Finding:
 def flow_fingerprint(rule: str, source_text: str, sink_text: str) -> str:
     """Stable fingerprint for a flow finding's source/sink pair.
 
-    Deliberately excludes line numbers and intermediate hops: a
-    suppression survives any edit that keeps the source and sink lines
+    Deliberately excludes line numbers and intermediate hops: the
+    fingerprint survives any edit that keeps the source and sink lines
     textually intact.
     """
     digest = hashlib.sha256(

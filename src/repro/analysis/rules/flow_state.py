@@ -245,7 +245,7 @@ def check_unrestored_state(src: SourceFile) -> Iterator[Finding]:
         restoring_cache: Dict[Key, Set[int]] = {}
         for node in cfg.nodes:
             stmt = node.stmt
-            if stmt is None or node.kind not in ("stmt", "iter"):
+            if stmt is None:
                 continue
             for key in _node_mutations(node, global_names):
                 kind, name = key

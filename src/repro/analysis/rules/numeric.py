@@ -5,7 +5,7 @@ codebase are accumulated products (or log-domain sums) of floats;
 ``==`` / ``!=`` against them is at best an exact-sentinel check and at
 worst a latent order-of-evaluation bug.  Every such comparison must be
 rewritten with an epsilon / ``math.isclose`` guard or explicitly
-recorded (suppression or baseline) as an intentional sentinel.
+recorded with a suppression as an intentional sentinel.
 
 REP004 — mutable default arguments and bare ``except:``.  The two
 classic correctness traps: a shared mutable default leaks state across
@@ -102,10 +102,10 @@ def check_float_equality(src: SourceFile) -> Iterator[Finding]:
             )
     # Flow extension: a probability that moved through assignments into
     # an innocently-named variable is still a probability.  The direct
-    # (syntactic) check above keeps its exact messages for baseline
-    # compatibility; the flow half only adds comparisons the name
-    # heuristic cannot see, with the provenance chain attached.  Its
-    # sinks come from the flow-domain pass REP010 and REP011 share.
+    # (syntactic) check above keeps its exact messages; the flow half
+    # only adds comparisons the name heuristic cannot see, with the
+    # provenance chain attached.  Its sinks come from the flow-domain
+    # pass REP010 and REP011 share.
     yield from _check_flow_equality(src, direct_hits)
 
 

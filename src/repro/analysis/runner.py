@@ -1,11 +1,11 @@
 """The repro-lint analysis driver.
 
 Collects python files and maps :func:`check_file` over them: it reads
-and parses one file, runs every rule on it and applies that file's
-inline suppressions.  With ``jobs > 1`` the map runs over a process
-pool, so each file is parsed once, in the process that checks it; the
-calling process parses nothing, concatenates the per-file results in
-:func:`collect_files` order and applies the baseline.
+and parses one file, runs every rule on it, applies that file's inline
+suppressions and checks the suppressions themselves.  With ``jobs > 1``
+the map runs over a process pool, so each file is parsed once, in the
+process that checks it; the calling process parses nothing and
+concatenates the per-file results in :func:`collect_files` order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import Rule, all_rules
 from repro.analysis.source import SourceFile
@@ -26,13 +25,11 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
-    unused_baseline: List[BaselineEntry] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no new (unsuppressed, unbaselined) findings exist."""
+        """True when no unsuppressed findings exist."""
         return not self.findings
 
     def errors(self) -> List[Finding]:
@@ -63,7 +60,7 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 def run_rules(
     files: List[SourceFile], rules: Optional[List[Rule]] = None
 ) -> "Tuple[List[Finding], List[Finding]]":
-    """Raw ``(kept, suppressed)`` findings (baseline not yet applied)."""
+    """Raw ``(kept, suppressed)`` findings of ``rules`` (default: all)."""
     if rules is None:
         rules = all_rules()
     kept: List[Finding] = []
@@ -71,20 +68,59 @@ def run_rules(
     for src in files:
         for rule in rules:
             for finding in rule.run(src):
-                if src.is_suppressed(finding.rule, finding.line):
-                    suppressed.append(finding)
-                else:
+                if src.suppression_for(finding.rule, finding.line) is None:
                     kept.append(finding)
+                else:
+                    suppressed.append(finding)
     return sorted(kept), sorted(suppressed)
+
+
+def suppression_findings(
+    src: SourceFile, suppressed: List[Finding]
+) -> List[Finding]:
+    """One SUPPRESS finding per suppression comment of ``src`` that
+    names no rule id, gives no reason, or names an id that silenced
+    none of ``suppressed`` (every rule's suppressed findings)."""
+    used = {
+        (src.suppression_for(f.rule, f.line), f.rule) for f in suppressed
+    }
+    out: List[Finding] = []
+    for line, entry in src.suppressions.items():
+        problems = []
+        if not entry.ids:
+            problems.append("names no rule id")
+        elif not entry.reason:
+            problems.append("gives no reason")
+        idle = sorted(i for i in entry.ids if (line, i) not in used)
+        if idle:
+            problems.append(f"silenced no {', '.join(idle)} finding")
+        if problems:
+            out.append(
+                Finding(
+                    path=src.path,
+                    line=line,
+                    col=entry.col,
+                    rule="SUPPRESS",
+                    severity=Severity.ERROR,
+                    message=(
+                        "suppression comment " + "; ".join(problems)
+                        + ": name each silenced rule id and the reason, "
+                        "or delete the comment"
+                    ),
+                    line_text=src.line_text(line),
+                )
+            )
+    return out
 
 
 def check_file(path: str) -> "Tuple[List[Finding], List[Finding]]":
     """Read, parse and check one file: its ``(kept, suppressed)``.
 
-    A syntax error becomes the file's one kept PARSE finding, so an
-    unparseable file cannot abort the rest of the scan.  Takes a path
-    and returns picklable findings, so it runs unchanged in a pool
-    worker.
+    Every rule runs, so a suppression comment that silenced nothing is
+    known here, and it is kept as a SUPPRESS finding.  A syntax error
+    becomes the file's one kept PARSE finding, so an unparseable file
+    cannot abort the rest of the scan.  Takes a path and returns
+    picklable findings, so it runs unchanged in a pool worker.
     """
     try:
         src = SourceFile.read(path)
@@ -99,26 +135,15 @@ def check_file(path: str) -> "Tuple[List[Finding], List[Finding]]":
             line_text=(exc.text or "").strip(),
         )
         return [parse], []
-    return run_rules([src])
+    kept, suppressed = run_rules([src])
+    return kept + suppression_findings(src, suppressed), suppressed
 
 
-def analyze(
-    paths: Sequence[str],
-    baseline: Optional[Baseline] = None,
-    jobs: int = 1,
-) -> AnalysisReport:
-    """Run the full analysis over ``paths``.
+def analyze(paths: Sequence[str], jobs: int = 1) -> AnalysisReport:
+    """Run the full analysis over ``paths`` (files and/or directories).
 
-    Parameters
-    ----------
-    paths:
-        Files and/or directories to scan.
-    baseline:
-        Optional committed baseline; matching findings are reported as
-        grandfathered instead of new.
-    jobs:
-        Worker processes that run :func:`check_file` (1 = in-process).
-        Output is identical for every value.
+    ``jobs`` worker processes run :func:`check_file` (1 = in-process);
+    the output is identical for every value.
     """
     file_paths = collect_files(paths)
     if jobs > 1 and len(file_paths) > 1:
@@ -129,16 +154,8 @@ def analyze(
     else:
         results = [check_file(path) for path in file_paths]
     report = AnalysisReport(files_scanned=len(file_paths))
-    findings: List[Finding] = []
     for kept, suppressed in results:
-        findings.extend(kept)
+        report.findings.extend(kept)
         report.suppressed.extend(suppressed)
-    findings.sort()
-    if baseline is not None:
-        new, grandfathered, unused = baseline.split(findings)
-        report.findings = new
-        report.grandfathered = grandfathered
-        report.unused_baseline = unused
-    else:
-        report.findings = findings
+    report.findings.sort()
     return report

@@ -8,9 +8,8 @@ actually reads is emitted:
 
 * ``tool.driver.rules`` — the full rule catalog with descriptions, so
   rule metadata renders even for runs with zero results;
-* one ``result`` per *new* finding (grandfathered and suppressed
-  findings are exchanged as suppressed results, matching how the text
-  formats treat them);
+* one ``result`` per finding, and one per suppressed finding marked
+  as suppressed ``inSource`` (by an inline comment);
 * a ``codeFlow`` per flow finding, translating the finding's trace
   (source → hops → sink) into ``threadFlowLocations`` so the code
   scanning UI shows the provenance chain inline.
@@ -116,10 +115,7 @@ def _driver_rules() -> List[dict]:
 def render_sarif(report) -> str:
     """One SARIF 2.1.0 document for an :class:`AnalysisReport`."""
     results = [_result(f) for f in report.findings]
-    # ``inSource`` = inline ``# repro-lint: ok`` comments;
-    # ``external`` = the committed baseline file.
     results += [_result(f, "inSource") for f in report.suppressed]
-    results += [_result(f, "external") for f in report.grandfathered]
     document = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,

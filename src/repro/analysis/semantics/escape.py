@@ -187,17 +187,15 @@ class PickleTaint(TaintAnalysis):
         return super().call_tags(call, env)
 
 
-def _local_def_names(src: SourceFile, func: Optional[ast.AST]) -> Set[str]:
-    """Names of the functions defined inside ``func``; at module level
-    (``func`` None), of every function in the file."""
-    defs = (
-        src.nodes(ast.FunctionDef, ast.AsyncFunctionDef)
-        if func is None
-        else ast.walk(func)
-    )
+def _local_def_names(func: Optional[ast.AST]) -> Set[str]:
+    """Names of the functions defined inside ``func``: closures, which
+    do not pickle.  At module level (``func`` None) there are none, as
+    a module-level function pickles by name."""
+    if func is None:
+        return set()
     return {
         node.name
-        for node in defs
+        for node in ast.walk(func)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node is not func
     }
@@ -237,39 +235,40 @@ def payload_escapes(
     cfgs = cfgs_for(src)
     for scope_id, scope_sites in by_scope.items():
         scope, cfg = cfgs[scope_id]
-        analysis = PickleTaint(src.lines, _local_def_names(src, scope))
+        analysis = PickleTaint(src.lines, _local_def_names(scope))
         before = analysis.run(cfg)
-        # Locate each dispatch statement's node to read its entry env.
-        for node in cfg.nodes:
-            if node.stmt is None:
+        # Read each dispatch at the one node that evaluates it (inside
+        # a lambda or class body, the node that defines it), in that
+        # node's entry env.
+        evaluated_at = {
+            id(sub): node for node in cfg.nodes for sub in node.exprs()
+        }
+        for site in scope_sites:
+            anchor: Optional[ast.AST] = site.call
+            while anchor is not None and id(anchor) not in evaluated_at:
+                anchor = src.parent(anchor)
+            if anchor is None:
                 continue
-            env = before.get(node.index)
+            env = before.get(evaluated_at[id(anchor)].index)
             if env is None:
                 continue
-            for site in scope_sites:
-                if not _stmt_contains(node.stmt, site.call):
-                    continue
-                exprs = list(site.payloads)
-                if site.worker is not None:
-                    exprs.append(site.worker)
-                for payload in exprs:
-                    probe = payload
-                    if site.kind == "pool" and isinstance(
-                        payload,
-                        (ast.GeneratorExp, ast.ListComp, ast.SetComp),
-                    ):
-                        # The pool iterates the iterable in the parent;
-                        # only its *elements* are pickled.
-                        probe = payload.elt
-                    origin = analysis.expr_tags(probe, env).get(TAG)
-                    if origin is not None:
-                        out.append(PayloadEscape(site, payload, origin))
-                        break
+            exprs = list(site.payloads)
+            if site.worker is not None:
+                exprs.append(site.worker)
+            for payload in exprs:
+                probe = payload
+                if site.kind == "pool" and isinstance(
+                    payload,
+                    (ast.GeneratorExp, ast.ListComp, ast.SetComp),
+                ):
+                    # The pool iterates the iterable in the parent;
+                    # only its *elements* are pickled.
+                    probe = payload.elt
+                origin = analysis.expr_tags(probe, env).get(TAG)
+                if origin is not None:
+                    out.append(PayloadEscape(site, payload, origin))
+                    break
     return out
-
-
-def _stmt_contains(stmt: ast.AST, call: ast.Call) -> bool:
-    return any(sub is call for sub in ast.walk(stmt))
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +450,7 @@ def frontier_returns(src: SourceFile) -> List[Tuple[ast.Return, Origin]]:
         ):
             continue
         func = methods["root_state"]
-        analysis = PickleTaint(src.lines, _local_def_names(src, func))
+        analysis = PickleTaint(src.lines, _local_def_names(func))
         _func, cfg = cfgs[id(func)]
         before = analysis.run(cfg)
         for cfg_node in cfg.nodes:

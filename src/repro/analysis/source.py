@@ -20,18 +20,26 @@ import ast
 import heapq
 import re
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Deque, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
+)
 
-#: Inline suppression syntax, e.g.::
-#:
-#:     for v in vertex_set:  # repro-lint: ok REP001 result set is unordered
-#:
-#: A bare ``# repro-lint: ok`` (no ids) silences every rule on that
-#: line.  The comment may sit on the flagged line or on the line
-#: directly above it.
+#: Inline suppression syntax: a comment that starts ``repro-lint: ok``,
+#: then names the rule ids it silences and gives the reason, on the
+#: flagged line or on the line directly above it (see
+#: ``docs/analysis.md``).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ok\b\s*((?:REP\d+[\s,]*)*)"
 )
+
+
+class Suppression(NamedTuple):
+    """One inline suppression comment."""
+
+    col: int
+    #: The rule ids it silences (none: it silences nothing).
+    ids: FrozenSet[str]
+    reason: str
 
 
 class SourceFile:
@@ -55,13 +63,16 @@ class SourceFile:
             for child in ast.iter_child_nodes(node):
                 self._parents[child] = node
                 todo.append(child)
-        #: line number -> set of suppressed rule ids (empty set = all).
-        self._suppressions: Dict[int, Set[str]] = {}
+        #: line number -> the suppression comment on that line.
+        self.suppressions: Dict[int, Suppression] = {}
         for lineno, line in enumerate(self.lines, start=1):
             match = _SUPPRESS_RE.search(line)
             if match:
-                ids = set(re.findall(r"REP\d+", match.group(1) or ""))
-                self._suppressions[lineno] = ids
+                self.suppressions[lineno] = Suppression(
+                    match.start(),
+                    frozenset(re.findall(r"REP\d+", match.group(1))),
+                    line[match.end():].strip(),
+                )
 
     @classmethod
     def read(cls, path: str) -> "SourceFile":
@@ -84,18 +95,19 @@ class SourceFile:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def is_suppressed(self, rule: str, lineno: int) -> bool:
-        """True when the rule is silenced on ``lineno`` (or just above).
+    def suppression_for(self, rule: str, lineno: int) -> Optional[int]:
+        """The line of the comment that silences ``rule`` on ``lineno``
+        (that line first, then the one just above), or None.
 
         The one-line-above lookup lets long flagged statements carry
         the comment on their own line instead of overflowing the
         flagged one.
         """
         for where in (lineno, lineno - 1):
-            ids = self._suppressions.get(where)
-            if ids is not None and (not ids or rule in ids):
-                return True
-        return False
+            found = self.suppressions.get(where)
+            if found is not None and rule in found.ids:
+                return where
+        return None
 
 
 # ----------------------------------------------------------------------

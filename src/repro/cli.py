@@ -132,12 +132,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.backend is not None:
         # PivotConfig reads REPRO_BACKEND at construction time, so the
         # override reaches every config the experiments build that does
-        # not pin a backend explicitly.
+        # not pin a backend explicitly.  It is process-wide on purpose:
+        # the process exits after main(), so there is nothing to restore.
+        # repro-lint: ok REP012 deliberate process-wide config of a one-shot CLI process
         os.environ["REPRO_BACKEND"] = args.backend
     if args.sanitize != "off":
         # Experiments build their PivotConfigs internally; the
         # environment override reaches them all without threading a
-        # parameter through every experiment signature.
+        # parameter through every experiment signature.  As for
+        # REPRO_BACKEND, a finally-restore would only churn state on
+        # the way out of a process that then exits.
+        # repro-lint: ok REP012 deliberate process-wide config of a one-shot CLI process
         os.environ["REPRO_SANITIZE"] = args.sanitize
     if args.trace_out and args.obs == "off":
         args.obs = "full"
@@ -145,7 +150,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.obs = "light"
     if args.obs != "off":
         # Same mechanism as --sanitize: the environment override
-        # reaches every internally-built PivotConfig.
+        # reaches every internally-built PivotConfig, for the life of
+        # the process.
+        # repro-lint: ok REP012 deliberate process-wide config of a one-shot CLI process
         os.environ["REPRO_OBS"] = args.obs
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     collected = {}

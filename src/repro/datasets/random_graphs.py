@@ -58,6 +58,9 @@ def barabasi_albert_weighted(
             pick = rng.choice(repeated) if repeated and rng.random() < 0.9 else rng.randrange(v)
             if pick != v:
                 chosen.add(pick)
+        # Sorting `chosen` would reorder the _interaction_weight draws and
+        # change every committed random-graph fixture.
+        # repro-lint: ok REP001 a set of small ints has unsalted hashes, so its order is reproducible
         for u in chosen:
             edges[(min(u, v), max(u, v))] = _interaction_weight(rng, max_weight)
             repeated.append(u)

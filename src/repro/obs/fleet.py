@@ -4,8 +4,8 @@ The flight recorder (:mod:`repro.obs.flight`) leaves one JSONL stream
 per process; this module turns a set of them into the operator-facing
 views:
 
-* :func:`fleet_summary` — the imbalance/utilization summary the
-  parallel driver stamps into ``EnumerationResult.fleet``;
+* :func:`fleet_summary` — the per-process imbalance/utilization
+  summary the parallel driver stamps into ``EnumerationResult.fleet``;
 * :func:`render_fleet` — a per-worker utilization table
   (``python -m repro.obs fleet flight-*.jsonl``), the one view that
   marks a worker log with no ``finish`` record as ``crashed``, over
@@ -25,32 +25,42 @@ from repro.obs.report import _table
 
 
 def fleet_summary(shards: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Imbalance/utilization summary over per-shard breakdown dicts.
+    """Imbalance/utilization summary of the processes behind the shards.
 
     ``shards`` are the breakdowns the parallel driver collects from
     each chunk, or the ``finish`` records of the chunks' flight logs,
     which hold the same fields (see
-    :func:`repro.core.partition.enumerate_parallel`).  The
-    result is deterministic: shards are ordered by index and the
-    merged registry uses max-mode gauges, so worker completion order
-    cannot change a byte.
+    :func:`repro.core.partition.enumerate_parallel`).  A process runs
+    its chunks one after another, so its busy time is the sum of their
+    walls, summed per ``pid`` (a shard with no ``pid`` is a process of
+    its own): ``workers``, ``wall_max_s``, ``wall_mean_s``,
+    ``imbalance`` and ``utilization`` describe those processes, and
+    ``wall_s`` keeps the per-chunk walls.  For a given assignment of
+    chunks to processes the result is deterministic: shards are
+    ordered by index and the merged registry uses max-mode gauges, so
+    worker completion order cannot change a byte.
     """
     if not shards:
         return {}
     ordered = sorted(shards, key=lambda s: int(s.get("shard", 0) or 0))
     walls = [float(s.get("wall_s") or 0.0) for s in ordered]
-    wall_max = max(walls)
-    wall_mean = sum(walls) / len(walls)
+    busy: Dict[object, float] = {}
+    for index, (shard, wall) in enumerate(zip(ordered, walls)):
+        pid = shard.get("pid")
+        lane = ("pid", pid) if pid is not None else ("shard", index)
+        busy[lane] = busy.get(lane, 0.0) + wall
+    wall_max = max(busy.values())
+    wall_mean = sum(busy.values()) / len(busy)
     summary: Dict[str, object] = {
-        "workers": len(ordered),
+        "workers": len(busy),
         "seeds": sum(int(s.get("seeds") or 0) for s in ordered),
         "outputs": sum(int(s.get("outputs") or 0) for s in ordered),
         "wall_s": [round(w, 6) for w in walls],
         "wall_max_s": round(wall_max, 6),
         "wall_mean_s": round(wall_mean, 6),
-        # max/mean: 1.0 is a perfectly balanced fan-out; the critical
-        # path is the slowest shard, so (imbalance - 1) is the wasted
-        # fraction a better split could reclaim.
+        # max/mean: 1.0 is a perfectly balanced pool; the critical
+        # path is the busiest process, so (imbalance - 1) is the wasted
+        # fraction a better assignment could reclaim.
         "imbalance": (
             round(wall_max / wall_mean, 4) if wall_mean > 0 else None
         ),

@@ -1,6 +1,6 @@
 """Flow-analysis core, the flow rules (REP010–REP012), the seeded
 mutant corpus, and the satellites that ride on the flow layer: SARIF
-output, fingerprint baselines and --jobs.
+output, fingerprints, suppressions and --jobs.
 
 The mutant corpus in ``tests/fixtures/flow_mutants/`` is the
 acceptance net: each file seeds exactly the bug class its name says,
@@ -15,7 +15,8 @@ import os
 import textwrap
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
+import pytest
+
 from repro.analysis.cli import main
 from repro.analysis.findings import Finding, flow_fingerprint
 from repro.analysis.flow import build_cfg, cfgs_for, fixpoint
@@ -418,6 +419,32 @@ def test_rep012_outer_local_shadowing_a_nested_global_is_silent():
     )
 
 
+@pytest.mark.parametrize(
+    "shape, col",
+    [
+        ('os.environ.pop("MODE", None)', 4),
+        ('if os.environ.pop("MODE", None):\n                pass', 7),
+        ('while os.environ.pop("MODE", None):\n                pass', 10),
+    ],
+    ids=["statement", "if-test", "while-test"],
+)
+def test_rep012_reports_a_mutation_in_a_branch_test_as_in_a_statement(
+    shape, col
+):
+    found = assert_flags(
+        f"""
+        import os
+
+        def f(graph):
+            {shape}
+            return render(graph)
+        """,
+        "REP012",
+    )
+    assert (found[0].line, found[0].col) == (5, col)
+    assert "os.environ" in found[0].message
+
+
 def test_rep012_names_the_raising_call_in_a_with_body_as_the_escape():
     # A `with lock:` header evaluates only `lock`, which cannot raise;
     # the escape is the call in its body, with or without a nested def
@@ -577,7 +604,7 @@ def test_rep003_flow_extension_flags_taint_through_assignments():
 
 
 # ----------------------------------------------------------------------
-# fingerprints and the baseline
+# fingerprints
 # ----------------------------------------------------------------------
 def _reclimit_code(prefix_lines=0):
     return ("# pad\n" * prefix_lines) + textwrap.dedent(
@@ -602,57 +629,22 @@ def test_fingerprint_survives_line_moves(tmp_path):
     assert first[0].fingerprint == second[0].fingerprint
 
 
-def test_baseline_fingerprint_matching_ignores_line_text(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text(_reclimit_code())
-    finding = analyze([str(bad)]).findings[0]
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(
-        json.dumps(
-            {
-                "findings": [
-                    {
-                        "rule": "REP012",
-                        "path": "mod.py",
-                        "line_text": "<stale text is ignored>",
-                        "fingerprint": finding.fingerprint,
-                        "justification": "fingerprint carries identity",
-                    }
-                ]
-            }
-        )
-    )
-    report = analyze(
-        [str(bad)], baseline=Baseline.load(str(baseline_file))
-    )
-    assert report.findings == []
-    assert len(report.grandfathered) == 1
-    assert report.unused_baseline == []
-
-
-def test_prune_stale_drops_fingerprint_entries_whose_finding_is_gone(
+def test_fixing_a_suppressed_finding_leaves_its_suppression_reported(
     tmp_path,
 ):
     bad = tmp_path / "mod.py"
-    bad.write_text(_reclimit_code())
-    finding = analyze([str(bad)]).findings[0]
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(
-        json.dumps(
-            {
-                "findings": [
-                    {
-                        "rule": "REP012",
-                        "path": "mod.py",
-                        "line_text": finding.line_text,
-                        "fingerprint": finding.fingerprint,
-                        "justification": "goes stale after the fix",
-                    }
-                ]
-            }
+    bad.write_text(
+        _reclimit_code().replace(
+            "    sys.setrecursionlimit(needed)\n",
+            "    # repro-lint: ok REP012 caller restores the limit\n"
+            "    sys.setrecursionlimit(needed)\n",
         )
     )
-    # Fix the bug: wrap in try/finally.
+    report = analyze([str(bad)])
+    assert report.findings == []
+    assert [f.rule for f in report.suppressed] == ["REP012"]
+    # Fix the bug: wrap in try/finally.  The suppression now silences
+    # nothing, and the scan says so.
     bad.write_text(
         textwrap.dedent(
             """
@@ -660,6 +652,7 @@ def test_prune_stale_drops_fingerprint_entries_whose_finding_is_gone(
 
             def f(graph, needed):
                 old = sys.getrecursionlimit()
+                # repro-lint: ok REP012 caller restores the limit
                 sys.setrecursionlimit(needed)
                 try:
                     return walk(graph)
@@ -668,26 +661,19 @@ def test_prune_stale_drops_fingerprint_entries_whose_finding_is_gone(
             """
         )
     )
-    code, text = run_cli(
-        [
-            str(bad),
-            "--baseline",
-            str(baseline_file),
-            "--prune-stale",
-        ]
-    )
-    assert code == 0
-    assert "pruned 1 stale entry" in text
-    assert json.loads(baseline_file.read_text())["findings"] == []
+    code, text = run_cli([str(bad)])
+    assert code == 1
+    assert "SUPPRESS" in text and "silenced no REP012 finding" in text
 
 
-def test_committed_baseline_rep012_entries_carry_fingerprints():
-    entries = Baseline.load(
-        str(REPO / "repro-lint.baseline.json")
-    ).entries
-    flow_entries = [e for e in entries if e.rule == "REP012"]
-    assert flow_entries, "cli.py env plumbing must be baselined"
-    assert all(e.fingerprint for e in flow_entries)
+def test_cli_env_exports_are_suppressed_inline():
+    # The CLI's three process-wide REPRO_* exports are deliberate: each
+    # carries an inline REP012 suppression, and each suppressed
+    # finding keeps the fingerprint SARIF reports.
+    report = analyze([str(SRC_REPRO / "cli.py")])
+    assert report.findings == []
+    assert [f.rule for f in report.suppressed] == ["REP012"] * 3
+    assert all(f.fingerprint for f in report.suppressed)
 
 
 # ----------------------------------------------------------------------
@@ -697,7 +683,7 @@ def test_cli_sarif_output_is_valid_and_carries_code_flows(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(_reclimit_code())
     code, text = run_cli(
-        [str(bad), "--no-baseline", "--format=sarif"]
+        [str(bad), "--format=sarif"]
     )
     assert code == 1
     doc = json.loads(text)
@@ -720,7 +706,7 @@ def test_cli_sarif_output_is_valid_and_carries_code_flows(tmp_path):
     assert "suppressions" not in result
 
 
-def test_sarif_marks_suppressed_and_baselined_results(tmp_path):
+def test_sarif_marks_suppressed_results(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "def f(values):\n"
@@ -728,7 +714,7 @@ def test_sarif_marks_suppressed_and_baselined_results(tmp_path):
         "    return [v for v in set(values)]\n"
     )
     code, text = run_cli(
-        [str(bad), "--no-baseline", "--format=sarif"]
+        [str(bad), "--format=sarif"]
     )
     assert code == 0
     results = json.loads(text)["runs"][0]["results"]
@@ -743,67 +729,43 @@ def _report_dict(report):
     return {
         "findings": [f.as_dict() for f in report.findings],
         "suppressed": [f.as_dict() for f in report.suppressed],
-        "grandfathered": [f.as_dict() for f in report.grandfathered],
-        "unused_baseline": report.unused_baseline,
         "files_scanned": report.files_scanned,
     }
 
 
 def test_jobs_parallel_results_match_serial(tmp_path):
-    # Suppression and PARSE now happen in the worker, so the fixture
-    # holds one of each beside a baselined finding and a stale entry.
+    # Suppression, its check and PARSE happen in the worker, so the
+    # fixture holds one of each beside a plain finding.
     tree = tmp_path / "tree"
     tree.mkdir()
     (tree / "a.py").write_text(
         "def f(values):\n    return [v for v in set(values)]\n"
     )
     (tree / "b.py").write_text(_reclimit_code())
-    (tree / "c.py").write_text("X = 1\n")
+    (tree / "c.py").write_text(
+        "X = 1  # repro-lint: ok REP001 nothing iterates here\n"
+    )
     (tree / "d.py").write_text(
         "def f(values):\n"
         "    # repro-lint: ok REP001 order-insensitive\n"
         "    return [v for v in set(values)]\n"
     )
     (tree / "e_broken.py").write_text("def f(:\n")
-    finding = analyze([str(tree / "b.py")]).findings[0]
-    baseline_file = tmp_path / "baseline.json"
-    baseline_file.write_text(
-        json.dumps(
-            {
-                "findings": [
-                    {
-                        "rule": "REP012",
-                        "path": "b.py",
-                        "line_text": finding.line_text,
-                        "fingerprint": finding.fingerprint,
-                        "justification": "grandfathered in the fixture",
-                    },
-                    {
-                        "rule": "REP001",
-                        "path": "gone.py",
-                        "line_text": "for v in s:",
-                        "justification": "stale in the fixture",
-                    },
-                ]
-            }
-        )
-    )
-    baseline = Baseline.load(str(baseline_file))
-    serial = analyze([str(tree)], baseline=baseline)
-    parallel = analyze([str(tree)], baseline=baseline, jobs=2)
+    serial = analyze([str(tree)])
+    parallel = analyze([str(tree)], jobs=2)
     assert _report_dict(serial) == _report_dict(parallel)
-    assert [f.rule for f in serial.findings] == ["REP001", "PARSE"]
+    assert [f.rule for f in serial.findings] == [
+        "REP001", "REP012", "SUPPRESS", "PARSE",
+    ]
     assert [f.rule for f in serial.suppressed] == ["REP001"]
-    assert [f.rule for f in serial.grandfathered] == ["REP012"]
-    assert [e.path for e in serial.unused_baseline] == ["gone.py"]
     assert serial.files_scanned == 5
 
 
 def test_parallel_analyze_parses_nothing_in_the_calling_process(
     tmp_path, monkeypatch
 ):
-    # Workers parse; the caller only collects paths, concatenates the
-    # per-file results and applies the baseline.
+    # Workers parse; the caller only collects paths and concatenates
+    # the per-file results.
     for name in ("a.py", "b.py", "c.py"):
         (tmp_path / name).write_text(
             "def f(values):\n    return [v for v in set(values)]\n"
@@ -826,7 +788,7 @@ def test_parallel_analyze_parses_nothing_in_the_calling_process(
 def test_cli_rejects_bad_jobs_value(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("X = 1\n")
-    code, _ = run_cli([str(clean), "--no-baseline", "--jobs", "0"])
+    code, _ = run_cli([str(clean), "--jobs", "0"])
     assert code == 2
 
 

@@ -303,7 +303,7 @@ def test_suppressed_findings_come_out_sorted(tmp_path):
         "    return [v for v in seen]  # repro-lint: ok REP001 caller sorts\n"
     )
     out = io.StringIO()
-    code = main([str(path), "--no-baseline", "--format=json"], out=out)
+    code = main([str(path), "--format=json"], out=out)
     assert code == 0
     suppressed = json.loads(out.getvalue())["suppressed"]
     assert [(f["rule"], f["line"]) for f in suppressed] == [

@@ -1,10 +1,11 @@
-"""Self-scan, engine conformance (REP005) and CLI/baseline behaviour.
+"""Self-scan, engine conformance (REP005), CLI and suppression behaviour.
 
 The self-scan is the analyzer's own acceptance test: the committed
-tree must be clean modulo the committed baseline, and the scan must
-actually see the engine anchors and the backend StateOps classes — a
-silent REP005, or a REP013 hook-coverage check with no anchors to
-check, would be a hole in the conformance net.
+tree must be clean modulo its inline suppressions, every suppression
+must silence a finding, and the scan must actually see the engine
+anchors and the backend StateOps classes — a silent REP005, or a
+REP013 hook-coverage check with no anchors to check, would be a hole
+in the conformance net.
 """
 
 import io
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.cli import main
 from repro.analysis.registry import get_rule
 from repro.analysis.runner import analyze, collect_files, run_rules
@@ -23,7 +23,6 @@ from repro.engine.protocol import PROTOCOL_METHODS
 
 REPO = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO / "src" / "repro"
-BASELINE = REPO / "repro-lint.baseline.json"
 ENGINE_DRIVER = SRC_REPRO / "engine" / "driver.py"
 DICT_BACKEND = SRC_REPRO / "core" / "pmuc.py"
 KERNEL_BACKEND = SRC_REPRO / "kernel" / "enumerate.py"
@@ -38,27 +37,17 @@ def run_cli(argv):
 # ----------------------------------------------------------------------
 # self-scan
 # ----------------------------------------------------------------------
-def test_src_repro_is_clean_modulo_baseline():
-    # The one full-tree scan of the suite, run the way CI runs it.
-    code, text = run_cli(
-        [
-            str(SRC_REPRO),
-            "--baseline",
-            str(BASELINE),
-            "--fail-on-stale",
-            "--jobs",
-            "2",
-            "--format=json",
-        ]
-    )
+def test_src_repro_is_clean():
+    # The one full-tree scan of the suite, run the way CI runs it.  A
+    # suppression that silenced nothing would be a SUPPRESS finding.
+    code, text = run_cli([str(SRC_REPRO), "--jobs", "2", "--format=json"])
     payload = json.loads(text)
     assert payload["findings"] == [], payload["findings"]
     assert code == 0
     assert payload["files_scanned"] > 50
-    # The committed baseline must stay minimal and fully used.
-    assert payload["unused_baseline"] == []
-    # One REP001 (random_graphs) + three REP012 (cli.py env plumbing).
-    assert len(payload["grandfathered"]) == 4
+    # Nine in the library, one REP001 in random_graphs.py and three
+    # REP012 on the CLI's environment exports.
+    assert len(payload["suppressed"]) == 13
 
 
 def test_self_scan_sees_the_engine_anchors():
@@ -160,12 +149,16 @@ def test_rep005_silent_on_the_engine_itself_and_the_framework():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_without_baseline_reports_the_grandfathered_finding():
-    code, text = run_cli(
-        [str(SRC_REPRO / "datasets" / "random_graphs.py"), "--no-baseline"]
-    )
+def test_random_graphs_finding_is_reported_without_its_suppression(tmp_path):
+    text = (SRC_REPRO / "datasets" / "random_graphs.py").read_text()
+    marker = "# repro-lint: ok REP001 "
+    assert text.count(marker) == 1
+    copy = tmp_path / "random_graphs.py"
+    copy.write_text(text.replace(marker, "# "))
+    code, out = run_cli([str(copy)])
     assert code == 1
-    assert "random_graphs.py" in text
+    assert "REP001" in out and "random_graphs.py" in out
+    assert run_cli([str(SRC_REPRO / "datasets" / "random_graphs.py")])[0] == 0
 
 
 def test_cli_list_rules_prints_the_catalog():
@@ -181,7 +174,7 @@ def test_cli_list_rules_prints_the_catalog():
 def test_cli_json_output_is_machine_readable(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(values):\n    return [v for v in set(values)]\n")
-    code, text = run_cli([str(bad), "--no-baseline", "--format=json"])
+    code, text = run_cli([str(bad), "--format=json"])
     assert code == 1
     payload = json.loads(text)
     assert payload["ok"] is False
@@ -194,80 +187,13 @@ def test_cli_missing_path_is_a_usage_error(tmp_path):
     assert code == 2
 
 
-def test_cli_baseline_pointing_at_a_directory_is_a_usage_error(tmp_path):
-    """`--baseline <dir>` must exit 2 cleanly, not crash with a traceback.
-
-    Regression test for the CI invocation bug where `--baseline
-    src/repro` made argparse consume the scan path as the baseline
-    file and Baseline.load raised IsADirectoryError.
-    """
-    code, _ = run_cli(["--baseline", str(tmp_path), str(SRC_REPRO)])
-    assert code == 2
-
-
-def test_cli_write_baseline_roundtrips(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "def f(p):\n"
-        "    if p == 0.25:\n"
-        "        return [v for v in set(range(3))]\n"
-    )
-    skeleton = tmp_path / "baseline.json"
-    code, _ = run_cli(
-        [str(bad), "--no-baseline", "--write-baseline", str(skeleton)]
-    )
-    assert code == 0
-    # The skeleton grandfathers both findings once justified.
-    payload = json.loads(skeleton.read_text())
-    assert len(payload["findings"]) == 2
-    for entry in payload["findings"]:
-        entry["justification"] = "pinned by the round-trip test"
-    skeleton.write_text(json.dumps(payload))
-    code, text = run_cli([str(bad), "--baseline", str(skeleton)])
-    assert code == 0
-    assert "(2 baselined" in text
-
-
-def test_cli_write_baseline_preserves_grandfathered_entries(tmp_path):
-    """Regenerating over an existing baseline keeps its entries —
-    with their hand-written justifications — instead of silently
-    dropping everything already grandfathered."""
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "def f(p):\n"
-        "    if p == 0.25:\n"
-        "        return [v for v in set(range(3))]\n"
-    )
-    first = tmp_path / "first.json"
-    code, _ = run_cli(
-        [str(bad), "--no-baseline", "--write-baseline", str(first)]
-    )
-    assert code == 0
-    payload = json.loads(first.read_text())
-    for entry in payload["findings"]:
-        entry["justification"] = "kept across regeneration"
-    first.write_text(json.dumps(payload))
-    # Regenerate against the justified baseline: every finding is now
-    # grandfathered, yet the new file must still contain all of them
-    # with the original justifications.
-    second = tmp_path / "second.json"
-    code, _ = run_cli(
-        [str(bad), "--baseline", str(first), "--write-baseline", str(second)]
-    )
-    assert code == 0
-    regenerated = json.loads(second.read_text())
-    assert len(regenerated["findings"]) == len(payload["findings"]) == 2
-    for entry in regenerated["findings"]:
-        assert entry["justification"] == "kept across regeneration"
-
-
 # ----------------------------------------------------------------------
 # GitHub Actions output format
 # ----------------------------------------------------------------------
 def test_cli_github_format_emits_error_annotations(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def f(values):\n    return [v for v in set(values)]\n")
-    code, text = run_cli([str(bad), "--no-baseline", "--format=github"])
+    code, text = run_cli([str(bad), "--format=github"])
     assert code == 1
     annotation = next(
         line for line in text.splitlines() if line.startswith("::error ")
@@ -279,16 +205,14 @@ def test_cli_github_format_emits_error_annotations(tmp_path):
     assert "1 finding(s)" in text
 
 
-def test_cli_github_format_notices_stale_baseline_entries(tmp_path):
+def test_cli_github_format_annotates_an_unused_suppression(tmp_path):
     clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code, text = run_cli(
-        [str(clean), "--baseline", str(BASELINE), "--format=github"]
-    )
-    assert code == 0
-    assert "::notice " in text
-    assert "stale baseline entry" in text
-    assert "--prune-stale" in text
+    clean.write_text("X = 1  # repro-lint: ok REP001 nothing iterates here\n")
+    code, text = run_cli([str(clean), "--format=github"])
+    assert code == 1
+    assert "::error " in text
+    assert "title=SUPPRESS" in text
+    assert "silenced no REP001 finding" in text
 
 
 def test_github_escaping_of_workflow_command_payloads():
@@ -302,148 +226,79 @@ def test_github_escaping_of_workflow_command_payloads():
 
 
 # ----------------------------------------------------------------------
-# stale baseline entries: summary note and --prune-stale
+# suppressions: each names its rule ids and a reason, and silences one
 # ----------------------------------------------------------------------
-def test_cli_text_summary_flags_stale_entries(tmp_path):
-    clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code, text = run_cli([str(clean), "--baseline", str(BASELINE)])
-    assert code == 0
-    assert "4 stale baseline entries (--prune-stale drops them)" in text
+def _suppress_findings(tmp_path, text):
+    path = tmp_path / "mod.py"
+    path.write_text(text)
+    report = analyze([str(path)])
+    return [f for f in report.findings if f.rule == "SUPPRESS"], report
 
 
-def test_cli_prune_stale_rewrites_the_baseline(tmp_path):
-    clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    copy = tmp_path / "baseline.json"
-    copy.write_text(BASELINE.read_text())
-    code, text = run_cli(
-        [str(clean), "--baseline", str(copy), "--prune-stale"]
+def test_a_suppression_that_silences_nothing_is_a_finding(tmp_path):
+    found, report = _suppress_findings(
+        tmp_path, "X = 1  # repro-lint: ok REP001 nothing iterates here\n"
     )
-    assert code == 0
-    assert "pruned 4 stale entries" in text
-    # The rewritten file is empty and the post-prune summary no longer
-    # carries the stale note.
-    assert json.loads(copy.read_text())["findings"] == []
-    assert "stale baseline" not in text
-    # The committed baseline itself was never touched.
-    assert json.loads(BASELINE.read_text())["findings"]
+    assert [(f.line, f.col) for f in found] == [(1, 7)]
+    assert "silenced no REP001 finding" in found[0].message
+    assert found[0].severity.value == "error"
+    assert not report.ok
 
 
-def test_cli_prune_stale_keeps_live_entries_and_justifications(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "def f(p):\n"
-        "    if p == 0.25:\n"
-        "        return [v for v in set(range(3))]\n"
+def test_a_suppression_naming_an_idle_rule_beside_a_used_one(tmp_path):
+    found, report = _suppress_findings(
+        tmp_path,
+        "def f(values):\n"
+        "    # repro-lint: ok REP001 REP003 order-insensitive\n"
+        "    return [v for v in set(values)]\n",
     )
-    baseline = tmp_path / "baseline.json"
-    code, _ = run_cli(
-        [str(bad), "--no-baseline", "--write-baseline", str(baseline)]
-    )
-    assert code == 0
-    payload = json.loads(baseline.read_text())
-    assert len(payload["findings"]) == 2
-    for entry in payload["findings"]:
-        entry["justification"] = "kept across the prune"
-    baseline.write_text(json.dumps(payload))
-    # Fix the REP003 comparison; its baseline entry goes stale while
-    # the REP001 one stays live.
-    bad.write_text(
-        "def f(p):\n"
-        "    if p >= 0.25:\n"
-        "        return [v for v in set(range(3))]\n"
-    )
-    code, text = run_cli(
-        [str(bad), "--baseline", str(baseline), "--prune-stale"]
-    )
-    assert code == 0
-    assert "pruned 1 stale entry" in text
-    assert "(1 kept)" in text
-    kept = json.loads(baseline.read_text())["findings"]
-    assert len(kept) == 1
-    assert kept[0]["rule"] == "REP001"
-    assert kept[0]["justification"] == "kept across the prune"
+    assert [f.rule for f in report.suppressed] == ["REP001"]
+    assert [f.line for f in found] == [2]
+    assert "silenced no REP003 finding" in found[0].message
 
 
-def test_cli_prune_stale_without_baseline_is_a_usage_error(tmp_path):
-    clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code, _ = run_cli([str(clean), "--no-baseline", "--prune-stale"])
-    assert code == 2
-
-
-def test_cli_fail_on_stale_turns_stale_entries_into_exit_1(tmp_path, capsys):
-    # Against a clean file the committed baseline's single entry is
-    # stale; CI's --fail-on-stale makes that a hard failure instead of
-    # the default informational note.
-    clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code, text = run_cli(
-        [str(clean), "--baseline", str(BASELINE), "--fail-on-stale"]
+def test_a_suppression_without_a_rule_id_is_a_finding(tmp_path):
+    # A bare marker silences nothing: the REP001 finding stays.
+    found, report = _suppress_findings(
+        tmp_path,
+        "def f(values):\n"
+        "    # repro-lint: ok order-insensitive\n"
+        "    return [v for v in set(values)]\n",
     )
+    assert [f.line for f in found] == [2]
+    assert "names no rule id" in found[0].message
+    assert [f.rule for f in report.findings] == ["SUPPRESS", "REP001"]
+    assert report.suppressed == []
+
+
+def test_a_suppression_without_a_reason_is_a_finding(tmp_path):
+    found, report = _suppress_findings(
+        tmp_path,
+        "def f(values):\n"
+        "    # repro-lint: ok REP001\n"
+        "    return [v for v in set(values)]\n",
+    )
+    assert [f.line for f in found] == [2]
+    assert "gives no reason" in found[0].message
+    assert [f.rule for f in report.suppressed] == ["REP001"]
+    code, _ = run_cli([str(tmp_path / "mod.py")])
     assert code == 1
-    assert "unused baseline entry" in text
-    assert "--prune-stale" in capsys.readouterr().err
 
 
-# ----------------------------------------------------------------------
-# baseline semantics
-# ----------------------------------------------------------------------
-def test_baseline_requires_justifications(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "findings": [
-                    {
-                        "rule": "REP001",
-                        "path": "x.py",
-                        "line_text": "for v in s:",
-                        "justification": "   ",
-                    }
-                ]
-            }
-        )
-    )
-    with pytest.raises(BaselineError, match="justification"):
-        Baseline.load(str(path))
-    code, _ = run_cli(["--baseline", str(path), str(SRC_REPRO)])
-    assert code == 2
-
-
-def test_baseline_matching_survives_line_moves(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text(
-        "def f(values):\n    return [v for v in set(values)]\n"
-    )
-    entries = Baseline.load(str(BASELINE)).entries
-    assert entries, "committed baseline unexpectedly empty"
-    report = analyze([str(bad)], baseline=Baseline.load(str(BASELINE)))
-    # Unrelated entries never match; the finding stays new, the entry
-    # is reported unused.
-    assert len(report.findings) == 1
-    assert len(report.unused_baseline) == len(entries)
-
-
-def test_unused_baseline_entries_are_reported(tmp_path):
+def test_an_unused_suppression_exits_1(tmp_path):
     clean = tmp_path / "clean.py"
-    clean.write_text("X = 1\n")
-    code, text = run_cli([str(clean), "--baseline", str(BASELINE)])
-    assert code == 0
-    assert "unused baseline entry" in text
+    clean.write_text("X = 1  # repro-lint: ok REP001 nothing iterates here\n")
+    code, _ = run_cli([str(clean)])
+    assert code == 1
 
 
-def test_baseline_parent_dir_path_does_not_match(tmp_path):
-    """'../pkg/mod.py' points outside the tree — it must not match
-    'pkg/mod.py' (lstrip('./') used to strip the leading dots)."""
-    from repro.analysis.baseline import _same_path
-
-    assert not _same_path("../pkg/mod.py", "pkg/mod.py")
-    assert not _same_path("pkg/mod.py", "../pkg/mod.py")
-    assert _same_path("./pkg/mod.py", "pkg/mod.py")
-    assert _same_path("src/pkg/mod.py", "pkg/mod.py")
-    assert _same_path("../pkg/mod.py", "../pkg/mod.py")
+def test_cli_text_summary_reports_an_unused_suppression(tmp_path):
+    clean = tmp_path / "clean.py"
+    clean.write_text("X = 1  # repro-lint: ok REP001 nothing iterates here\n")
+    _, text = run_cli([str(clean)])
+    assert f"{clean}:1:7: SUPPRESS error:" in text
+    assert "silenced no REP001 finding" in text
+    assert "1 finding(s) (0 suppressed)" in text
 
 
 # ----------------------------------------------------------------------

@@ -610,6 +610,69 @@ def test_rep014_flags_lambda_worker_dispatch():
     assert "lambda" in kept[0].message
 
 
+def test_rep014_module_level_dispatch_of_a_module_level_worker_is_clean():
+    # A module-level function pickles by name: it is no closure, even
+    # when the dispatch itself sits at module level.
+    assert findings_for(
+        """
+        from multiprocessing import Pool
+
+
+        def work(x):
+            return x
+
+
+        if __name__ == "__main__":
+            with Pool(2) as pool:
+                print(pool.map(work, [1, 2]))
+        """,
+        "REP014",
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "header", ["with multiprocessing.Pool(2) as pool:", "for batch in items:"]
+)
+def test_rep014_reads_a_dispatch_in_a_body_in_its_own_env(header):
+    # `payload` is a lambda at the header and a list at the dispatch;
+    # only the dispatch's own env decides.
+    code = f"""
+        import multiprocessing
+
+
+        def work(x):
+            return x
+
+
+        def run(pool, items):
+            payload = lambda: 1
+            {header}
+                payload = list(items)
+                return pool.map(work, payload)
+        """
+    assert findings_for(code, "REP014") == []
+    kept = findings_for(code.replace("payload = list(items)", "pass"), "REP014")
+    assert len(kept) == 1 and "lambda" in kept[0].message
+
+
+def test_rep014_reads_a_dispatch_in_a_lambda_body_where_it_is_defined():
+    kept = findings_for(
+        """
+        import multiprocessing
+
+
+        def run(items):
+            def job(x):
+                return x
+            go = lambda: multiprocessing.Pool(2).map(job, items)
+            return go()
+        """,
+        "REP014",
+    )
+    assert [f.line for f in kept] == [8]
+    assert "nested function `job`" in kept[0].message
+
+
 # ----------------------------------------------------------------------
 # REP014 worker writes on the escape summaries
 # ----------------------------------------------------------------------
@@ -668,7 +731,6 @@ def test_sarif_carries_code_flows_for_rep013_and_rep014(tmp_path):
         [
             str(MUTANTS / "dropped_emission.py"),
             str(MUTANTS / "unpicklable_frontier.py"),
-            "--no-baseline",
             "--format=sarif",
         ]
     )

@@ -51,6 +51,22 @@ class TestFleetSummary:
             fleet_summary(self.SHARDS[::-1])
         )
 
+    def test_a_process_is_busy_for_the_sum_of_its_chunks(self):
+        # enron k=5, eta=0.1, parts=3 on two processes: chunks 1 and 2
+        # ran one after the other on process B.
+        shards = [
+            {"shard": 0, "pid": "A", "wall_s": 0.1505},
+            {"shard": 1, "pid": "B", "wall_s": 0.1508},
+            {"shard": 2, "pid": "B", "wall_s": 0.0191},
+        ]
+        summary = fleet_summary(shards)
+        assert summary["workers"] == 2
+        assert summary["wall_s"] == [0.1505, 0.1508, 0.0191]
+        assert summary["wall_max_s"] == 0.1699
+        assert summary["wall_mean_s"] == 0.1602
+        assert summary["imbalance"] == 1.0605
+        assert summary["utilization"] == 0.9429
+
 
 class TestPartitionedBreakdown:
     def test_shards_survive_the_merge(self):
@@ -60,7 +76,9 @@ class TestPartitionedBreakdown:
         assert sum(s["outputs"] for s in merged.shards) == \
             merged.stats.outputs
         assert sum(s["calls"] for s in merged.shards) == merged.stats.calls
-        assert merged.fleet["workers"] == 3
+        # processes=1 runs the three chunks in this one process.
+        assert merged.fleet["workers"] == 1
+        assert len(merged.fleet["wall_s"]) == 3
         assert merged.fleet["outputs"] == merged.stats.outputs
 
     def test_merged_phases_sum_the_shards(self):
