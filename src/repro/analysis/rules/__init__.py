@@ -29,7 +29,7 @@ from repro.analysis.rules import (
 #: The ``version`` of the SARIF ``tool.driver`` record
 #: (:mod:`repro.analysis.sarif`); bump it when rule semantics change so
 #: code-scanning consumers can tell the rule sets apart.
-RULESET_VERSION = "2026.10-checked-suppressions"
+RULESET_VERSION = "2026.10-comment-only-suppressions"
 
 __all__ = [
     "conformance",

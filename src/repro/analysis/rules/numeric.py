@@ -95,8 +95,7 @@ def check_float_equality(src: SourceFile) -> Iterator[Finding]:
                 message=(
                     f"exact float comparison '{sym}' involving {what}; "
                     "use math.isclose / an inequality, or mark the "
-                    "exact-sentinel intent with a suppression or "
-                    "baseline entry"
+                    "exact-sentinel intent with a suppression"
                 ),
                 line_text=src.line_text(node.lineno),
             )

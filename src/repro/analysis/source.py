@@ -65,14 +65,36 @@ class SourceFile:
                 todo.append(child)
         #: line number -> the suppression comment on that line.
         self.suppressions: Dict[int, Suppression] = {}
+        strings = None
         for lineno, line in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match:
+            for match in _SUPPRESS_RE.finditer(line):
+                if strings is None:
+                    strings = self._string_spans()
+                # AST columns count UTF-8 bytes.
+                at = (lineno, len(line[:match.start()].encode()))
+                if any(start <= at < end for start, end in strings):
+                    continue  # a marker inside a literal is no comment
                 self.suppressions[lineno] = Suppression(
                     match.start(),
                     frozenset(re.findall(r"REP\d+", match.group(1))),
                     line[match.end():].strip(),
                 )
+                break
+
+    def _string_spans(self) -> List[tuple]:
+        """``((line, col), (end_line, end_col))`` of every string,
+        bytes and f-string literal, from the node index."""
+        spans = []
+        for node in self.nodes(ast.Constant, ast.JoinedStr):
+            if isinstance(node, ast.Constant) and not isinstance(
+                node.value, (str, bytes)
+            ):
+                continue
+            spans.append(
+                ((node.lineno, node.col_offset),
+                 (node.end_lineno, node.end_col_offset))
+            )
+        return spans
 
     @classmethod
     def read(cls, path: str) -> "SourceFile":

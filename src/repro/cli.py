@@ -75,16 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write a rendered markdown report to PATH",
     )
     parser.add_argument(
-        "--backend",
-        choices=("dict", "kernel"),
-        default=None,
-        help=(
-            "force the enumeration backend for every config that does "
-            "not pin one explicitly (see docs/architecture.md); the "
-            "default honors the REPRO_BACKEND environment variable"
-        ),
-    )
-    parser.add_argument(
         "--sanitize",
         choices=("off", "light", "full"),
         default="off",
@@ -129,19 +119,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        # PivotConfig reads REPRO_BACKEND at construction time, so the
-        # override reaches every config the experiments build that does
-        # not pin a backend explicitly.  It is process-wide on purpose:
-        # the process exits after main(), so there is nothing to restore.
-        # repro-lint: ok REP012 deliberate process-wide config of a one-shot CLI process
-        os.environ["REPRO_BACKEND"] = args.backend
     if args.sanitize != "off":
         # Experiments build their PivotConfigs internally; the
         # environment override reaches them all without threading a
-        # parameter through every experiment signature.  As for
-        # REPRO_BACKEND, a finally-restore would only churn state on
-        # the way out of a process that then exits.
+        # parameter through every experiment signature.  It is
+        # process-wide on purpose: a finally-restore would only churn
+        # state on the way out of a process that then exits.
         # repro-lint: ok REP012 deliberate process-wide config of a one-shot CLI process
         os.environ["REPRO_SANITIZE"] = args.sanitize
     if args.trace_out and args.obs == "off":

@@ -3,6 +3,11 @@
 Every design axis the paper evaluates is a field here, so the ablation
 benchmarks (Figures 4, 5 and the pivot ablation) are one-liner config
 changes rather than separate code paths.
+
+This module is also the one place that reads the ``REPRO_BACKEND``,
+``REPRO_SANITIZE`` and ``REPRO_OBS`` environment variables: the first
+through the ``backend`` default, the other two through
+:func:`hook_level`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,22 @@ BACKEND_CHOICES = ("dict", "kernel")
 SANITIZE_CHOICES = ("off", "light", "full")
 OBS_CHOICES = ("off", "light", "metrics", "full")
 
+#: Observation levels whose observers take the per-node recursion
+#: hooks (``on_node``/``on_emit``/``on_expand``/``on_prune``).  Such an
+#: observer compiles the hooked variant of the backend's shape
+#: (``generic+hooks`` or ``bitset+hooks``); every other level is
+#: lifecycle-only and leaves the run on the production variant.  The
+#: engine's variant choice and the run store's variant class both read
+#: it.
+RECURSION_HOOK_LEVELS = ("metrics", "full")
+
+#: Hook axis -> the environment variable that can switch it on, and
+#: its accepted levels.
+_LEVEL_ENV = {
+    "sanitize": ("REPRO_SANITIZE", SANITIZE_CHOICES),
+    "obs": ("REPRO_OBS", OBS_CHOICES),
+}
+
 
 def _default_backend() -> str:
     """Default ``backend``: the ``REPRO_BACKEND`` env var, else ``dict``.
@@ -39,6 +60,27 @@ def _require(value: str, choices, name: str) -> None:
         raise ParameterError(
             f"{name} must be one of {choices}, got {value!r}"
         )
+
+
+def hook_level(config, axis: str) -> str:
+    """The effective ``"sanitize"`` or ``"obs"`` level of ``config``.
+
+    The axis's environment variable (``REPRO_SANITIZE``, ``REPRO_OBS``)
+    applies only when the config leaves the level at ``"off"``: an
+    explicit ``PivotConfig(sanitize=...)`` or ``obs=...`` always wins,
+    so tests and benchmarks can pin a level whatever the environment.
+    ``build_sanitizer``, ``build_observer`` and the run store's
+    ``variant_class`` all resolve levels here, so the key says what
+    the engine runs.
+    """
+    level = getattr(config, axis)
+    if level == "off":
+        name, choices = _LEVEL_ENV[axis]
+        env = os.environ.get(name, "").strip()
+        if env:
+            _require(env, choices, name)
+            level = env
+    return level
 
 
 @dataclass(frozen=True)
@@ -81,7 +123,8 @@ class PivotConfig:
         emitted cliques and emitting subtrees) or ``"full"`` (every
         recursion node, plus shadow cross-checks on small inputs).
         When left at ``"off"``, the ``REPRO_SANITIZE`` environment
-        variable can still switch a level on process-wide.
+        variable can still switch a level on process-wide (see
+        :func:`hook_level`).
     obs:
         Observability layer (see :mod:`repro.obs`): ``"off"``
         (default; no hooks fire), ``"light"`` (flat counters, gauges,
@@ -93,7 +136,8 @@ class PivotConfig:
         (metrics plus Chrome-trace phase spans, sampled recursion
         instants, and folded stacks).
         When left at ``"off"``, the ``REPRO_OBS`` environment variable
-        can still switch a level on process-wide.
+        can still switch a level on process-wide (see
+        :func:`hook_level`).
     """
 
     ordering: str = "topk-core"

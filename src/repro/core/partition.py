@@ -114,8 +114,8 @@ def enumerate_parallel(
     4-way query — and a repeated key replays the stored cliques,
     counters, phases, shards and fleet summary through
     :func:`~repro.store.records.replay_or_run` without spawning a
-    single worker.  Flight logs register as artifacts of the stored
-    run.
+    single worker.  A miss stores its flight logs as artifacts of the
+    run, in the same entry.
 
     A worker that dies mid-chunk (killed, out of memory) makes the
     call raise ``BrokenProcessPool`` and cancels the chunks not yet
@@ -143,13 +143,16 @@ def enumerate_parallel(
             variant=key.variant,
         )
 
-    result, _record, hit = replay_or_run(store, key, produce)
-    if flight_dir is not None and not hit:
-        for name in _flight_logs(flight_dir):
-            store.register_artifact(
-                key.digest(), name, os.path.join(flight_dir, name)
-            )
-    return result
+    def flight_logs():
+        return {
+            name: os.path.join(flight_dir, name)
+            for name in _flight_logs(flight_dir)
+        }
+
+    return replay_or_run(
+        store, key, produce,
+        artifacts=flight_logs if flight_dir is not None else None,
+    )[0]
 
 
 def _flight_logs(flight_dir: str) -> List[str]:

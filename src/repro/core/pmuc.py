@@ -110,17 +110,6 @@ class DictStateOps(StateOps):
             list(self._backbone.edges()),
         )
 
-    def bind_observer(self, obs) -> None:
-        # Recursion paths already carry vertex labels; nothing to wire.
-        pass
-
-    def bind_sanitizer(self, san):
-        return san
-
-    def bind_sink(self, sink, cliques):
-        # ``decode`` is ``frozenset``: the reference keeps its sets.
-        return cliques.sink() if sink is None else sink
-
     def roots(self, seeds):
         if seeds is None:
             return self._order

@@ -37,7 +37,7 @@ Each backend runs one shape, set by the one hot path it defines:
 
 Either shape gains the sanitizer/observer hook sites (``+hooks``)
 whenever a sanitizer or a per-node observer (``obs="metrics"``/
-``"full"``, see :data:`repro.obs.observer.RECURSION_HOOK_LEVELS`) is
+``"full"``, see :data:`repro.core.config.RECURSION_HOOK_LEVELS`) is
 attached; hooks never change the shape.  A ``light`` observer is
 lifecycle-only and keeps the hookless variant.  Six keys exist (see
 :func:`legal_variant_keys`).
@@ -244,8 +244,8 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                     outputs += 1
                     if BITSET:
                         # The bitset shape emits the rank-id path as a
-                        # tuple; the backend's ``bind_sink`` decides
-                        # whether it ever becomes a set of labels.
+                        # tuple; the run's sink wiring decides whether
+                        # it ever becomes a set of labels.
                         sink_call(tuple(r))
                     else:
                         sink_call(decode(r))
@@ -1009,9 +1009,8 @@ class SearchEngine:
     flush.  It is constructed fresh per run by the enumerator facade
     (:class:`~repro.core.pmuc.PivotEnumerator`), which owns argument
     validation and backend selection.  ``sink`` is the
-    caller's streaming callback, or None to collect into
-    ``result.cliques`` (the backend binds either, see
-    ``StateOps.bind_sink``).
+    caller's streaming callback, which receives frozensets of vertex
+    labels, or None to collect into ``result.cliques``.
     """
 
     __slots__ = ("ops", "k", "eta", "config", "result", "sink",
@@ -1048,7 +1047,7 @@ class SearchEngine:
         # module-level import here would close an import cycle through
         # the repro.core package __init__.
         from repro.obs.observer import build_observer
-        from repro.sanitize.sanitizer import build_sanitizer
+        from repro.sanitize.sanitizer import IdSanitizer, build_sanitizer
 
         san = self.san = build_sanitizer(
             ops.graph, self.k, self.eta, config, ops.name
@@ -1067,16 +1066,29 @@ class SearchEngine:
         start = perf_counter()
         ops.prepare_ordering(order)
         ordering_s = perf_counter() - start
-        ops.bind_observer(node_obs)
-        sink = ops.bind_sink(self.sink, self.result.cliques)
+        # An id-space backend's recursion paths and emitted cliques
+        # hold int ids: the observer translates its sampled paths, the
+        # sanitizer sees labels through the adapter, a collected run
+        # keeps id rows over the label table, and the caller's sink
+        # gets each clique as a set of labels.
+        labels = ops.labels
+        if node_obs is not None and labels is not None:
+            node_obs.set_labels(labels)
+        sink = self.sink
+        if sink is None:
+            sink = self.result.cliques.sink(labels)
+        elif labels is not None:
+            caller, label_of = sink, labels.__getitem__
+            sink = lambda row: caller(frozenset(map(label_of, row)))
         if obs is not None:
             obs.on_gauge("vertices_search", ops.search_size())
-        adapter = None
+        adapter = san
         if san is not None:
             vertices, color, edges = ops.context()
             san.on_reduced(vertices)
             san.on_context(color, edges)
-            adapter = ops.bind_sanitizer(san)
+            if labels is not None:
+                adapter = IdSanitizer(san, labels)
         self.variant = variant_id(variant_key(ops, adapter, node_obs))
         if obs is not None:
             obs.variant = self.variant

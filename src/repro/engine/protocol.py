@@ -10,9 +10,9 @@ products, ``-log`` sums, exact :class:`~fractions.Fraction`), how
 pivots are scored, and how a recursion path decodes to vertex labels.
 
 A backend is a :class:`StateOps` subclass.  The driver calls its
-*prelude* methods once per run (reduction, ordering, hook wiring, seed
-states) and then asks for the backend's one **hot path**, which also
-picks the recursion shape the engine compiles for it:
+*prelude* methods once per run (reduction, ordering, seed states) and
+then asks for the backend's one **hot path**, which also picks the
+recursion shape the engine compiles for it:
 
 * ``search_ops()`` returns a :class:`SearchOps` bundle — plain closures
   the ``generic`` recursion calls millions of times (the dict backend);
@@ -37,6 +37,12 @@ Backend value conventions the engine relies on:
 * ``unit`` is the accumulated probability of a single-vertex clique
   (``1`` for products, ``0.0`` for ``-log`` sums) and ``log_domain``
   tells the sanitizer how to read emitted values.
+* ``labels`` is None when recursion paths and emitted cliques hold
+  vertex labels.  A backend whose recursion works on int ids sets it
+  to its id -> label table in ``prepare_ordering``; the engine then
+  installs it in a recursion-hooked observer, wraps the sanitizer in
+  the id-translating adapter and translates what reaches the caller's
+  sink, so no backend wires a hook or a sink itself.
 * ``expand`` may mutate backend-shared state; the engine guarantees a
   matching ``retract`` for every ``expand``, including size-pruned
   branches.
@@ -44,7 +50,7 @@ Backend value conventions the engine relies on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Class-level attributes every backend must define.
 PROTOCOL_ATTRS = ("name", "log_domain", "unit")
@@ -56,9 +62,6 @@ PROTOCOL_METHODS = (
     "prepare_ordering",
     "search_size",
     "context",
-    "bind_observer",
-    "bind_sanitizer",
-    "bind_sink",
     "roots",
     "root_state",
 )
@@ -111,9 +114,10 @@ class SearchOps:
         ``u`` moved from the candidate set to the exclusion set.
         Called exactly once per ``expand``, viable or not.
     ``decode(r)``
-        The argument the recursion emits for path ``r`` (see
-        :meth:`StateOps.bind_sink`): the dict backend's ``frozenset``
-        of vertex labels.
+        The clique the recursion emits for path ``r``: a ``frozenset``
+        of vertex labels, or an id tuple over ``StateOps.labels`` when
+        the backend sets them (the bitset shape always emits
+        ``tuple(r)``).
     """
 
     __slots__ = SEARCH_OPS
@@ -154,6 +158,10 @@ class StateOps:
     log_domain = False
     #: Accumulated probability of a single-vertex clique.
     unit: object = 1
+    #: The id -> label table of a backend whose recursion paths and
+    #: emitted cliques hold int ids, set by ``prepare_ordering``; this
+    #: default None means they hold vertex labels.
+    labels: Optional[List] = None
 
     def prepare_reduction(self) -> None:
         """Apply the configured pre-enumeration graph reduction.
@@ -168,7 +176,8 @@ class StateOps:
         """Compute (or adopt) the vertex ordering and pivot context.
 
         ``order`` is an optional precomputed label sequence over the
-        reduced graph.  Runs after :meth:`prepare_reduction`.
+        reduced graph.  Runs after :meth:`prepare_reduction`.  A
+        backend whose recursion works on int ids sets ``labels`` here.
         """
         raise NotImplementedError
 
@@ -179,37 +188,8 @@ class StateOps:
     def context(self) -> Tuple[List, Dict, List]:
         """``(vertices, color, edges)`` for the sanitizer's context
         hooks — the surviving vertex labels, the pivot coloring, and
-        the backbone edge list (each in the backend's native id
-        space; see :meth:`bind_sanitizer`)."""
-        raise NotImplementedError
-
-    def bind_observer(self, obs) -> None:
-        """Give the observer backend-specific decoding state (or no-op).
-
-        ``obs`` is the observer bound into the recursion; it is None
-        when observation is off or lifecycle-only (``light``).
-        """
-        raise NotImplementedError
-
-    def bind_sanitizer(self, san):
-        """Return the sanitizer adapter the recursion should call.
-
-        Backends whose recursion works on translated ids wrap ``san``
-        in an id→label adapter here; others return it unchanged.
-        """
-        raise NotImplementedError
-
-    def bind_sink(self, sink, cliques):
-        """Return the callable the recursion emits each clique into.
-
-        The recursion emits the backend's own form of a clique —
-        ``decode(r)`` on the generic shape, the id tuple ``tuple(r)``
-        on the bitset shape.  ``sink`` is the caller's streaming
-        callback, which receives frozensets of vertex labels, or None:
-        collect into ``cliques``, the run's
-        :class:`~repro.core.stats.CliqueList`, in whatever form it
-        can hold without building sets.
-        """
+        the backbone edge list (the last two in the backend's native
+        id space; see ``labels``)."""
         raise NotImplementedError
 
     def roots(self, seeds):

@@ -30,10 +30,12 @@ multiplication sequence for that candidate and uses *its* verdict.
 Outside the band the two tests provably agree, so the kernel emits
 byte-identical clique sets and identical ``SearchStats`` counters.
 
-Only float (or int) probabilities and thresholds are supported;
-:class:`~fractions.Fraction` graphs raise
-:class:`~repro.exceptions.KernelBackendError` at compile time and the
-caller falls back to the dict backend.
+Only float (or int) probabilities and thresholds are supported:
+:func:`effective_backend` picks the dict backend for a
+:class:`~fractions.Fraction` graph or ``eta`` before any kernel state
+is built.  Built directly with a non-float ``eta``,
+:class:`KernelStateOps` raises
+:class:`~repro.exceptions.KernelBackendError`.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ class KernelStateOps(StateOps):
         self._guard = REL_GUARD * (2.0 + 2.0 * self._nl_eta)
         self._config = config
         # Populated by the prepare_* prelude:
+        self.labels: Optional[List] = None
         self._cg: CompactGraph = CompactGraph([])
         self._cg_red: Optional[CompactGraph] = None
         self._sv: List[float] = []
@@ -162,6 +165,8 @@ class KernelStateOps(StateOps):
         # order as the dict path — then permuted into rank ids.
         colors_red = greedy_coloring_ids(cg_red)
         self._cg = cg_red.relabeled(order)
+        # Recursion paths and emitted cliques are rank ids over it.
+        self.labels = self._cg.labels
         self._deg = [cg_red.degree(old) for old in order]
         self._color = [colors_red[old] for old in order]
         self._colnum = [
@@ -213,7 +218,7 @@ class KernelStateOps(StateOps):
         # id-translated through the IdSanitizer anyway.
         cg = self._cg
         return (
-            list(cg.labels),
+            list(self.labels),
             dict(enumerate(self._color)),
             [
                 (u, w)
@@ -222,27 +227,6 @@ class KernelStateOps(StateOps):
                 if w > u
             ],
         )
-
-    def bind_observer(self, obs) -> None:
-        if obs is not None:
-            # The recursion passes raw int-id paths; translation to
-            # labels happens only for sampled nodes.
-            obs.set_labels(self._cg.labels)
-
-    def bind_sanitizer(self, san):
-        from repro.sanitize.sanitizer import IdSanitizer
-
-        return IdSanitizer(san, self._cg.labels)
-
-    def bind_sink(self, sink, cliques):
-        # The recursion emits rank-id tuples.  Collected, they stay id
-        # rows over the rank-ordered label table; a caller's sink gets
-        # each clique as a frozenset of labels.
-        labels = self._cg.labels
-        if sink is None:
-            return cliques.sink(labels)
-        label_of = labels.__getitem__
-        return lambda row: sink(frozenset(map(label_of, row)))
 
     def roots(self, seeds):
         n = self._cg.n

@@ -23,7 +23,6 @@ from repro.obs.observer import (
     DEFAULT_SAMPLE_EVERY,
     Observer,
     build_observer,
-    resolve_level,
 )
 from repro.obs.progress import ProgressTracker
 from repro.obs.report import load_artifact, render_path
@@ -55,7 +54,6 @@ __all__ = [
     "render_fleet",
     "render_path",
     "replay_flight",
-    "resolve_level",
     "run_env",
     "runtime_fingerprint",
 ]

@@ -1,11 +1,11 @@
 """The observer: the hook protocol both enumeration backends call.
 
 Mirrors the runtime sanitizer's seam exactly (see
-:mod:`repro.sanitize.sanitizer`): each backend binds the observer to a
+:mod:`repro.sanitize.sanitizer`): the engine binds the observer to a
 local named ``obs`` and calls the same hooks from the same control-flow
-positions, guarded by ``if obs is not None`` so a disabled observer
-costs nothing.  The REP013 lint rule requires every observer and
-sanitizer hook site in the engine.
+positions on every backend, guarded by ``if obs is not None`` so a
+disabled observer costs nothing.  The REP013 lint rule requires every
+observer and sanitizer hook site in the engine.
 
 Recursion hooks (hot path, bound only for the
 :data:`RECURSION_HOOK_LEVELS` — counters only, plus 1-in-N sampling):
@@ -46,20 +46,20 @@ so a light observer never forces the hooked recursion variant
 (per-worker telemetry for parallel runs); ``"metrics"`` takes the
 recursion hooks for the per-depth histograms; ``"full"``
 additionally records Chrome-trace phase spans, sampled node instants,
-and folded stacks for flamegraphs.  :data:`RECURSION_HOOK_LEVELS` is
-the one place that says which levels take the recursion hooks (the
-engine's variant choice and the run store's variant class both read
-it).  Node sampling is counter-based (every ``sample_every``-th
-``on_node``), never random, so traces are deterministic.
+and folded stacks for flamegraphs.  Which levels take the recursion
+hooks is :data:`repro.core.config.RECURSION_HOOK_LEVELS` (re-exported
+here), and :func:`repro.core.config.hook_level` resolves a run's
+level, ``REPRO_OBS`` included.  Node sampling is counter-based
+(every ``sample_every``-th ``on_node``), never random, so traces are
+deterministic.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence
 
 from repro.exceptions import ParameterError
-from repro.core.config import OBS_CHOICES
+from repro.core.config import OBS_CHOICES, RECURSION_HOOK_LEVELS, hook_level
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import FoldedStacks, Tracer
 
@@ -74,34 +74,6 @@ ROOT_FRAME = "enumerate"
 #: flight-recorder breadcrumb when a recorder is attached.
 MILESTONE_EVERY = 256
 
-#: Observation levels whose observers take the per-node recursion
-#: hooks (``on_node``/``on_emit``/``on_expand``/``on_prune``).  Binding
-#: such an observer compiles the hooked variant of the backend's shape
-#: (``generic+hooks`` or ``bitset+hooks``); every other level is
-#: lifecycle-only and leaves the run on the production variant.
-RECURSION_HOOK_LEVELS = ("metrics", "full")
-
-
-def resolve_level(config) -> str:
-    """The effective observation level for ``config``.
-
-    The ``REPRO_OBS`` environment variable applies only when the config
-    leaves the level at ``"off"`` — an explicit ``PivotConfig(obs=...)``
-    always wins, mirroring ``REPRO_SANITIZE``.
-    """
-    level = getattr(config, "obs", "off")
-    if level == "off":
-        env = os.environ.get("REPRO_OBS", "").strip()
-        if env:
-            level = env
-            if level not in OBS_CHOICES:
-                raise ParameterError(
-                    f"REPRO_OBS must be one of {OBS_CHOICES}, "
-                    f"got {level!r}"
-                )
-    return level
-
-
 def build_observer(config, backend: str = "dict") -> Optional["Observer"]:
     """An :class:`Observer` for this run, or None when disabled.
 
@@ -110,7 +82,7 @@ def build_observer(config, backend: str = "dict") -> Optional["Observer"]:
     registered with it, so the session can write the combined trace,
     folded-stack, and metrics artifacts on exit.
     """
-    level = resolve_level(config)
+    level = hook_level(config, "obs")
     if level == "off":
         return None
     # Imported lazily so a metrics-only consumer never pays for the
@@ -190,9 +162,11 @@ class Observer:
             self.tracer.metadata("backend", {"name": backend})
 
     def set_labels(self, labels: Sequence) -> None:
-        """Install the id -> label table of the kernel backend.
+        """Install the id -> label table of an id-space backend.
 
-        The kernel recursion passes raw int-id paths to ``on_node``;
+        ``SearchEngine.run`` installs the backend's ``labels`` (the
+        kernel's rank-ordered table) before the search: the kernel
+        recursion passes raw int-id paths to ``on_node``, and
         translation happens only for the 1-in-N sampled nodes, so the
         hot path never pays for it.
         """

@@ -23,7 +23,6 @@ from repro.sanitize.sanitizer import (
     Sanitizer,
     build_sanitizer,
     replay,
-    resolve_level,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "is_eta_clique_checked",
     "reference_probability",
     "replay",
-    "resolve_level",
 ]

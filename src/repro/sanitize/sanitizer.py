@@ -1,8 +1,8 @@
 """The runtime sanitizer: in-flight invariant checks for the enumerators.
 
-Both enumeration backends call the same small hook protocol from inside
-their recursions (``on_node`` / ``on_emit`` / ``on_cover``) and around
-them (``on_reduced`` / ``on_context`` / ``on_finish``); the
+The search engine calls the same small hook protocol on every backend,
+from inside its recursion (``on_node`` / ``on_emit`` / ``on_cover``)
+and around it (``on_reduced`` / ``on_context`` / ``on_finish``); the
 :class:`Sanitizer` behind the hooks asserts the paper's dynamic
 correctness properties as the search runs:
 
@@ -38,12 +38,11 @@ recursion path serialized for :func:`replay`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.exceptions import ParameterError
-from repro.core.config import SANITIZE_CHOICES, PMUC_PLUS_CONFIG
+from repro.core.config import SANITIZE_CHOICES, PMUC_PLUS_CONFIG, hook_level
 from repro.core.pivot import improper_coloring_pairs
 from repro.reduction import reduction_victims
 from repro.sanitize.checks import (
@@ -67,38 +66,14 @@ SHADOW_MAX_EDGES = 512
 #: grow without bound on huge runs.
 _COVER_CACHE_MAX = 65536
 
-#: Non-zero while an S5 shadow run is executing; makes
-#: :func:`build_sanitizer` return None so the shadow cannot recursively
-#: sanitize (and shadow) itself under ``REPRO_SANITIZE=full``.
-_shadow_depth = 0
-
-
-def resolve_level(config) -> str:
-    """The effective sanitize level for ``config``.
-
-    The ``REPRO_SANITIZE`` environment variable applies only when the
-    config leaves the level at ``"off"`` — an explicit
-    ``PivotConfig(sanitize=...)`` always wins, so tests and benchmarks
-    can pin a level regardless of the CI environment.
-    """
-    level = getattr(config, "sanitize", "off")
-    if level == "off":
-        env = os.environ.get("REPRO_SANITIZE", "").strip()
-        if env:
-            level = env
-            if level not in SANITIZE_CHOICES:
-                raise ParameterError(
-                    f"REPRO_SANITIZE must be one of {SANITIZE_CHOICES}, "
-                    f"got {level!r}"
-                )
-    return level
-
 
 def build_sanitizer(graph, k, eta, config, backend: str = "dict"):
-    """A :class:`Sanitizer` for this run, or None when disabled."""
-    if _shadow_depth:
-        return None
-    level = resolve_level(config)
+    """A :class:`Sanitizer` for this run, or None when disabled.
+
+    The level is :func:`repro.core.config.hook_level`'s, so
+    ``REPRO_SANITIZE`` applies when the config leaves it at ``"off"``.
+    """
+    level = hook_level(config, "sanitize")
     if level == "off":
         return None
     return Sanitizer(graph, k, eta, level=level, backend=backend)
@@ -339,22 +314,18 @@ class Sanitizer:
 
 
 class IdSanitizer:
-    """Kernel-side adapter: translates int ids to labels, then forwards.
+    """Id-space adapter: translates int ids to labels, then forwards.
 
     The kernel recursion works on rank ids; the wrapped
     :class:`Sanitizer` (shared with the dict backend) wants the
     original vertex labels, so every hook payload is mapped through the
-    compact graph's ``labels`` table on the way in.
+    backend's ``labels`` table on the way in.  ``SearchEngine.run``
+    wraps the sanitizer in it whenever the backend publishes one.
     """
 
     def __init__(self, inner: Sanitizer, labels):
         self._inner = inner
         self._labels = labels
-        inner._backend = "kernel"
-
-    @property
-    def inner(self) -> Sanitizer:
-        return self._inner
 
     def on_node(self, depth: int) -> None:
         self._inner.on_node(depth)
@@ -380,16 +351,16 @@ class IdSanitizer:
 
 
 def _shadow_cliques(graph, k, eta) -> set:
-    """Unreduced reference result for S5 (recursion-guarded)."""
-    global _shadow_depth
+    """Unreduced reference result for S5.
+
+    ``muc-basic`` runs no :class:`SearchEngine
+    <repro.engine.driver.SearchEngine>`, so it never builds a
+    sanitizer: the shadow cannot sanitize (and shadow) itself, even
+    under ``REPRO_SANITIZE=full``.
+    """
     from repro.core.api import enumerate_maximal_cliques
 
-    _shadow_depth += 1
-    try:
-        result = enumerate_maximal_cliques(graph, k, eta, "muc-basic")
-    finally:
-        _shadow_depth -= 1
-    return set(result.cliques)
+    return set(enumerate_maximal_cliques(graph, k, eta, "muc-basic").cliques)
 
 
 def replay(graph, report: ViolationReport, config=None):

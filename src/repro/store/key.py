@@ -44,6 +44,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional
 
+from repro.core.config import RECURSION_HOOK_LEVELS, hook_level
 from repro.uncertain.graph import UncertainGraph, normalize_edge
 
 #: Human-readable schema salt, folded into :func:`engine_salt`.  Bump
@@ -133,22 +134,20 @@ def engine_salt() -> str:
 def variant_class(config) -> str:
     """``"hooked"`` when sanitize/obs hooks compile into the recursion.
 
-    Resolved through the same env-aware level resolution the engine
-    itself uses (``REPRO_SANITIZE``/``REPRO_OBS`` apply when the
-    config leaves a level at ``"off"``), so the key says what would
-    actually run: any sanitizer, or an observer at one of the
-    :data:`~repro.obs.observer.RECURSION_HOOK_LEVELS`.  A lifecycle-only
+    Resolved through :func:`~repro.core.config.hook_level`, as
+    ``build_sanitizer`` and ``build_observer`` resolve the engine's
+    levels (``REPRO_SANITIZE``/``REPRO_OBS`` apply when the config
+    leaves a level at ``"off"``),
+    so the key says what would actually run: any sanitizer, or an
+    observer at one of the
+    :data:`~repro.core.config.RECURSION_HOOK_LEVELS`.  A lifecycle-only
     ``obs="light"`` run executes the lean variant and is keyed with
     it.  Hooked and lean variants are counter-identical (REP013
     proves it) but belong to different timing families.
     """
-    from repro.obs.observer import RECURSION_HOOK_LEVELS
-    from repro.obs.observer import resolve_level as obs_level
-    from repro.sanitize.sanitizer import resolve_level as sanitize_level
-
     hooked = (
-        sanitize_level(config) != "off"
-        or obs_level(config) in RECURSION_HOOK_LEVELS
+        hook_level(config, "sanitize") != "off"
+        or hook_level(config, "obs") in RECURSION_HOOK_LEVELS
     )
     return "hooked" if hooked else "lean"
 

@@ -10,7 +10,8 @@ Layout (two-level fan-out keeps directory listings short)::
                             # and fleet, all replayed on a hit)
         cliques.jsonl       # vertex table, then one id row per clique
         violation.json      # a failed sanitized run (no cliques.jsonl)
-        artifacts/<name>    # registered files (flight logs, traces)
+        artifacts/<name>    # files the run left (a parallel run's
+                            # flight logs), published with the run
     <root>/reductions/<digest[:2]>/<digest>/
         MANIFEST.json
         core.jsonl          # vertex table, then its shells in table order
@@ -270,8 +271,16 @@ class RunStore:
         record: RunRecord,
         cliques=None,
         violation: Optional[Dict[str, object]] = None,
+        artifacts: Optional[Dict[str, str]] = None,
     ) -> str:
-        """Persist one run; returns its digest."""
+        """Persist one run; returns its digest.
+
+        ``artifacts`` maps a name to a file the run left behind; each
+        is staged as ``artifacts/<name>`` and hashed in the manifest,
+        so it is published by the same rename as the run.  An
+        unreadable file is left out: an artifact must never fail the
+        run that produced it.
+        """
         digest = key.digest()
         files: Dict[str, bytes] = {
             "key.json": (
@@ -300,6 +309,13 @@ class RunStore:
                 json.dumps(violation, default=str, indent=2, sort_keys=True)
                 + "\n"
             ).encode()
+        for name, path in sorted((artifacts or {}).items()):
+            try:
+                with open(path, "rb") as handle:
+                    blob = handle.read()
+            except OSError:
+                continue
+            files["artifacts/" + os.path.basename(name)] = blob
         self._publish("runs", digest, files)
         return digest
 
@@ -391,42 +407,6 @@ class RunStore:
             if stored is not None:
                 runs.append(stored)
         return runs
-
-    # -- artifacts -----------------------------------------------------
-    def register_artifact(
-        self, digest: str, name: str, source_path: str
-    ) -> Optional[str]:
-        """Copy ``source_path`` under the run and extend its manifest.
-
-        Returns the stored path, or None when the run entry does not
-        exist or the artifact cannot be read (registration is best
-        effort — an artifact must never fail the run that produced it).
-        """
-        entry = self.run_dir(digest)
-        manifest_path = os.path.join(entry, _MANIFEST)
-        try:
-            with open(manifest_path, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            with open(source_path, "rb") as handle:
-                blob = handle.read()
-            rel = "artifacts/" + os.path.basename(name)
-            target = os.path.join(entry, rel)
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(target), suffix=".tmp"
-            )
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, target)
-            manifest["files"][rel] = _sha256(blob)
-            fd, tmp = tempfile.mkstemp(dir=entry, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp, manifest_path)
-            return target
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
 
     # -- shared reductions ---------------------------------------------
     def put_reduction(

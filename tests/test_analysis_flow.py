@@ -667,12 +667,12 @@ def test_fixing_a_suppressed_finding_leaves_its_suppression_reported(
 
 
 def test_cli_env_exports_are_suppressed_inline():
-    # The CLI's three process-wide REPRO_* exports are deliberate: each
+    # The CLI's two process-wide REPRO_* exports are deliberate: each
     # carries an inline REP012 suppression, and each suppressed
     # finding keeps the fingerprint SARIF reports.
     report = analyze([str(SRC_REPRO / "cli.py")])
     assert report.findings == []
-    assert [f.rule for f in report.suppressed] == ["REP012"] * 3
+    assert [f.rule for f in report.suppressed] == ["REP012"] * 2
     assert all(f.fingerprint for f in report.suppressed)
 
 

@@ -19,7 +19,7 @@ from repro.analysis.registry import get_rule
 from repro.analysis.runner import analyze, collect_files, run_rules
 from repro.analysis.semantics.validate import engine_anchors
 from repro.analysis.source import SourceFile
-from repro.engine.protocol import PROTOCOL_METHODS
+from repro.engine.protocol import PROTOCOL_METHODS, validate_state_ops
 
 REPO = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO / "src" / "repro"
@@ -45,9 +45,9 @@ def test_src_repro_is_clean():
     assert payload["findings"] == [], payload["findings"]
     assert code == 0
     assert payload["files_scanned"] > 50
-    # Nine in the library, one REP001 in random_graphs.py and three
+    # Nine in the library, one REP001 in random_graphs.py and two
     # REP012 on the CLI's environment exports.
-    assert len(payload["suppressed"]) == 13
+    assert len(payload["suppressed"]) == 12
 
 
 def test_self_scan_sees_the_engine_anchors():
@@ -122,6 +122,34 @@ def test_rep005_requires_exactly_one_hot_path(hot_paths, verdict):
     found = _rep005_findings("src/repro/core/two.py", text)
     assert len(found) == 1
     assert verdict in found[0].message
+
+
+def test_a_backend_wires_no_hook_and_no_sink():
+    # The engine wires the hooks and the sink from ``StateOps.labels``
+    # (the base's None, or an id -> label table that prepare_ordering
+    # sets), so a backend needs no bind_* method, statically or at
+    # run time.
+    body = "".join(
+        f"    def {name}(self, *args):\n        return None\n"
+        for name in (
+            "prepare_reduction", "prepare_ordering", "search_size",
+            "context", "roots", "root_state", "fast_ops",
+        )
+    )
+    text = (
+        "from repro.engine.protocol import StateOps\n"
+        "class LeanOps(StateOps):\n"
+        "    name = 'lean'\n"
+        "    log_domain = False\n"
+        "    unit = 1\n" + body
+    )
+    assert _rep005_findings("src/repro/core/lean.py", text) == []
+    namespace = {}
+    exec(compile(text, "lean.py", "exec"), namespace)
+    ops = namespace["LeanOps"]()
+    ops.graph = None
+    validate_state_ops(ops)
+    assert ops.labels is None
 
 
 def test_rep005_fires_on_a_recursion_copy_outside_the_engine():
@@ -283,6 +311,40 @@ def test_a_suppression_without_a_reason_is_a_finding(tmp_path):
     assert [f.rule for f in report.suppressed] == ["REP001"]
     code, _ = run_cli([str(tmp_path / "mod.py")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "literal",
+    (
+        '"# repro-lint: ok REP003 exact sentinel"',
+        'f"# repro-lint: ok REP003 exact sentinel {p}"',
+        '"""\n# repro-lint: ok REP003 exact sentinel\n"""',
+    ),
+    ids=("str", "f-string", "multi-line"),
+)
+def test_a_marker_inside_a_string_literal_is_no_suppression(
+    tmp_path, literal
+):
+    # Only a comment suppresses: the REP003 finding on line 2 stays,
+    # and string content is no unused suppression either.
+    found, report = _suppress_findings(
+        tmp_path, "def f(p):\n    return p == 0.5, " + literal + "\n"
+    )
+    assert found == []
+    assert [(f.rule, f.line) for f in report.findings] == [("REP003", 2)]
+    assert report.suppressed == []
+
+
+def test_a_comment_after_a_marker_in_a_string_still_suppresses(tmp_path):
+    found, report = _suppress_findings(
+        tmp_path,
+        "def f(p):\n"
+        '    return p == 0.5, "# repro-lint: ok REP001 text"'
+        "  # repro-lint: ok REP003 exact sentinel\n",
+    )
+    assert found == []
+    assert [(f.rule, f.line) for f in report.suppressed] == [("REP003", 2)]
+    assert report.findings == []
 
 
 def test_an_unused_suppression_exits_1(tmp_path):

@@ -130,6 +130,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    def test_there_is_no_backend_option(self, capsys):
+        # REPRO_BACKEND, set when the process starts, is the one backend
+        # override: the experiments' configs are module constants,
+        # built at import, before any option is parsed.
+        with pytest.raises(SystemExit) as stop:
+            main(["fig5", "--quick", "--backend", "kernel"])
+        assert stop.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_fig11(self, capsys):
         assert main(["fig11"]) == 0
         assert "PMUCE" in capsys.readouterr().out

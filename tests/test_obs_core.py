@@ -20,9 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.core import PMUC_PLUS_CONFIG, PivotEnumerator
+from repro.core.config import hook_level
 from repro.exceptions import ParameterError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import Observer, build_observer, resolve_level
+from repro.obs.observer import Observer, build_observer
 from repro.obs.session import current_session, observe
 from repro.obs.tracer import FoldedStacks, Tracer, read_jsonl
 from repro.uncertain import UncertainGraph
@@ -144,12 +145,12 @@ def test_folded_stacks_aggregate_and_render_sorted():
 # ----------------------------------------------------------------------
 def test_env_level_applies_only_when_config_is_off(monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "metrics")
-    assert resolve_level(PMUC_PLUS_CONFIG) == "metrics"
+    assert hook_level(PMUC_PLUS_CONFIG, "obs") == "metrics"
     explicit = replace(PMUC_PLUS_CONFIG, obs="full")
-    assert resolve_level(explicit) == "full"
+    assert hook_level(explicit, "obs") == "full"
     monkeypatch.setenv("REPRO_OBS", "verbose")
     with pytest.raises(ParameterError):
-        resolve_level(PMUC_PLUS_CONFIG)
+        hook_level(PMUC_PLUS_CONFIG, "obs")
 
 
 def test_build_observer_returns_none_when_off(monkeypatch):
@@ -328,6 +329,7 @@ import random
 from dataclasses import replace
 
 from repro.core import PMUC_PLUS_CONFIG, PivotEnumerator
+from repro.core.config import hook_level
 from repro.obs.session import observe
 from repro.uncertain import UncertainGraph
 

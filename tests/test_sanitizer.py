@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig
+from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig, hook_level
 from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
 from repro.exceptions import ParameterError, SanitizerViolation
@@ -24,7 +24,6 @@ from repro.sanitize import (
     ViolationReport,
     build_sanitizer,
     replay,
-    resolve_level,
 )
 from repro.sanitize.__main__ import _run as sweep_run
 from repro.store.key import run_key_for
@@ -92,22 +91,22 @@ def test_off_level_installs_no_sanitizer():
 # ----------------------------------------------------------------------
 def test_env_var_applies_only_when_config_is_off(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "full")
-    assert resolve_level(config(sanitize="off")) == "full"
+    assert hook_level(config(sanitize="off"), "sanitize") == "full"
     # An explicit config level always wins over the environment.
-    assert resolve_level(config(sanitize="light")) == "light"
+    assert hook_level(config(sanitize="light"), "sanitize") == "light"
 
 
 def test_env_var_unset_or_blank_means_off(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert resolve_level(config(sanitize="off")) == "off"
+    assert hook_level(config(sanitize="off"), "sanitize") == "off"
     monkeypatch.setenv("REPRO_SANITIZE", "  ")
-    assert resolve_level(config(sanitize="off")) == "off"
+    assert hook_level(config(sanitize="off"), "sanitize") == "off"
 
 
 def test_invalid_env_var_is_a_parameter_error(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "paranoid")
     with pytest.raises(ParameterError, match="REPRO_SANITIZE"):
-        resolve_level(config(sanitize="off"))
+        hook_level(config(sanitize="off"), "sanitize")
 
 
 def test_env_var_enables_the_sanitizer_end_to_end(monkeypatch):

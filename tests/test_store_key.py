@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core.config import PMUC_PLUS_CONFIG
+from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
 from repro.store.key import (
     ReductionKey,
@@ -151,6 +152,22 @@ def test_hooked_and_lean_variants_get_distinct_keys():
     assert lean.digest() != hooked.digest()
 
 
+def _assert_key_names_the_executed_variant(overrides, expected):
+    """On both backends: the key's variant class is ``expected``, and
+    it is ``hooked`` exactly when the engine ran a ``+hooks`` variant."""
+    for backend in ("dict", "kernel"):
+        config = replace(PMUC_PLUS_CONFIG, backend=backend, **overrides)
+        assert variant_class(config) == expected
+        key = run_key_for(figure1_graph(), 3, 0.1, config)
+        assert key.variant == expected
+        enumerator = PivotEnumerator(figure1_graph(), 3, 0.1, config)
+        enumerator.run()
+        assert enumerator.backend_used == key.backend == backend
+        assert (key.variant == "hooked") == (
+            "+hooks" in enumerator.variant_used
+        )
+
+
 @pytest.mark.parametrize(
     "overrides,expected",
     (
@@ -168,10 +185,24 @@ def test_variant_class_follows_the_executed_variant(
 ):
     monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    config = replace(PMUC_PLUS_CONFIG, **overrides)
-    assert variant_class(config) == expected
-    key = run_key_for(figure1_graph(), 3, 0.1, config)
-    assert key.variant == expected
+    _assert_key_names_the_executed_variant(overrides, expected)
+
+
+@pytest.mark.parametrize(
+    "env,expected",
+    (
+        ({"REPRO_OBS": "light"}, "lean"),
+        ({"REPRO_OBS": "metrics"}, "hooked"),
+        ({"REPRO_SANITIZE": "light"}, "hooked"),
+    ),
+)
+def test_variant_class_follows_the_environment(env, expected, monkeypatch):
+    # The config leaves both levels "off", so the variable applies.
+    monkeypatch.delenv("REPRO_OBS", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    _assert_key_names_the_executed_variant({}, expected)
 
 
 def test_light_observation_shares_the_lean_key(monkeypatch):

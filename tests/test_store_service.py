@@ -10,6 +10,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,64 @@ def test_hit_replays_the_phases_of_the_miss_that_stored_it(store):
     assert live.phases and replay.phases == live.phases
     assert live.shards and replay.shards == live.shards
     assert live.fleet and replay.fleet == live.fleet
+
+
+def test_a_parallel_miss_publishes_its_flight_logs_with_the_run(
+    store, monkeypatch, capsys, tmp_path
+):
+    from repro.store.cli import main as store_main
+
+    flights = tmp_path / "flights"
+    fan_outs = []
+    fan_out = partition_module._fan_out
+
+    def counting(*args):
+        fan_outs.append(args)
+        return fan_out(*args)
+
+    monkeypatch.setattr(partition_module, "_fan_out", counting)
+
+    def run():
+        return enumerate_parallel(
+            figure1_graph(), 3, 0.1, parts=2, processes=1,
+            store=store, flight_dir=str(flights),
+        )
+
+    def logs():
+        return {p.name: p.read_bytes() for p in flights.glob("flight-*")}
+
+    key = run_key_for(
+        figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG, procedure="peel/parts=2"
+    )
+    run()
+    assert sorted(logs()) == [
+        "flight-parent.jsonl",
+        "flight-worker00.jsonl",
+        "flight-worker01.jsonl",
+    ]
+    stored = store.get_run(key)
+    assert _contents(stored.artifacts) == logs()
+    assert store_main(
+        ["--store", store.root, "query", "show", key.digest()]
+    ) == 0
+    shown = capsys.readouterr().out
+    assert all(name in shown for name in logs())
+    # A flipped byte in one stored log makes the whole run a miss, and
+    # the miss that follows publishes a whole entry again.
+    damaged = Path(stored.artifacts["flight-worker01.jsonl"])
+    blob = bytearray(damaged.read_bytes())
+    blob[0] ^= 0x01
+    damaged.write_bytes(bytes(blob))
+    assert store.get_run(key) is None
+    run()
+    assert len(fan_outs) == 2
+    assert _contents(store.get_run(key).artifacts) == logs()
+    run()
+    assert len(fan_outs) == 2
+
+
+def _contents(paths):
+    return {name: Path(path).read_bytes() for name, path in paths.items()}
 
 
 def _violation_case(store):
