@@ -13,6 +13,7 @@ semantics of the original paper, at the graph scales this repo uses.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Sequence, Set
 
 from repro.exceptions import ParameterError
@@ -38,14 +39,7 @@ def tail_distribution(probabilities: Sequence[float]) -> List[float]:
 def eta_degree(graph: UncertainGraph, v: Vertex, eta) -> int:
     """η-degree of ``v``: max k with ``Pr[deg(v) >= k] >= eta``."""
     _check_eta(eta)
-    tail = tail_distribution(list(graph.neighbors(v).values()))
-    degree = 0
-    for k in range(1, len(tail)):
-        if tail[k] >= eta:
-            degree = k
-        else:
-            break
-    return degree
+    return _eta_degree(graph, v, eta, graph)
 
 
 def k_eta_core(graph: UncertainGraph, k: int, eta) -> UncertainGraph:
@@ -59,21 +53,9 @@ def k_eta_core_vertices(graph: UncertainGraph, k: int, eta) -> Set[Vertex]:
         raise ParameterError(f"k must be non-negative, got {k}")
     _check_eta(eta)
     alive: Set[Vertex] = set(graph.vertices())
-    degrees: Dict[Vertex, int] = {}
-
-    def current_eta_degree(v: Vertex) -> int:
-        probs = [p for u, p in graph.neighbors(v).items() if u in alive]
-        tail = tail_distribution(probs)
-        degree = 0
-        for kk in range(1, len(tail)):
-            if tail[kk] >= eta:
-                degree = kk
-            else:
-                break
-        return degree
-
-    for v in alive:
-        degrees[v] = current_eta_degree(v)
+    degrees: Dict[Vertex, int] = {
+        v: _eta_degree(graph, v, eta, alive) for v in alive
+    }
     # Canonical queue order: peeling is confluent (the core is unique),
     # but seeding in sorted order keeps intermediate states — and any
     # instrumentation hung off them — reproducible too.
@@ -86,7 +68,7 @@ def k_eta_core_vertices(graph: UncertainGraph, k: int, eta) -> Set[Vertex]:
         # repro-lint: ok REP001 insertion-ordered dict view; peeling is confluent
         for u in graph.neighbors(v):
             if u in alive and degrees[u] >= k:
-                degrees[u] = current_eta_degree(u)
+                degrees[u] = _eta_degree(graph, u, eta, alive)
                 if degrees[u] < k:
                     queue.append(u)
     return alive
@@ -97,34 +79,46 @@ def eta_core_decomposition(graph: UncertainGraph, eta) -> Dict[Vertex, int]:
 
     The core number of ``v`` is the largest ``k`` such that ``v``
     belongs to the (k, η)-core; computed by minimum-η-degree peeling,
-    mirroring the classic core decomposition.
+    mirroring the classic core decomposition.  A lazy-deletion heap
+    keyed by ``(η-degree, repr)`` picks each removal, and the dict is
+    in removal order.
     """
     _check_eta(eta)
     alive: Set[Vertex] = set(graph.vertices())
-
-    def current(v: Vertex) -> int:
-        probs = [p for u, p in graph.neighbors(v).items() if u in alive]
-        tail = tail_distribution(probs)
-        degree = 0
-        for kk in range(1, len(tail)):
-            if tail[kk] >= eta:
-                degree = kk
-            else:
-                break
-        return degree
-
-    degrees = {v: current(v) for v in alive}
+    degrees = {v: _eta_degree(graph, v, eta, alive) for v in graph}
+    heap = [(d, repr(v), v) for v, d in degrees.items()]
+    heapq.heapify(heap)
     shell: Dict[Vertex, int] = {}
     level = 0
-    while alive:
-        v = min(alive, key=lambda w: (degrees[w], repr(w)))
-        level = max(level, degrees[v])
+    while heap:
+        d, _tie, v = heapq.heappop(heap)
+        if v not in alive or d != degrees[v]:
+            continue
+        level = max(level, d)
         shell[v] = level
         alive.discard(v)
         for u in graph.neighbors(v):
             if u in alive:
-                degrees[u] = min(degrees[u], current(u))
+                new = min(degrees[u], _eta_degree(graph, u, eta, alive))
+                if new != degrees[u]:
+                    degrees[u] = new
+                    heapq.heappush(heap, (new, repr(u), u))
     return shell
+
+
+def _eta_degree(graph: UncertainGraph, v: Vertex, eta, alive) -> int:
+    """η-degree of ``v`` over its edges into ``alive``: the one count
+    behind :func:`eta_degree` and both peels."""
+    tail = tail_distribution(
+        [p for u, p in graph.neighbors(v).items() if u in alive]
+    )
+    degree = 0
+    for k in range(1, len(tail)):
+        if tail[k] >= eta:
+            degree = k
+        else:
+            break
+    return degree
 
 
 def core_community(graph: UncertainGraph, query: Vertex, k: int, eta):

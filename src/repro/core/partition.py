@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import fnmatch
 import os
+import shutil
 import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -105,7 +106,9 @@ def enumerate_parallel(
     removing the flight logs an earlier call left there.  Replaying
     the worker logs (:func:`repro.obs.flight.merge_flight_registries`)
     reproduces ``result.fleet["metrics"]`` byte for byte when the
-    config observes at least at ``obs="light"``.
+    config observes at least at ``obs="light"``.  The directory ends
+    holding exactly the logs of the run whose result is returned: a
+    store hit copies in the logs stored with that run, if any.
 
     ``store`` (a :class:`~repro.store.store.RunStore`) enables
     store-backed reuse: the run is keyed under procedure
@@ -123,6 +126,13 @@ def enumerate_parallel(
     ``flight_dir`` set, the parent log then ends with a ``violation``
     record.
     """
+    if flight_dir is not None:
+        # Recorders append, and a hit records nothing: an earlier
+        # call's logs (and its extra shards' logs) would otherwise
+        # replay as this run.
+        os.makedirs(flight_dir, exist_ok=True)
+        for name in _flight_logs(flight_dir):
+            os.remove(os.path.join(flight_dir, name))
     if store is None:
         return _fan_out(graph, k, eta, parts, processes, config, flight_dir)[0]
     from repro.store.key import run_key_for
@@ -149,10 +159,14 @@ def enumerate_parallel(
             for name in _flight_logs(flight_dir)
         }
 
-    return replay_or_run(
+    result, _record, stored = replay_or_run(
         store, key, produce,
         artifacts=flight_logs if flight_dir is not None else None,
-    )[0]
+    )
+    if stored is not None and flight_dir is not None:
+        for name, path in sorted(stored.artifacts.items()):
+            shutil.copyfile(path, os.path.join(flight_dir, name))
+    return result
 
 
 def _flight_logs(flight_dir: str) -> List[str]:
@@ -182,11 +196,6 @@ def _fan_out(
     if flight_dir is not None:
         from repro.obs.flight import FlightRecorder
 
-        os.makedirs(flight_dir, exist_ok=True)
-        # Recorders append: an earlier call's logs (and its extra
-        # shards' logs) would otherwise replay as this run.
-        for name in _flight_logs(flight_dir):
-            os.remove(os.path.join(flight_dir, name))
         paths = [
             os.path.join(flight_dir, "flight-worker%02d.jsonl" % index)
             for index in range(len(chunks))

@@ -203,7 +203,7 @@ class CliqueQuerySession:
         from repro.store.records import replay_or_run, run_stamped
 
         key = self.query_key(k)
-        result, record, hit = replay_or_run(
+        result, record, stored = replay_or_run(
             self._store,
             key,
             lambda: run_stamped(
@@ -215,6 +215,7 @@ class CliqueQuerySession:
                 self._eta,
             ),
         )
+        hit = stored is not None
         if hit:
             self.query_hits += 1
         else:

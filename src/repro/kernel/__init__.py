@@ -11,7 +11,7 @@ statistics are identical to the dict backend by construction and by
 the parity tests in ``tests/test_kernel_parity.py``.
 """
 
-from repro.kernel.compact import CompactGraph, bit_indices
+from repro.kernel.compact import CompactGraph
 from repro.kernel.enumerate import supports
 from repro.kernel.reduction import (
     degeneracy_ordering_ids,
@@ -24,7 +24,6 @@ from repro.kernel.reduction import (
 
 __all__ = [
     "CompactGraph",
-    "bit_indices",
     "supports",
     "degeneracy_ordering_ids",
     "greedy_coloring_ids",

@@ -43,18 +43,6 @@ except AttributeError:  # pragma: no cover - Python 3.9 fallback
         return bin(bits).count("1")
 
 
-def bit_indices(bits: int) -> Iterator[int]:
-    """Yield the set-bit positions of ``bits`` in ascending order.
-
-    Convenience for cold paths; the enumeration hot loops inline the
-    same ``b & -b`` extraction to avoid generator overhead.
-    """
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 class CompactGraph:
     """An uncertain graph over dense int ids with bitset neighborhoods.
 

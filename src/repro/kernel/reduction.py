@@ -22,19 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ParameterError
 from repro.kernel.compact import CompactGraph, bit_count
-
-
-def prefix_count(sorted_desc: List[float], eta: float) -> int:
-    """Longest prefix of a descending list whose product stays >= eta."""
-    product = 1
-    count = 0
-    for p in sorted_desc:
-        product = product * p
-        if product >= eta:
-            count += 1
-        else:
-            break
-    return count
+from repro.reduction.eta_degree import prefix_count
 
 
 # ----------------------------------------------------------------------

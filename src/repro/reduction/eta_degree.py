@@ -15,7 +15,7 @@ can be stacked before the probability product drops below ``η``?
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.exceptions import ParameterError
 from repro.uncertain.graph import UncertainGraph, Vertex
@@ -33,10 +33,22 @@ def top_product_count(probabilities: Iterable, eta, base=1) -> int:
     2
     """
     _check_eta(eta)
-    ordered: List = sorted(probabilities, reverse=True)
+    return prefix_count(sorted(probabilities, reverse=True), eta, base)
+
+
+def prefix_count(sorted_desc: Iterable, eta, base=1) -> int:
+    """Longest prefix of descending ``sorted_desc`` whose product from
+    ``base`` stays ``>= eta``.
+
+    The one count behind Eq. 3 and Eq. 4, on every peel of both
+    backends.  It multiplies left to right, so a float run reaches the
+    same rounded products wherever it is called, and a ``Fraction`` run
+    is exact.  Unlike :func:`top_product_count`, it does not check
+    ``eta``: the peels call it once per update.
+    """
     product = base
     count = 0
-    for p in ordered:
+    for p in sorted_desc:
         product = product * p
         if product >= eta:
             count += 1

@@ -14,12 +14,11 @@ therefore how well the pivot pruning performs.  The paper evaluates:
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List
+from typing import List
 
 from repro.exceptions import ParameterError
 from repro.deterministic.core import degeneracy_ordering as _det_degeneracy
-from repro.reduction.topk_core import _prefix_count, _remove_probability
+from repro.reduction.topk_core import topk_core_decomposition
 from repro.uncertain.graph import UncertainGraph, Vertex
 
 #: Names accepted by :func:`vertex_ordering`.
@@ -39,34 +38,11 @@ def degeneracy_ordering(graph: UncertainGraph) -> List[Vertex]:
 def topk_core_ordering(graph: UncertainGraph, eta) -> List[Vertex]:
     """Minimum η-topdegree peeling order.
 
-    Lazy-deletion heap keyed by the current η-topdegree; every removal
-    updates the incident-probability multisets of the neighbors, for an
-    overall ``O((n + m) log d_max)`` bound matching the paper.
+    The removal order of the one peel behind
+    :func:`~repro.reduction.topk_core.topk_core_decomposition`, whose
+    dict keys come in that order.
     """
-    incident = {
-        v: sorted(graph.neighbors(v).values(), reverse=True) for v in graph
-    }
-    topdeg: Dict[Vertex, int] = {
-        v: _prefix_count(incident[v], eta) for v in graph
-    }
-    heap = [(d, repr(v), v) for v, d in topdeg.items()]
-    heapq.heapify(heap)
-    alive = set(topdeg)
-    order: List[Vertex] = []
-    while heap:
-        d, _tie, v = heapq.heappop(heap)
-        if v not in alive or d != topdeg[v]:
-            continue
-        alive.discard(v)
-        order.append(v)
-        for u, p in graph.neighbors(v).items():
-            if u in alive:
-                _remove_probability(incident[u], p)
-                new_deg = _prefix_count(incident[u], eta)
-                if new_deg != topdeg[u]:
-                    topdeg[u] = new_deg
-                    heapq.heappush(heap, (new_deg, repr(u), u))
-    return order
+    return list(topk_core_decomposition(graph, eta))
 
 
 def vertex_ordering(graph: UncertainGraph, name: str, eta=None) -> List[Vertex]:

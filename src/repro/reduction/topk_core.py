@@ -11,10 +11,11 @@ for enumeration; this is the preprocessing used by the state-of-the-art
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Set
 
 from repro.exceptions import ParameterError
-from repro.reduction.eta_degree import eta_topdegree
+from repro.reduction.eta_degree import eta_topdegree, prefix_count
 from repro.uncertain.graph import UncertainGraph, Vertex
 
 
@@ -39,7 +40,7 @@ def topk_core_vertices(graph: UncertainGraph, k: int, eta) -> Set[Vertex]:
     incident: Dict[Vertex, List] = {
         v: sorted(graph.neighbors(v).values(), reverse=True) for v in alive
     }
-    topdeg = {v: _prefix_count(incident[v], eta) for v in alive}
+    topdeg = {v: prefix_count(incident[v], eta) for v in alive}
     # Canonical queue order: peeling is confluent (the core is unique),
     # but a sorted seed keeps the removal sequence reproducible.
     queue = sorted((v for v in alive if topdeg[v] < k), key=repr)
@@ -51,9 +52,9 @@ def topk_core_vertices(graph: UncertainGraph, k: int, eta) -> Set[Vertex]:
         for u, p in graph.neighbors(v).items():
             if u not in alive:
                 continue
-            _remove_probability(incident[u], p)
+            incident[u].remove(p)
             if topdeg[u] >= k:
-                topdeg[u] = _prefix_count(incident[u], eta)
+                topdeg[u] = prefix_count(incident[u], eta)
                 if topdeg[u] < k:
                     queue.append(u)
     return alive
@@ -62,48 +63,39 @@ def topk_core_vertices(graph: UncertainGraph, k: int, eta) -> Set[Vertex]:
 def topk_core_decomposition(graph: UncertainGraph, eta) -> Dict[Vertex, int]:
     """Return, for each vertex, the largest ``k`` whose core contains it.
 
-    Analogue of the classic core decomposition: peel vertices in order
-    of minimum η-topdegree, assigning each vertex the running maximum of
-    the η-topdegree at its removal time.
+    Analogue of the classic core decomposition, by one minimum-first
+    peel: a lazy-deletion heap keyed by ``(η-topdegree, repr)`` removes
+    a vertex of minimum current η-topdegree, and each vertex's shell is
+    the running maximum of the η-topdegree at removal.  Every removal
+    updates the incident-probability multisets of the neighbors, for
+    an overall ``O((n + m) log d_max)`` bound matching the paper.  The
+    dict is in removal order, which is
+    :func:`~repro.reduction.ordering.topk_core_ordering`.
     """
-    alive: Set[Vertex] = set(graph.vertices())
     incident: Dict[Vertex, List] = {
-        v: sorted(graph.neighbors(v).values(), reverse=True) for v in alive
+        v: sorted(graph.neighbors(v).values(), reverse=True) for v in graph
     }
-    topdeg = {v: _prefix_count(incident[v], eta) for v in alive}
+    topdeg = {v: prefix_count(incident[v], eta) for v in graph}
+    heap = [(d, repr(v), v) for v, d in topdeg.items()]
+    heapq.heapify(heap)
     shell: Dict[Vertex, int] = {}
-    current = 0
-    while alive:
-        v = min(alive, key=lambda w: topdeg[w])
-        current = max(current, topdeg[v])
-        shell[v] = current
-        alive.discard(v)
+    level = 0
+    while heap:
+        d, _tie, v = heapq.heappop(heap)
+        if v in shell or d != topdeg[v]:
+            continue
+        level = max(level, d)
+        shell[v] = level
         for u, p in graph.neighbors(v).items():
-            if u in alive:
-                _remove_probability(incident[u], p)
-                topdeg[u] = min(topdeg[u], _prefix_count(incident[u], eta))
+            if u not in shell:
+                incident[u].remove(p)
+                new_deg = prefix_count(incident[u], eta)
+                if new_deg != topdeg[u]:
+                    topdeg[u] = new_deg
+                    heapq.heappush(heap, (new_deg, repr(u), u))
     return shell
 
 
 def verify_topk_core(graph: UncertainGraph, k: int, eta) -> bool:
     """Check that every vertex of ``graph`` has η-topdegree >= k in it."""
     return all(eta_topdegree(graph, v, eta) >= k for v in graph)
-
-
-def _prefix_count(sorted_desc: List, eta) -> int:
-    product = 1
-    count = 0
-    for p in sorted_desc:
-        product = product * p
-        if product >= eta:
-            count += 1
-        else:
-            break
-    return count
-
-
-def _remove_probability(sorted_desc: List, p) -> None:
-    """Remove one occurrence of ``p`` from a descending-sorted list."""
-    # Linear scan: probabilities are floats subject to equality here
-    # because the value came from the same graph object.
-    sorted_desc.remove(p)

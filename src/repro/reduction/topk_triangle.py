@@ -17,9 +17,11 @@ with a slightly larger constant that is irrelevant at Python scale.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+import heapq
+from typing import Dict, Iterator, List
 
 from repro.exceptions import ParameterError
+from repro.reduction.eta_degree import prefix_count, top_triangle_degree
 from repro.uncertain.graph import Edge, UncertainGraph, Vertex, normalize_edge
 
 
@@ -38,45 +40,26 @@ def topk_triangle_edges(graph: UncertainGraph, k: int, eta) -> List[Edge]:
     """Edges of the maximal ``(Top_k, η)``-triangle, in insertion order."""
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
-    work = graph.copy()
-    # Open-triangle probability per edge, keyed by apex vertex.
-    tri: Dict[Edge, Dict[Vertex, object]] = {}
-    for u, v, _p in work.edges():
-        e = normalize_edge(u, v)
-        nu, nv = work.neighbors(u), work.neighbors(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        tri[e] = {w: nu[w] * nv[w] for w in nu if w in nv}
+    tri = _open_triangles(graph)
     tdeg = {
         e: _top_degree(tri[e], graph.probability(*e), eta) for e in tri
     }
     queue: List[Edge] = [e for e, t in tdeg.items() if t < k]
-    removed: Set[Edge] = set()
     while queue:
         e = queue.pop()
-        if e in removed:
+        if e not in tri:
             continue
-        removed.add(e)
-        u, v = e
-        # Surviving triangles through e disappear: update both side edges.
-        for w in list(tri[e]):
-            for side in (normalize_edge(u, w), normalize_edge(v, w)):
-                if side in removed:
-                    continue
-                apex = v if side == normalize_edge(u, w) else u
-                tri[side].pop(apex, None)
-                if tdeg[side] >= k:
-                    tdeg[side] = _top_degree(
-                        tri[side], graph.probability(*side), eta
-                    )
-                    if tdeg[side] < k:
-                        queue.append(side)
-        tri[e] = {}
-        work.remove_edge(u, v)
+        for side in _remove_edge(tri, e):
+            if tdeg[side] >= k:
+                tdeg[side] = _top_degree(
+                    tri[side], graph.probability(*side), eta
+                )
+                if tdeg[side] < k:
+                    queue.append(side)
     # Survivors in edge-scan (insertion) order, not set order: the
     # edge_subgraph built from them inherits this order, and downstream
     # orderings/colorings must be deterministic across processes.
-    return [e for e in tdeg if e not in removed]
+    return [e for e in tdeg if e in tri]
 
 
 def top_triangle_decomposition(graph: UncertainGraph, eta) -> Dict[Edge, int]:
@@ -91,61 +74,59 @@ def top_triangle_decomposition(graph: UncertainGraph, eta) -> Dict[Edge, int]:
     monotonicity of the top triangle degree (Lemma 7), exactly as for
     k-cores.
     """
-    import heapq
-
-    work = graph.copy()
-    tri: Dict[Edge, Dict[Vertex, object]] = {}
-    for u, v, _p in work.edges():
-        e = normalize_edge(u, v)
-        nu, nv = work.neighbors(u), work.neighbors(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        tri[e] = {w: nu[w] * nv[w] for w in nu if w in nv}
+    tri = _open_triangles(graph)
     tdeg = {e: _top_degree(tri[e], graph.probability(*e), eta) for e in tri}
     heap = [(t, repr(e), e) for e, t in tdeg.items()]
     heapq.heapify(heap)
-    removed: Set[Edge] = set()
     result: Dict[Edge, int] = {}
     level = 0
     while heap:
         t, _tie, e = heapq.heappop(heap)
-        if e in removed or t != tdeg[e]:
+        if e in result or t != tdeg[e]:
             continue
-        removed.add(e)
         level = max(level, t)
         result[e] = level
-        u, v = e
-        for w in list(tri[e]):
-            for side in (normalize_edge(u, w), normalize_edge(v, w)):
-                if side in removed:
-                    continue
-                apex = v if side == normalize_edge(u, w) else u
-                tri[side].pop(apex, None)
-                new_t = _top_degree(tri[side], graph.probability(*side), eta)
-                if new_t != tdeg[side]:
-                    tdeg[side] = new_t
-                    heapq.heappush(heap, (new_t, repr(side), side))
-        tri[e] = {}
-        work.remove_edge(u, v)
+        for side in _remove_edge(tri, e):
+            new_t = _top_degree(tri[side], graph.probability(*side), eta)
+            if new_t != tdeg[side]:
+                tdeg[side] = new_t
+                heapq.heappush(heap, (new_t, repr(side), side))
     return result
 
 
 def verify_topk_triangle(graph: UncertainGraph, k: int, eta) -> bool:
     """Check every edge of ``graph`` has top triangle degree >= k in it."""
-    from repro.reduction.eta_degree import top_triangle_degree
-
     return all(
         top_triangle_degree(graph, u, v, eta) >= k for u, v, _p in graph.edges()
     )
 
 
+def _open_triangles(graph: UncertainGraph) -> Dict[Edge, Dict[Vertex, object]]:
+    """Each edge's open triangles, apex -> ``p(u, w) * p(v, w)``, keyed
+    by canonical edge in edge-scan order: the table both peels share."""
+    tri: Dict[Edge, Dict[Vertex, object]] = {}
+    for u, v, _p in graph.edges():
+        nu, nv = graph.neighbors(u), graph.neighbors(v)
+        if len(nu) > len(nv):
+            nu, nv = nv, nu
+        tri[normalize_edge(u, v)] = {w: nu[w] * nv[w] for w in nu if w in nv}
+    return tri
+
+
+def _remove_edge(
+    tri: Dict[Edge, Dict[Vertex, object]], e: Edge
+) -> Iterator[Edge]:
+    """Peel ``e`` out of the table: each triangle through it leaves
+    both side edges, and each side is yielded right after its loss so
+    the caller re-counts it before the next one.  A row keeps an apex
+    only while both of its side edges survive, so every side is live.
+    """
+    u, v = e
+    for w in tri.pop(e):
+        for side, apex in ((normalize_edge(u, w), v), (normalize_edge(v, w), u)):
+            del tri[side][apex]
+            yield side
+
+
 def _top_degree(open_probs: Dict[Vertex, object], p_e, eta) -> int:
-    product = p_e
-    count = 0
-    for p in sorted(open_probs.values(), reverse=True):
-        product = product * p
-        if product >= eta:
-            count += 1
-        else:
-            break
-    return count
+    return prefix_count(sorted(open_probs.values(), reverse=True), eta, p_e)

@@ -132,21 +132,23 @@ def replay_or_run(
     produce: Callable[[], tuple],
     artifacts: Optional[Callable[[], Dict[str, str]]] = None,
 ) -> tuple:
-    """``(result, record, hit)`` for ``key`` through ``store``.
+    """``(result, record, stored)`` for ``key`` through ``store``.
 
     A hit replays the stored run (:meth:`StoredRun.result`) and builds
     no enumerator.  A miss calls ``produce()`` for ``(result,
     record)`` and stores the record and the result's cliques under
     ``key``, with the files ``artifacts()`` then names (name -> path)
     in the same entry.  ``record`` is the stored one on a hit and the
-    one just written on a miss, so no caller reads the entry back.
+    one just written on a miss, and ``stored`` is the replayed
+    :class:`StoredRun` on a hit and None on a miss, so no caller reads
+    the entry back.
     """
     stored = store.get_run(key)
     if stored is not None:
-        return stored.result(), stored.record, True
+        return stored.result(), stored.record, stored
     result, record = produce()
     store.put_run(
         key, record, cliques=result.cliques,
         artifacts=artifacts() if artifacts is not None else None,
     )
-    return result, record, False
+    return result, record, None

@@ -107,7 +107,7 @@ class EnumerationService:
                 dataset_fingerprint=memo[0],
             )
         key = replace(base, k=k, variant=variant_class(config))
-        result, record, hit = replay_or_run(
+        result, record, stored = replay_or_run(
             self.store,
             key,
             lambda: run_stamped(
@@ -115,7 +115,8 @@ class EnumerationService:
             ),
         )
         return ServiceOutcome(
-            key=key, digest=key.digest(), hit=hit, record=record, result=result
+            key=key, digest=key.digest(), hit=stored is not None,
+            record=record, result=result,
         )
 
     # ------------------------------------------------------------------
@@ -186,7 +187,7 @@ class ServeLoop:
     Requests (one JSON object per line)::
 
         {"op": "ping"}
-        {"op": "enumerate", "dataset": "communities-100", "k": 5,
+        {"op": "enumerate", "dataset": "enron", "k": 5,
          "eta": 0.1, "seed": 0, "procedure": "slice"}
         {"op": "query", "digest": "<digest or unique prefix>"}
         {"op": "batch", "requests": [...]}

@@ -24,7 +24,13 @@ rows in (size, ids) order keep the canonical order of
 
 **Crash safety** — every entry is staged in a temporary directory and
 published with one atomic ``os.rename``; a crashed writer leaves only
-an unreachable temp dir, never a half-entry.  First write wins: if the
+an unreachable ``stage-*`` directory, never a half-entry, and the next
+put into the same fan directory removes stages older than
+:data:`_STALE_STAGE_S` (never a fresh one, which may be a live
+writer's).  The rename protects against a crashed process, not a lost
+OS page cache: nothing calls ``fsync``, so after a power loss an
+entry's files may be torn, which a read then sees as damage (a miss,
+below).  First write wins: if the
 destination exists and verifies, the stage is discarded, which is
 correct because entries are content-addressed (same key ⇒
 byte-identical payload).  One exception: a run stage that holds
@@ -48,6 +54,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -61,6 +68,11 @@ DEFAULT_STORE_DIR = ".repro-store"
 _STORE_FORMAT = 2
 
 _MANIFEST = "MANIFEST.json"
+
+#: Age in seconds past which a ``stage-*`` directory is an orphan.  A
+#: put stages and renames in well under a second, so only a writer that
+#: died before its rename leaves a stage this old.
+_STALE_STAGE_S = 3600
 
 
 def _sha256(blob: bytes) -> str:
@@ -131,6 +143,22 @@ def _decode_cliques(blob: bytes) -> CliqueList:
     return CliqueList.of_rows(table, rows)
 
 
+def _remove_stale_stages(parent: str) -> None:
+    """Remove the orphaned stages of writers that died before their
+    rename: every ``stage-*`` in ``parent`` older than the bound."""
+    cutoff = time.time() - _STALE_STAGE_S
+    for name in os.listdir(parent):
+        if not name.startswith("stage-"):
+            continue
+        path = os.path.join(parent, name)
+        try:
+            stale = os.stat(path).st_mtime < cutoff
+        except OSError:  # published or removed meanwhile
+            continue
+        if stale:
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def _freeze(vertex):
     """JSON round-trips tuples to lists; restore hashability."""
     if isinstance(vertex, list):
@@ -198,6 +226,7 @@ class RunStore:
         final = self._entry_dir(kind, digest)
         parent = os.path.dirname(final)
         os.makedirs(parent, exist_ok=True)
+        _remove_stale_stages(parent)
         stage = tempfile.mkdtemp(dir=parent, prefix="stage-")
         try:
             manifest = {"format": _STORE_FORMAT, "files": {}}

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.deterministic.graph import Graph
 from repro.uncertain.graph import UncertainGraph
@@ -32,6 +33,21 @@ def random_uncertain_graph(
             if rng.random() < density:
                 graph.add_edge(u, v, rng.choice(probabilities))
     return graph
+
+
+@st.composite
+def graphs_with_eta(draw):
+    """A :func:`random_uncertain_graph` with a float ``η``, or the same
+    graph under exact probabilities with the same ``η`` as a Fraction."""
+    graph = random_uncertain_graph(
+        draw(st.integers(0, 10_000)),
+        draw(st.integers(1, 14)),
+        draw(st.sampled_from((0.3, 0.5, 0.7))),
+    )
+    eta = Fraction(draw(st.sampled_from((1, 5, 10, 20, 30, 50, 80))), 100)
+    if draw(st.booleans()):
+        return graph.with_exact_probabilities(), eta
+    return graph, float(eta)
 
 
 def random_deterministic_graph(seed: int, n: int, density: float = 0.5) -> Graph:

@@ -23,7 +23,7 @@ from repro.reduction import (
     verify_topk_triangle,
 )
 from repro.uncertain import UncertainGraph, clique_probability
-from tests.conftest import random_uncertain_graph
+from tests.conftest import graphs_with_eta, random_uncertain_graph
 
 
 class TestTopProductCount:
@@ -125,14 +125,39 @@ class TestTopkCore:
             candidate = g.subgraph(survivors | {v})
             assert not verify_topk_core(candidate, k, eta)
 
-    def test_decomposition_consistent_with_core(self):
-        g = random_uncertain_graph(2, 12, 0.5)
-        eta = 0.3
+    @given(graphs_with_eta())
+    @settings(max_examples=40, deadline=None)
+    def test_decomposition_consistent_with_core(self, case):
+        g, eta = case
         shell = topk_core_decomposition(g, eta)
-        for k in range(1, max(shell.values(), default=0) + 1):
-            core_v = topk_core_vertices(g, k, eta)
+        for k in range(max(shell.values(), default=0) + 2):
             by_shell = {v for v, s in shell.items() if s >= k}
-            assert core_v == by_shell
+            assert topk_core_vertices(g, k, eta) == by_shell, k
+
+    @given(graphs_with_eta())
+    @settings(max_examples=40, deadline=None)
+    def test_ordering_removes_a_minimum_and_shells_are_running_maxima(
+        self, case
+    ):
+        """The one peel, checked through the public η-topdegree alone:
+        each vertex of the ordering has the minimum η-topdegree of the
+        subgraph not yet removed, the running maximum of those minima
+        is its shell, and the decomposition lists vertices in that
+        order."""
+        g, eta = case
+        order = topk_core_ordering(g, eta)
+        shell = topk_core_decomposition(g, eta)
+        assert list(shell) == order
+        rest = set(g.vertices())
+        level = 0
+        for v in order:
+            sub = g.subgraph(rest)
+            degree = {u: eta_topdegree(sub, u, eta) for u in rest}
+            assert degree[v] == min(degree.values())
+            level = max(level, degree[v])
+            assert shell[v] == level
+            rest.remove(v)
+        assert not rest
 
 
 class TestTopkTriangle:
@@ -179,20 +204,21 @@ class TestTopkTriangle:
             if sub.num_vertices:
                 assert verify_topk_core(sub, k + 1, eta)
 
-    def test_decomposition_levels(self):
-        g = random_uncertain_graph(4, 10, 0.7)
-        eta = 0.2
+    @given(graphs_with_eta())
+    @settings(max_examples=40, deadline=None)
+    def test_decomposition_levels(self, case):
+        g, eta = case
         levels = top_triangle_decomposition(g, eta)
-        for e, s in levels.items():
-            assert s >= 0
+        assert len(levels) == g.num_edges
+        assert all(s >= 0 for s in levels.values())
         # Edges at level >= k are exactly the k-triangle survivors.
-        for k in (1, 2):
+        for k in range(max(levels.values(), default=0) + 2):
             survivors = topk_triangle_edges(g, k, eta)
             by_level = {e for e, s in levels.items() if s >= k}
             # Survivors come back in deterministic edge-scan order;
             # membership (not order) is what the levels predict.
             assert len(survivors) == len(set(survivors))
-            assert set(survivors) == by_level
+            assert set(survivors) == by_level, k
 
 
 class TestOrderings:

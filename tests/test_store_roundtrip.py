@@ -14,14 +14,22 @@ Four families:
   previous store format) makes ``get_run`` return None, never an
   exception and never wrong data; a re-put heals the entry;
 * **reductions** — the shared decomposition cache round-trips its
-  shell maps exactly, including tuple vertices.
+  shell maps exactly, including tuple vertices;
+* **killed writers** — a writer that dies before its publish rename
+  leaves a stage that the next put removes once it is stale, and
+  never while it is fresh.
 """
 
+import glob
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import random
 
@@ -36,6 +44,7 @@ from repro.reduction import (
     topk_core_decomposition,
 )
 from repro.store.key import reduction_key_for, run_key_for
+import repro.store.store as store_module
 from repro.store.records import stamped_record
 from repro.store.store import RunStore, _decode_cliques, _encode_cliques
 from repro.uncertain import UncertainGraph
@@ -311,6 +320,64 @@ def test_missing_store_directory_is_just_a_miss(tmp_path):
     assert store.get_run(key) is None
     assert store.list_runs() == []
     assert store.get_by_digest("feed") is None
+
+
+# ----------------------------------------------------------------------
+# killed writers
+# ----------------------------------------------------------------------
+REPO = Path(__file__).resolve().parents[1]
+
+#: One put of the figure-1 k=3, η=0.1 run by a writer that dies at its
+#: publish rename, as a killed process would: the stage is complete,
+#: and nothing is published.
+KILLED_WRITER = r"""
+import os, sys
+
+from repro.core.config import PMUC_PLUS_CONFIG
+from repro.datasets.figure1 import figure1_graph
+from repro.store.key import run_key_for
+from repro.store.records import stamped_record
+from repro.store.store import RunStore
+
+os.rename = lambda *args: os._exit(0)
+key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+RunStore(sys.argv[1]).put_run(key, stamped_record("killed", 0.1, 0), cliques=[])
+"""
+
+
+def kill_a_writer(store, age):
+    """The stage a killed writer left in ``store``, backdated by ``age``
+    seconds, and the key it was writing."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    subprocess.run(
+        [sys.executable, "-c", KILLED_WRITER, store.root],
+        env=env, check=True, timeout=120,
+    )
+    (stage,) = glob.glob(os.path.join(store.root, "runs", "*", "stage-*"))
+    then = time.time() - age
+    os.utime(stage, (then, then))
+    key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+    assert store.get_run(key) is None
+    return stage, key
+
+
+def test_a_killed_writers_stale_stage_goes_with_the_next_put(tmp_path):
+    store = RunStore(str(tmp_path / "store"))
+    stage, key = kill_a_writer(store, store_module._STALE_STAGE_S + 60)
+    run_and_store(store, figure1_graph(), 3, 0.1)
+    assert os.listdir(os.path.dirname(stage)) == [key.digest()]
+    assert store.get_run(key) is not None
+
+
+def test_a_fresh_stage_survives_the_next_put(tmp_path):
+    # Just under the bound: it may still be a live writer's stage.
+    store = RunStore(str(tmp_path / "store"))
+    stage, key = kill_a_writer(store, store_module._STALE_STAGE_S - 60)
+    run_and_store(store, figure1_graph(), 3, 0.1)
+    assert sorted(os.listdir(os.path.dirname(stage))) == sorted(
+        [key.digest(), os.path.basename(stage)]
+    )
+    assert store.get_run(key) is not None
 
 
 # ----------------------------------------------------------------------

@@ -251,6 +251,47 @@ def test_a_parallel_miss_publishes_its_flight_logs_with_the_run(
     assert len(fan_outs) == 2
 
 
+def test_a_parallel_hit_leaves_the_flight_logs_of_the_run_it_returns(
+    store, monkeypatch, tmp_path
+):
+    from repro.obs.fleet import load_flights
+
+    flights = tmp_path / "flights"
+    fan_outs = []
+    fan_out = partition_module._fan_out
+
+    def counting(*args):
+        fan_outs.append(args)
+        return fan_out(*args)
+
+    monkeypatch.setattr(partition_module, "_fan_out", counting)
+
+    def run(k, parts, flight_dir=str(flights)):
+        return enumerate_parallel(
+            figure1_graph(), k, 0.1, parts=parts, processes=1,
+            store=store, flight_dir=flight_dir,
+        )
+
+    def logs():
+        return {p.name: p.read_bytes() for p in flights.glob("flight-*")}
+
+    run(3, 2)
+    first = logs()
+    run(2, 3)
+    assert len(logs()) == 4 and logs() != first
+    run(3, 2)
+    assert len(fan_outs) == 2
+    assert logs() == first
+    parent = load_flights([str(flights / name) for name in sorted(first)])[0]
+    start = parent.first("run_start")
+    assert (parent.role, start["k"], start["workers"]) == ("parent", 3, 2)
+    # An entry stored without flight logs leaves none on its hit.
+    run(4, 2, flight_dir=None)
+    run(4, 2)
+    assert len(fan_outs) == 3
+    assert logs() == {}
+
+
 def _contents(paths):
     return {name: Path(path).read_bytes() for name, path in paths.items()}
 

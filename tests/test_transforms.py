@@ -1,6 +1,7 @@
 """Uncertain-graph transforms and the η-core decomposition."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import GraphError, ParameterError
 from repro.baselines import eta_core_decomposition, k_eta_core_vertices
@@ -13,7 +14,7 @@ from repro.uncertain import (
     threshold,
     union_graphs,
 )
-from tests.conftest import random_uncertain_graph
+from tests.conftest import graphs_with_eta, random_uncertain_graph
 
 
 class TestThreshold:
@@ -139,12 +140,13 @@ class TestCombination:
 
 
 class TestEtaCoreDecomposition:
-    def test_consistent_with_core(self):
-        g = random_uncertain_graph(7, 12, 0.5)
-        eta = 0.4
+    @given(graphs_with_eta())
+    @settings(max_examples=40, deadline=None)
+    def test_consistent_with_core(self, case):
+        g, eta = case
         shell = eta_core_decomposition(g, eta)
-        top = max(shell.values(), default=0)
-        for k in range(1, top + 1):
+        assert set(shell) == set(g.vertices())
+        for k in range(max(shell.values(), default=0) + 2):
             expected = k_eta_core_vertices(g, k, eta)
             by_shell = {v for v, s in shell.items() if s >= k}
             assert by_shell == expected, k
