@@ -97,14 +97,17 @@ _TO_LIN_CALLS = frozenset({"exp", "expm1"})
 _NEUTRAL_CALLS = frozenset({
     "len", "bool", "int", "range", "popcount", "bit_length", "id",
     "isclose", "exact_accept", "exact_x_member", "label_of",
-    "select_pivot", "wide_scan", "normalize_pair", "normalize_edge",
+    "select_pivot", "normalize_pair", "normalize_edge",
 })
-#: Callees whose *name* says they return counts, ranks or clique
-#: structures: their result is not a probability (or bitset) no matter
-#: what domain values went in.  Complements the module-local summary
-#: mechanism for helpers imported from sibling modules.
+#: Callees whose *name* says they return counts, ranks, clique
+#: structures or the reduction API's vertex and edge structures
+#: (``topk_core_vertices``, ``topk_core_decomposition``,
+#: ``vertex_ordering``): their result is not a probability (or bitset)
+#: no matter what domain values went in.  Complements the module-local
+#: summary mechanism for helpers imported from sibling modules.
 _NEUTRAL_CALL_RE = re.compile(
-    r"(^|_)(count|degree|deg|rank|size|len|enumerate|clique)"
+    r"(^|_)(count|degree|deg|rank|size|len|enumerate|clique"
+    r"|vertices|edges|decomposition|ordering)"
 )
 
 #: Bit-domain names: the big-int candidate sets and the mask tables

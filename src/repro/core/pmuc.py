@@ -231,7 +231,7 @@ class PivotEnumerator:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> SearchStats:
-        """Search counters of the run (final after :meth:`run`)."""
+        """Search counters of the latest run (final after :meth:`run`)."""
         return self._result.stats
 
     def run(
@@ -277,6 +277,9 @@ class PivotEnumerator:
         else:
             eta = self._eta
             ops = DictStateOps(self._graph, self._k, eta, self._config)
+        # Each run fills a fresh result: a second run must not add its
+        # cliques and counters to the first run's.
+        self._result = EnumerationResult()
         engine = SearchEngine(
             ops,
             self._k,

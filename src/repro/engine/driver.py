@@ -7,8 +7,8 @@ Lemmas 3–4), the K-pivot size stop (Lemmas 5–6), emission, and every
 sanitizer/observer hook site — lives in :func:`_search_template`.  The
 template is never executed as written: :func:`build_search` is a
 dispatcher that folds the module-level specialization flags (``HOOKS``,
-``BITSET``, ``WIDESCAN``) into the template's AST and compiles one
-recursion **variant** per key (see :func:`variant_key`).  Only what
+``BITSET``) into the template's AST and compiles one recursion
+**variant** per key (see :func:`variant_key`).  Only what
 changes the recursion's data layout or its hook policy is folded; the
 pivot and pruning switches of :class:`~repro.core.config.PivotConfig`
 are read once per run into closure cells.  Because every variant is a
@@ -32,14 +32,13 @@ Each backend runs one shape, set by the one hot path it defines:
     leaves, where a per-witness ``-log`` sum with the same certainty
     band as the eager path (plus a full per-level exact replay inside
     the band) reproduces the dict backend's decisions bit for bit.
-    The shape of a backend that defines ``fast_ops`` (the kernel); its
-    ``+wide`` GenerateSet scans set bits instead of the parent list.
+    The shape of a backend that defines ``fast_ops`` (the kernel).
 
 Either shape gains the sanitizer/observer hook sites (``+hooks``)
 whenever a sanitizer or a per-node observer (``obs="metrics"``/
 ``"full"``, see :data:`repro.core.config.RECURSION_HOOK_LEVELS`) is
 attached; hooks never change the shape.  A ``light`` observer is
-lifecycle-only and keeps the hookless variant.  Six keys exist (see
+lifecycle-only and keeps the hookless variant.  Four keys exist (see
 :func:`legal_variant_keys`).
 
 The run lifecycle (reduction/ordering phases, hook wiring, the seed
@@ -88,17 +87,15 @@ class _StopSearch(Exception):
 #: every ``if`` whose truth they decide and removes the dead branch.
 #: The module-level values are never consulted at runtime — only the
 #: folded variants execute.  Only what changes the recursion's data
-#: layout (``BITSET``, ``WIDESCAN``) or its hook policy (``HOOKS``) is
-#: folded; the pivot and pruning switches are per-run closure cells.
+#: layout (``BITSET``) or its hook policy (``HOOKS``) is folded; the
+#: pivot and pruning switches are per-run closure cells.
 _SPEC_FLAGS = (
-    "HOOKS",     # sanitizer/observer hook sites present
-    "BITSET",    # bitset fast path (the backend defines fast_ops)
-    "WIDESCAN",  # GenerateSet scans set bits, not the parent list
+    "HOOKS",   # sanitizer/observer hook sites present
+    "BITSET",  # bitset fast path (the backend defines fast_ops)
 )
 
 HOOKS = False
 BITSET = False
-WIDESCAN = False
 
 
 def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
@@ -556,8 +553,8 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                 # GenerateSet (Algorithm 1) in bitset domain: one AND
                 # for the whole candidate set, then an additive
                 # threshold test per survivor, enumerated through the
-                # parent's survivor list (candidate sets are tiny on
-                # real workloads, so list traffic beats a byte scan).
+                # parent's survivor list with one singleton-mask test
+                # each, which keeps the survivors in ascending order.
                 # ``s_new`` below ``lo`` is a certain accept, above
                 # ``hi`` a certain reject; the narrow band in between
                 # replays the dict backend's exact float decision.
@@ -572,23 +569,8 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                 if c_new:
                     c_next = []
                     keep = c_next.append
-                    if WIDESCAN:
-                        # Wide graphs: walking the parent list costs
-                        # one full-width singleton test per candidate,
-                        # so enumerate the set bits of the projected
-                        # mask directly.  Extraction runs high-to-low
-                        # — ``bit_length`` finds the top bit in O(1)
-                        # and the singleton XOR touches only ``w/30``
-                        # words, where low-bit extraction needs three
-                        # full-width ops — and one C-speed ``reverse``
-                        # restores the ascending survivor order
-                        # (threshold verdicts are per-vertex, so scan
-                        # order cannot change them).
-                        m = c_new
-                        while m:
-                            w = bl(m) - 1
-                            low = bit_at[w]
-                            m ^= low
+                    for w in c_list:
+                        if c_new & bit_at[w]:
                             s_new = sv[w] + nlog_u[w]
                             if s_new < lo or (
                                 s_new <= hi and exact_accept(w, r)
@@ -596,24 +578,7 @@ def _search_template(ops, config, k, stats, sink, limit, san=None, obs=None):
                                 sv[w] = s_new
                                 keep(w)
                             else:
-                                c_new ^= low
-                        c_next.reverse()
-                    else:
-                        # Narrow graphs: candidate sets are tiny (a
-                        # few survivors on real workloads), so walking
-                        # the parent's survivor list with one
-                        # singleton-mask test each beats big-int bit
-                        # extraction.
-                        for w in c_list:
-                            if c_new & bit_at[w]:
-                                s_new = sv[w] + nlog_u[w]
-                                if s_new < lo or (
-                                    s_new <= hi and exact_accept(w, r)
-                                ):
-                                    sv[w] = s_new
-                                    keep(w)
-                                else:
-                                    c_new ^= bit_at[w]
+                                c_new ^= bit_at[w]
                 else:
                     # Leaf child: no survivors to score — the shared
                     # empty tuple keeps every downstream consumer
@@ -868,45 +833,38 @@ def engine_source_manifest():
 
 
 def variant_key(ops, san=None, obs=None):
-    """The specialization key for one run: ``(shape, hooks, wide)``.
+    """The specialization key for one run: ``(shape, hooks)``.
 
     ``shape`` is ``"bitset"`` when the backend defines the ``fast_ops``
     hot path and ``"generic"`` when it defines ``search_ops`` (see
-    :mod:`repro.engine.protocol`); hooks never change the shape.
-    ``wide`` is the backend's own call — the kernel asks for the
-    set-bit GenerateSet scan once singleton-mask tests get wide — and
-    is always ``False`` for the generic shape, whose GenerateSet is the
-    backend's.
+    :mod:`repro.engine.protocol`); hooks never change the shape.  The
+    key reads the protocol only: the variant builds the backend's hot
+    state itself, once per run.
     """
-    hooks = san is not None or obs is not None
-    fast_ops = getattr(ops, "fast_ops", None)
-    if fast_ops is None:
-        return ("generic", hooks, False)
-    return ("bitset", hooks, bool(fast_ops().wide_scan))
+    shape = "bitset" if hasattr(ops, "fast_ops") else "generic"
+    return (shape, san is not None or obs is not None)
 
 
 def variant_id(key):
     """Short human-readable variant name stamped into run records."""
-    shape, hooks, wide = key
-    return shape + ("+hooks" if hooks else "") + ("+wide" if wide else "")
+    shape, hooks = key
+    return shape + ("+hooks" if hooks else "")
 
 
 def legal_variant_keys():
     """Every key the dispatcher can produce (the REP013 proof space)."""
     return [
-        ("generic", False, False),
-        ("generic", True, False),
-        ("bitset", False, False),
-        ("bitset", False, True),
-        ("bitset", True, False),
-        ("bitset", True, True),
+        ("generic", False),
+        ("generic", True),
+        ("bitset", False),
+        ("bitset", True),
     ]
 
 
 def _flag_env(key):
     """Spec-flag assignment for ``key`` (one value per ``_SPEC_FLAGS``)."""
-    shape, hooks, wide = key
-    return {"HOOKS": hooks, "BITSET": shape == "bitset", "WIDESCAN": wide}
+    shape, hooks = key
+    return {"HOOKS": hooks, "BITSET": shape == "bitset"}
 
 
 _TEMPLATE_SOURCE = None

@@ -5,7 +5,8 @@ This module is the **kernel backend** of the shared search engine
 :func:`repro.engine.driver.build_search`, and this module supplies the
 state algebra over the :class:`~repro.kernel.compact.CompactGraph`
 representation as one ``fast_ops`` namespace, which the engine's
-``bitset`` recursion inlines on every kernel run, hooked or not:
+``bitset`` recursion builds once per kernel run and inlines, hooked or
+not (``bitset`` and ``bitset+hooks``, the kernel's two variants):
 
 * ``C`` and ``X`` are **bitsets** (Python big-ints).  The
   ``GenerateSet`` kernel of Algorithm 1 becomes one word-parallel
@@ -325,9 +326,11 @@ class KernelStateOps(StateOps):
         array, bitset adjacency, dense ``-log`` rows, the fused pivot
         keys, per-color bit masks for the Lemma-6 popcount bound,
         per-vertex bit singletons, the guard-band constants, and the
-        exact-replay deciders.  Never cached on ``self``: its bound
-        methods would close a cycle that keeps a finished run's graph
-        and O(n²) ``-log p`` rows alive until a full collection.
+        exact-replay deciders.  The variant calls this once per run;
+        the engine's variant key reads only that the method exists.
+        Never cached on ``self``: its bound methods would close a cycle
+        that keeps a finished run's graph and O(n²) ``-log p`` rows
+        alive until a full collection.
         """
         deg = self._deg
         colnum = self._colnum
@@ -345,12 +348,7 @@ class KernelStateOps(StateOps):
             def select_pivot(keys):
                 return keys[0]
 
-        # Past ~512 vertices a singleton-mask membership test costs
-        # many 30-bit words, so ask the engine for the wide-scan
-        # GenerateSet variant (set-bit extraction) instead of the
-        # parent-list walk that wins on narrow graphs.
         return SimpleNamespace(
-            wide_scan=self._cg.n > 512,
             sv=self._sv,
             nbr_bits=self._cg.nbr_bits,
             nlogr=self._nlogr,

@@ -603,6 +603,22 @@ def test_rep003_flow_extension_flags_taint_through_assignments():
     assert finding.fingerprint
 
 
+def test_rep003_flow_extension_spares_structures_computed_from_eta():
+    # A call named for a vertex or edge structure returns that
+    # structure, whatever probability went in; the syntactic half still
+    # reports a probability compared exactly.
+    found = findings_for(
+        """
+        def f(g, k, eta, c, expected):
+            assert topk_core_vertices(g, k, eta) == expected
+            assert clique_probability(g, c) == 0.5
+        """,
+        "REP003",
+    )
+    assert [f.line for f in found] == [4], [f.format_text() for f in found]
+    assert "'clique_probability(...)'" in found[0].message
+
+
 # ----------------------------------------------------------------------
 # fingerprints
 # ----------------------------------------------------------------------

@@ -106,14 +106,12 @@ def test_fold_record_exposes_env_and_compiles():
 def test_legal_variant_keys_fold_only_layout_and_hooks():
     from repro.engine import driver
 
-    assert driver._SPEC_FLAGS == ("HOOKS", "BITSET", "WIDESCAN")
+    assert driver._SPEC_FLAGS == ("HOOKS", "BITSET")
     assert [driver.variant_id(k) for k in driver.legal_variant_keys()] == [
         "generic",
         "generic+hooks",
         "bitset",
-        "bitset+wide",
         "bitset+hooks",
-        "bitset+hooks+wide",
     ]
 
 
@@ -146,9 +144,9 @@ def test_translation_validation_proves_the_full_matrix(monkeypatch):
 
     src = SourceFile.read(str(SRC_REPRO / "engine" / "driver.py"))
     total = len(legal_variant_keys())
-    assert total == 6
+    assert total == 4
     # Every legal key is folded and handed to the per-variant check, so
-    # "no difference" counts all six keys as proven, not a subset.
+    # "no difference" counts all four keys as proven, not a subset.
     checked = []
     real_validate = validate_mod.validate_variant
 
@@ -347,8 +345,8 @@ def test_rep013_names_each_dropped_hook(cuts, label, where):
 
 
 def test_rep013_flags_a_hook_site_no_hooked_variant_keeps():
-    # The on_expand site only survives under BITSET off and WIDESCAN
-    # on, which no legal key has: the hook kind is missing from every
+    # The on_expand site only survives under HOOKS both off and on,
+    # which no legal key has: the hook kind is missing from every
     # hooked variant although the template still spells it out.
     kept = findings_for(
         """
@@ -358,7 +356,7 @@ def test_rep013_flags_a_hook_site_no_hooked_variant_keeps():
                     if obs is not None:
                         obs.on_node(depth, r)
                 if not BITSET:
-                    if WIDESCAN:
+                    if not HOOKS:
                         if HOOKS:
                             if obs is not None:
                                 obs.on_expand(depth)
@@ -381,8 +379,8 @@ def test_rep013_fires_when_production_variants_keep_hooks(monkeypatch):
     real_fold = driver.fold_record
 
     def hooked_fold(key, template=None):
-        shape, _hooks, wide = key
-        module = real_fold((shape, True, wide), template=template).module
+        shape, _hooks = key
+        module = real_fold((shape, True), template=template).module
         return driver.FoldRecord(key, driver._flag_env(key), module)
 
     monkeypatch.setattr(driver, "fold_record", hooked_fold)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import PivotConfig, PivotEnumerator
-from repro.kernel.enumerate import supports
+from repro.kernel.enumerate import KernelStateOps, supports
 from repro.obs.observer import RECURSION_HOOK_LEVELS
 from repro.uncertain import UncertainGraph
 from tests.conftest import (
@@ -354,8 +354,9 @@ def test_variant_matrix_agrees_with_oracle(
         assert ("finish", True) in d_san
 
 
-def test_wide_scan_variant_on_large_search_graphs():
-    """Past ~512 search vertices the kernel asks for the wide variant."""
+def test_large_search_graphs_keep_the_bitset_variant():
+    """Past ~512 search vertices the kernel keeps the ``bitset``
+    variant: one GenerateSet scan serves every graph width."""
     graph = UncertainGraph()
     n = 540
     for v in range(n):
@@ -370,9 +371,9 @@ def test_wide_scan_variant_on_large_search_graphs():
             results[backend, obs] = enumerator.run()
             assert enumerator.backend_used == backend
             # A light observer is lifecycle-only: the kernel keeps the
-            # wide production variant with it.
+            # production variant with it.
             assert enumerator.variant_used == (
-                "bitset+wide" if backend == "kernel" else "generic"
+                "bitset" if backend == "kernel" else "generic"
             )
     reference = results["dict", "off"]
     for result in results.values():
@@ -381,6 +382,28 @@ def test_wide_scan_variant_on_large_search_graphs():
         )
         assert result.stats.__dict__ == reference.stats.__dict__
     assert reference.stats.outputs == n
+
+
+@pytest.mark.parametrize("obs", ["off", "metrics"])
+def test_a_kernel_run_builds_its_hot_state_once(monkeypatch, obs):
+    """The variant key reads the protocol; only the variant itself
+    calls ``fast_ops``, once per run, hooked or not."""
+    calls = []
+    fast_ops = KernelStateOps.fast_ops
+
+    def counted(self):
+        calls.append(self)
+        return fast_ops(self)
+
+    monkeypatch.setattr(KernelStateOps, "fast_ops", counted)
+    graph = random_uncertain_graph(5, 12, 0.5)
+    config = PivotConfig(backend="kernel", obs=obs)
+    enumerator = PivotEnumerator(graph, 3, 0.2, config=config)
+    enumerator.run()
+    assert enumerator.variant_used == (
+        "bitset" if obs == "off" else "bitset+hooks"
+    )
+    assert len(calls) == 1
 
 
 def test_backends_define_exactly_one_hot_path():

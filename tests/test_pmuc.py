@@ -156,3 +156,20 @@ class TestPruningPower:
     def test_stats_depth_tracked(self, two_communities):
         result = pmuc_plus(two_communities, 2, 0.5)
         assert result.stats.max_depth >= 3
+
+
+@pytest.mark.parametrize("backend", ["dict", "kernel"])
+def test_each_run_returns_a_fresh_result(backend):
+    """A second ``run()`` of one enumerator equals a fresh enumerator's
+    run; it does not add its cliques and counters to the first's."""
+    config = PivotConfig(backend=backend)
+    enumerator = PivotEnumerator(figure1_graph(), 3, 0.1, config)
+    first = enumerator.run()
+    second = enumerator.run()
+    fresh = PivotEnumerator(figure1_graph(), 3, 0.1, config).run()
+    assert enumerator.backend_used == backend
+    for result in (first, second):
+        assert as_sorted_sets(result.cliques) == as_sorted_sets(fresh.cliques)
+        assert result.stats.__dict__ == fresh.stats.__dict__
+    assert first is not second
+    assert enumerator.stats is second.stats

@@ -15,9 +15,14 @@ Four families:
   exception and never wrong data; a re-put heals the entry;
 * **reductions** — the shared decomposition cache round-trips its
   shell maps exactly, including tuple vertices;
-* **killed writers** — a writer that dies before its publish rename
-  leaves a stage that the next put removes once it is stale, and
-  never while it is fresh.
+* **killed writers** — a child interpreter that dies after each file
+  it stages, after the manifest, before the publish rename or in an
+  eviction leaves a miss, never a partial hit, and the next put heals
+  the key; one that dies after the rename leaves the whole entry.  A
+  dead writer's stage goes with a later put once it is stale, and
+  never while it is fresh.  Two writers racing on one key publish one entry,
+  and a reader racing an evicting writer sees a miss or the whole
+  entry.
 """
 
 import glob
@@ -327,38 +332,365 @@ def test_missing_store_directory_is_just_a_miss(tmp_path):
 # ----------------------------------------------------------------------
 REPO = Path(__file__).resolve().parents[1]
 
-#: One put of the figure-1 k=3, η=0.1 run by a writer that dies at its
-#: publish rename, as a killed process would: the stage is complete,
-#: and nothing is published.
-KILLED_WRITER = r"""
-import os, sys
+#: What every writer child imports, and the one put it makes: the
+#: figure-1 k=3, η=0.1 run (``run``, or ``run+artifacts`` with one flight
+#: log) or the figure-1 η=0.1 decompositions (``reduction``).
+WRITER = r"""
+import os, shutil, sys, time
 
 from repro.core.config import PMUC_PLUS_CONFIG
+from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
-from repro.store.key import run_key_for
+from repro.reduction import top_triangle_decomposition, topk_core_decomposition
+from repro.store.key import reduction_key_for, run_key_for
 from repro.store.records import stamped_record
-from repro.store.store import RunStore
+import repro.store.store as store_module
 
-os.rename = lambda *args: os._exit(0)
-key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
-RunStore(sys.argv[1]).put_run(key, stamped_record("killed", 0.1, 0), cliques=[])
+graph = figure1_graph()
+key = run_key_for(graph, 3, 0.1, PMUC_PLUS_CONFIG)
+cliques = PivotEnumerator(graph, 3, 0.1, PMUC_PLUS_CONFIG).run().cliques
+reduction = (
+    reduction_key_for(graph, 0.1),
+    topk_core_decomposition(graph, 0.1),
+    top_triangle_decomposition(graph, 0.1),
+)
+store = store_module.RunStore(sys.argv[1])
+
+
+def put(what, artifact=None):
+    if what == "reduction":
+        store.put_reduction(*reduction)
+        return
+    artifacts = {"flight-0.jsonl": artifact} if what == "run+artifacts" else None
+    store.put_run(
+        key, stamped_record("writer", 0.1, len(cliques)),
+        cliques=cliques, artifacts=artifacts,
+    )
+
+
+def wait_for(path):
+    deadline = time.monotonic() + 60
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            sys.exit("no " + path)
+        time.sleep(0.001)
+
+
+def touch(path):
+    open(path, "w").close()
 """
+
+#: Exit status of a writer child that died where it was told to.
+KILLED = 3
+
+#: ``argv``: store root, what to put, where to die and the artifact's
+#: path.  ``write-N`` dies once the N-th file the store writes is
+#: closed (the manifest is the last), ``rename`` just before the
+#: publish rename, ``renamed`` just after it, ``evict`` between an
+#: eviction's ``shutil.rmtree`` and the rename.  ``os._exit`` is
+#: patched in here, the child, only.
+KILLED_WRITER = WRITER + "KILLED = %d\n" % KILLED + r"""
+what, step, artifact = sys.argv[2:5]
+real_open, real_rename, real_rmtree = open, os.rename, shutil.rmtree
+closed = 0
+
+
+class DiesOnClose:
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self.handle
+
+    def __exit__(self, *exc):
+        global closed
+        self.handle.close()
+        closed += 1
+        if step == "write-%d" % closed:
+            os._exit(KILLED)
+
+
+def dying_open(path, mode="r", *args, **kwargs):
+    handle = real_open(path, mode, *args, **kwargs)
+    return DiesOnClose(handle) if "w" in mode else handle
+
+
+def renaming_then_dying(*args):
+    real_rename(*args)
+    os._exit(KILLED)
+
+
+def dying_rmtree(path, *args, **kwargs):
+    real_rmtree(path, *args, **kwargs)
+    if not os.path.basename(path).startswith("stage-"):
+        os._exit(KILLED)
+
+
+store_module.open = dying_open
+if step == "rename":
+    os.rename = lambda *args: os._exit(KILLED)
+elif step == "renamed":
+    os.rename = renaming_then_dying
+elif step == "evict":
+    shutil.rmtree = dying_rmtree
+put(what, artifact)
+"""
+
+#: Files each put stages before its manifest.
+STAGED_FILES = {"run": 3, "run+artifacts": 4, "reduction": 3}
+
+
+def spawn(script, *args):
+    """Start a child interpreter on ``script``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.Popen([sys.executable, "-c", script, *args], env=env)
+
+
+def finish(child):
+    """``child``'s exit status, once it has exited."""
+    try:
+        return child.wait(timeout=120)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.wait()
+        raise
+
+
+def put(store, what, artifact):
+    """The put of ``WRITER``, made in this process."""
+    graph = figure1_graph()
+    if what == "reduction":
+        store.put_reduction(
+            reduction_key_for(graph, 0.1),
+            topk_core_decomposition(graph, 0.1),
+            top_triangle_decomposition(graph, 0.1),
+        )
+        return
+    cliques = PivotEnumerator(graph, 3, 0.1, PMUC_PLUS_CONFIG).run().cliques
+    artifacts = None
+    if what == "run+artifacts":
+        artifacts = {"flight-0.jsonl": str(artifact)}
+    store.put_run(
+        run_key_for(graph, 3, 0.1, PMUC_PLUS_CONFIG),
+        stamped_record("writer", 0.1, len(cliques)),
+        cliques=cliques, artifacts=artifacts,
+    )
+
+
+def read_back(store, what):
+    """What a reader gets for the entry ``put`` writes: None on a miss,
+    else the cliques (or shells) and artifact bytes it holds."""
+    graph = figure1_graph()
+    if what == "reduction":
+        return store.get_reduction(reduction_key_for(graph, 0.1))
+    stored = store.get_run(run_key_for(graph, 3, 0.1, PMUC_PLUS_CONFIG))
+    if stored is None:
+        return None
+    artifacts = {
+        name: Path(path).read_bytes()
+        for name, path in stored.artifacts.items()
+    }
+    return as_sorted_sets(stored.cliques), artifacts
+
+
+def whole_entry(tmp_path, what, artifact):
+    """:func:`read_back` of a fresh store after one ``put``."""
+    reference = RunStore(str(tmp_path / "reference"))
+    put(reference, what, artifact)
+    whole = read_back(reference, what)
+    assert whole is not None
+    return whole
+
+
+def staged(store):
+    """The files in the one stage a killed writer left in ``store``."""
+    (stage,) = glob.glob(os.path.join(store.root, "*", "*", "stage-*"))
+    return sorted(
+        os.path.relpath(os.path.join(folder, name), stage)
+        for folder, _, names in os.walk(stage)
+        for name in names
+    )
 
 
 def kill_a_writer(store, age):
     """The stage a killed writer left in ``store``, backdated by ``age``
     seconds, and the key it was writing."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    subprocess.run(
-        [sys.executable, "-c", KILLED_WRITER, store.root],
-        env=env, check=True, timeout=120,
-    )
+    child = spawn(KILLED_WRITER, store.root, "run", "rename", "")
+    assert finish(child) == KILLED
     (stage,) = glob.glob(os.path.join(store.root, "runs", "*", "stage-*"))
     then = time.time() - age
     os.utime(stage, (then, then))
     key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
     assert store.get_run(key) is None
     return stage, key
+
+
+@pytest.mark.parametrize("what", sorted(STAGED_FILES))
+def test_a_writer_killed_at_each_step_leaves_a_miss_the_next_put_heals(
+    tmp_path, what
+):
+    artifact = tmp_path / "flight-0.jsonl"
+    artifact.write_bytes(b'{"event": "finish"}\n')
+    whole = whole_entry(tmp_path, what, artifact)
+    # After each staged file, after the manifest, before the rename.
+    files = STAGED_FILES[what] + 1
+    steps = [("write-%d" % n, n) for n in range(1, files + 1)]
+    for step, written in steps + [("rename", files)]:
+        store = RunStore(str(tmp_path / step))
+        child = spawn(KILLED_WRITER, store.root, what, step, str(artifact))
+        assert finish(child) == KILLED, step
+        left = staged(store)
+        assert len(left) == written, (step, left)
+        assert ("MANIFEST.json" in left) == (written == files), step
+        # Nothing was published: a clean miss, never a partial hit.
+        assert read_back(store, what) is None, step
+        put(store, what, artifact)
+        assert read_back(store, what) == whole, step
+    # Killed just after the rename: the entry is published and whole.
+    store = RunStore(str(tmp_path / "renamed"))
+    child = spawn(KILLED_WRITER, store.root, what, "renamed", str(artifact))
+    assert finish(child) == KILLED
+    assert read_back(store, what) == whole
+
+
+def test_a_writer_killed_while_evicting_leaves_a_miss_the_next_put_heals(
+    tmp_path,
+):
+    # A clean run replaces a violation-only entry: kill it after the
+    # eviction's rmtree, before its rename.
+    store = RunStore(str(tmp_path / "store"))
+    key = run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG)
+    store.put_run(
+        key, stamped_record("violation", 0.1, 0),
+        violation={"check": "maximality"},
+    )
+    child = spawn(KILLED_WRITER, store.root, "run", "evict", "")
+    assert finish(child) == KILLED
+    assert len(staged(store)) == STAGED_FILES["run"] + 1
+    assert read_back(store, "run") is None
+    assert store.get_by_digest(key.digest()) is None
+    put(store, "run", None)
+    assert read_back(store, "run") == whole_entry(tmp_path, "run", None)
+
+
+#: ``argv``: store root, sync directory, this writer's name and the
+#: other's.  Both writers stage the same run and meet at the publish
+#: rename, so both renames race for one entry.
+RACING_WRITER = WRITER + r"""
+sync, me, other = sys.argv[2:5]
+real_rename = os.rename
+
+
+def meeting_rename(src, dst):
+    touch(os.path.join(sync, me))
+    wait_for(os.path.join(sync, other))
+    real_rename(src, dst)
+
+
+os.rename = meeting_rename
+put("run")
+"""
+
+#: ``argv``: store root and sync directory.  Replaces a damaged entry,
+#: pausing before and after the eviction's ``shutil.rmtree`` until the
+#: reader has read there; ``published`` marks the put done.
+EVICTING_WRITER = WRITER + r"""
+sync = sys.argv[2]
+real_rmtree = shutil.rmtree
+
+
+def pausing_rmtree(path, *args, **kwargs):
+    evicting = not os.path.basename(path).startswith("stage-")
+    if evicting:
+        touch(os.path.join(sync, "evicting"))
+        wait_for(os.path.join(sync, "read-damaged"))
+    real_rmtree(path, *args, **kwargs)
+    if evicting:
+        touch(os.path.join(sync, "evicted"))
+        wait_for(os.path.join(sync, "read-evicted"))
+
+
+shutil.rmtree = pausing_rmtree
+put("run")
+touch(os.path.join(sync, "published"))
+"""
+
+#: ``argv``: store root, sync directory and the output path.  Reads the
+#: entry before the eviction, after it, until the writer has published
+#: and once after, and writes what each read saw: ``miss``, ``whole``
+#: or ``partial``.
+READER = WRITER + r"""
+import json
+
+sync, out = sys.argv[2:4]
+seen = []
+want = sorted(map(sorted, cliques))
+
+
+def read():
+    stored = store.get_run(key)
+    if stored is None:
+        seen.append("miss")
+    elif sorted(map(sorted, stored.cliques)) == want:
+        seen.append("whole")
+    else:
+        seen.append("partial")
+
+
+wait_for(os.path.join(sync, "evicting"))
+read()
+touch(os.path.join(sync, "read-damaged"))
+wait_for(os.path.join(sync, "evicted"))
+read()
+touch(os.path.join(sync, "read-evicted"))
+while not os.path.exists(os.path.join(sync, "published")):
+    read()
+read()
+with open(out, "w") as handle:
+    json.dump(seen, handle)
+"""
+
+
+def assert_one_verified_entry(tmp_path, store, key):
+    fan = os.path.dirname(store.run_dir(key.digest()))
+    assert os.listdir(fan) == [key.digest()]
+    assert read_back(store, "run") == whole_entry(tmp_path, "run", None)
+
+
+def test_two_writers_racing_on_one_key_publish_one_entry(tmp_path):
+    store = RunStore(str(tmp_path / "store"))
+    sync = tmp_path / "sync"
+    sync.mkdir()
+    children = [
+        spawn(RACING_WRITER, store.root, str(sync), me, other)
+        for me, other in (("a", "b"), ("b", "a"))
+    ]
+    assert [finish(child) for child in children] == [0, 0]
+    assert sorted(os.listdir(sync)) == ["a", "b"]
+    assert_one_verified_entry(
+        tmp_path, store,
+        run_key_for(figure1_graph(), 3, 0.1, PMUC_PLUS_CONFIG),
+    )
+
+
+def test_a_reader_racing_an_evicting_writer_sees_a_miss_or_the_whole_entry(
+    tmp_path,
+):
+    store = RunStore(str(tmp_path / "store"))
+    key, digest, _ = run_and_store(store, figure1_graph(), 3, 0.1)
+    corrupt(os.path.join(store.run_dir(digest), "cliques.jsonl"), "flip")
+    sync = tmp_path / "sync"
+    sync.mkdir()
+    out = tmp_path / "seen.json"
+    reader = spawn(READER, store.root, str(sync), str(out))
+    evicting = spawn(EVICTING_WRITER, store.root, str(sync))
+    assert [finish(evicting), finish(reader)] == [0, 0]
+    seen = json.loads(out.read_text())
+    # Damaged, then evicted: misses; after the rename: the whole entry.
+    assert seen[:2] == ["miss", "miss"]
+    assert seen[-1] == "whole"
+    assert set(seen) <= {"miss", "whole"}
+    assert_one_verified_entry(tmp_path, store, key)
 
 
 def test_a_killed_writers_stale_stage_goes_with_the_next_put(tmp_path):
