@@ -62,6 +62,12 @@ def _require(value: str, choices, name: str) -> None:
         )
 
 
+def require_k(k) -> None:
+    """Reject a ``k`` that is not a positive int; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ParameterError(f"k must be a positive integer, got {k!r}")
+
+
 def hook_level(config, axis: str) -> str:
     """The effective ``"sanitize"`` or ``"obs"`` level of ``config``.
 

@@ -29,6 +29,7 @@ from typing import Iterable, Set
 
 from repro.exceptions import GraphError, ParameterError
 from repro.core.api import enumerate_maximal_cliques
+from repro.core.config import require_k
 from repro.uncertain.graph import UncertainGraph, Vertex
 
 
@@ -64,8 +65,7 @@ class DynamicCliqueIndex:
         eta,
         algorithm: str = "pmuc+",
     ):
-        if not isinstance(k, int) or k < 1:
-            raise ParameterError(f"k must be a positive integer, got {k!r}")
+        require_k(k)
         if not 0 < eta <= 1:
             raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
         self._graph = graph.copy()

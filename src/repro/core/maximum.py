@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 from repro.exceptions import ParameterError
 from repro.core.api import enumerate_maximal_cliques
 from repro.core.candidates import generate_set
+from repro.core.config import require_k
 from repro.core.stats import SearchStats
 from repro.deterministic.coloring import greedy_coloring
 from repro.reduction.ordering import topk_core_ordering
@@ -48,8 +49,7 @@ def maximum_k_eta_clique(
     η-clique extends to a maximal one, so maximizing over *all*
     η-cliques reachable by expansion is enough.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"k must be a positive integer, got {k!r}")
+    require_k(k)
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
     if stats is None:

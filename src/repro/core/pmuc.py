@@ -25,7 +25,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exceptions import ParameterError
 from repro.core.candidates import generate_set, initial_candidates
-from repro.core.config import PMUC_CONFIG, PMUC_PLUS_CONFIG, PivotConfig
+from repro.core.config import (
+    PMUC_CONFIG, PMUC_PLUS_CONFIG, PivotConfig, require_k,
+)
 from repro.core.pivot import PivotContext, get_strategy
 from repro.core.stats import EnumerationResult, SearchStats
 from repro.engine.protocol import SearchOps, StateOps
@@ -201,8 +203,7 @@ class PivotEnumerator:
         on_clique: Optional[Sink] = None,
         limit: Optional[int] = None,
     ):
-        if not isinstance(k, int) or k < 1:
-            raise ParameterError(f"k must be a positive integer, got {k!r}")
+        require_k(k)
         if not 0 < eta <= 1:
             raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
         if limit is not None and limit < 1:

@@ -34,7 +34,7 @@ from typing import Callable, Dict, Optional
 from dataclasses import replace
 
 from repro.exceptions import ParameterError
-from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig
+from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig, require_k
 from repro.core.pmuc import PivotEnumerator
 from repro.core.stats import EnumerationResult
 from repro.reduction.topk_core import topk_core_decomposition
@@ -132,8 +132,7 @@ class CliqueQuerySession:
         Falls back to the core slice for ``k == 2`` and to the full
         graph for ``k == 1`` (where reductions are unsound).
         """
-        if not isinstance(k, int) or k < 1:
-            raise ParameterError(f"k must be a positive integer, got {k!r}")
+        require_k(k)
         if k == 1:
             return self._graph
         core_vertices = {

@@ -56,7 +56,9 @@ class KernelBackendError(ReproError):
 
     The bitset kernel requires float (or int) edge probabilities and a
     float-comparable ``eta``; exact :class:`~fractions.Fraction` runs
-    must use the dict backend.  The enumerator catches this error and
-    falls back transparently, so it only surfaces to callers that build
-    a :class:`repro.kernel.CompactGraph` directly.
+    must use the dict backend.  The enumerator never meets this error:
+    :func:`repro.kernel.enumerate.effective_backend` checks
+    ``supports`` before any kernel state is built.  It surfaces only to
+    callers that build a :class:`repro.kernel.CompactGraph` or a
+    ``KernelStateOps`` directly.
     """

@@ -1,7 +1,7 @@
 """Bitset/integer kernel layer for the enumeration hot path.
 
 Re-encodes float-probability uncertain graphs over dense int ids with
-big-int neighbor bitsets and parallel probability / ``-log p`` arrays
+big-int neighbor bitsets and one ``{id: p}`` row per vertex
 (:class:`CompactGraph`), provides int-id counterparts of the reduction,
 ordering and coloring pipeline (:mod:`repro.kernel.reduction`), and
 the bitset state algebra the shared search engine runs

@@ -4,28 +4,30 @@ The dict-of-dicts :class:`~repro.uncertain.graph.UncertainGraph` is the
 right structure for construction and for exact (Fraction) runs, but the
 enumeration hot path only ever intersects neighborhoods and multiplies
 edge probabilities.  :class:`CompactGraph` re-encodes a float-probability
-graph for exactly that workload:
+graph for exactly that workload, in two encodings over dense ids
+``0 .. n-1`` (insertion order of the source graph, so downstream
+tie-breaking matches the dict path):
 
-* vertices are remapped to dense ids ``0 .. n-1`` (insertion order of
-  the source graph, so downstream tie-breaking matches the dict path);
 * each neighborhood is a Python big-int **bitset** — bit ``u`` of
   ``nbr_bits[v]`` is set iff ``(v, u)`` is an edge — so restricting a
   candidate set to ``N(v)`` is one word-parallel ``&``;
-* edge probabilities live in parallel arrays (``nbr_ids[v]`` /
-  ``nbr_probs[v]`` / ``nbr_nlogs[v]``) plus per-vertex ``{id: p}`` and
-  ``{id: -log p}`` dictionaries for O(1) random access.  The ``-log p``
-  table turns clique-probability thresholds into additive comparisons
-  (see :mod:`repro.kernel.enumerate` for the exactness guard).
+* each vertex has one ``{neighbor_id: p}`` row, ``prob[v]``, in
+  source-graph neighbor order.  Iterating a row gives every scan and
+  tie-break its order, and indexing it gives the exact float replays
+  and the triangle peel their random access.
 
-Only ``float``/``int`` probabilities are supported: exact
-:class:`~fractions.Fraction` graphs raise :class:`KernelBackendError`
-and the enumerator falls back to the dict backend.
+Nothing here takes a logarithm: the ``-log p`` table of the additive
+threshold tests is built once, for the rank-ordered search graph, by
+:meth:`repro.kernel.enumerate.KernelStateOps.prepare_ordering`.
+
+Only ``float``/``int`` probabilities are supported: an exact
+:class:`~fractions.Fraction` graph raises :class:`KernelBackendError`
+(``effective_backend`` sends one to the dict backend first).
 """
 
 from __future__ import annotations
 
-from math import log
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import KernelBackendError
 from repro.uncertain.graph import UncertainGraph, Vertex
@@ -46,6 +48,9 @@ except AttributeError:  # pragma: no cover - Python 3.9 fallback
 class CompactGraph:
     """An uncertain graph over dense int ids with bitset neighborhoods.
 
+    Each edge is encoded twice, in ``nbr_bits`` and ``prob``, and
+    :meth:`_set_row` keeps the two in step.
+
     Attributes
     ----------
     n:
@@ -57,25 +62,13 @@ class CompactGraph:
         Inverse mapping ``{label: id}``.
     nbr_bits:
         Per-vertex neighbor bitsets (Python big-ints).
-    nbr_ids / nbr_probs / nbr_nlogs:
-        Parallel adjacency arrays in source-graph neighbor order:
-        neighbor id, edge probability, and ``-log p``.
-    prob / nlog:
-        Per-vertex ``{neighbor_id: p}`` and ``{neighbor_id: -log p}``
-        for random access inside ``GenerateSet``.
+    prob:
+        Per-vertex ``{neighbor_id: p}`` rows in source-graph neighbor
+        order: iteration order for the scans and tie-breaks, indexing
+        for the exact replays and the triangle peel.
     """
 
-    __slots__ = (
-        "n",
-        "labels",
-        "index",
-        "nbr_bits",
-        "nbr_ids",
-        "nbr_probs",
-        "nbr_nlogs",
-        "prob",
-        "nlog",
-    )
+    __slots__ = ("n", "labels", "index", "nbr_bits", "prob")
 
     def __init__(self, labels: Sequence[Vertex]):
         self.n = len(labels)
@@ -84,11 +77,7 @@ class CompactGraph:
         if len(self.index) != self.n:
             raise KernelBackendError("duplicate vertex labels")
         self.nbr_bits: List[int] = [0] * self.n
-        self.nbr_ids: List[List[int]] = [[] for _ in range(self.n)]
-        self.nbr_probs: List[List[float]] = [[] for _ in range(self.n)]
-        self.nbr_nlogs: List[List[float]] = [[] for _ in range(self.n)]
         self.prob: List[Dict[int, float]] = [{} for _ in range(self.n)]
-        self.nlog: List[Dict[int, float]] = [{} for _ in range(self.n)]
 
     # ------------------------------------------------------------------
     # construction
@@ -105,50 +94,36 @@ class CompactGraph:
         cg = cls(graph.vertices())
         index = cg.index
         for v in graph:
-            i = index[v]
-            nbrs = graph.neighbors(v)
-            probs: List[float] = []
-            for p in nbrs.values():
+            row: Dict[int, float] = {}
+            for u, p in graph.neighbors(v).items():
                 if not isinstance(p, (float, int)):
                     raise KernelBackendError(
                         f"kernel backend requires float probabilities, "
                         f"an edge at {v!r} has {type(p).__name__}"
                     )
-                probs.append(float(p))
-            cg._set_row(i, [index[u] for u in nbrs], probs)
+                row[index[u]] = float(p)
+            cg._set_row(index[v], row)
         return cg
 
-    def _set_row(
-        self,
-        i: int,
-        ids: List[int],
-        probs: List[float],
-        nlogs: Optional[List[float]] = None,
-    ) -> None:
-        """Install vertex ``i``'s full adjacency row in one shot."""
+    def _set_row(self, i: int, row: Dict[int, float]) -> None:
+        """Install vertex ``i``'s ``{neighbor_id: p}`` row and bitset."""
         bits = 0
-        for j in ids:
+        for j in row:
             bits |= 1 << j
-        if nlogs is None:
-            nlogs = [(-log(p) if p < 1.0 else 0.0) for p in probs]
         self.nbr_bits[i] = bits
-        self.nbr_ids[i] = ids
-        self.nbr_probs[i] = probs
-        self.nbr_nlogs[i] = nlogs
-        self.prob[i] = dict(zip(ids, probs))
-        self.nlog[i] = dict(zip(ids, nlogs))
+        self.prob[i] = row
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def degree(self, i: int) -> int:
         """Number of neighbors of id ``i``."""
-        return len(self.nbr_ids[i])
+        return len(self.prob[i])
 
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        return sum(len(ids) for ids in self.nbr_ids) // 2
+        return sum(map(len, self.prob)) // 2
 
     def edges_in_insertion_order(self) -> Iterator[Tuple[int, int, float]]:
         """Yield each edge once, mirroring ``UncertainGraph.edges()``.
@@ -160,10 +135,8 @@ class CompactGraph:
         insertion ranks, so an edge's first occurrence is at its
         smaller endpoint: no seen-set is needed.
         """
-        for i in range(self.n):
-            row_ids = self.nbr_ids[i]
-            row_probs = self.nbr_probs[i]
-            for j, p in zip(row_ids, row_probs):
+        for i, row in enumerate(self.prob):
+            for j, p in row.items():
                 if j > i:
                     yield (i, j, p)
 
@@ -208,18 +181,12 @@ class CompactGraph:
         remap = {old: new for new, old in enumerate(keep)}
         sub = CompactGraph([self.labels[i] for i in keep])
         for i, old in enumerate(keep):
-            row_ids: List[int] = []
-            row_probs: List[float] = []
-            row_nlogs: List[float] = []
-            for j_old, p, nl in zip(
-                self.nbr_ids[old], self.nbr_probs[old], self.nbr_nlogs[old]
-            ):
+            row: Dict[int, float] = {}
+            for j_old, p in self.prob[old].items():
                 j = remap.get(j_old)
                 if j is not None:
-                    row_ids.append(j)
-                    row_probs.append(p)
-                    row_nlogs.append(nl)
-            sub._set_row(i, row_ids, row_probs, row_nlogs)
+                    row[j] = p
+            sub._set_row(i, row)
         return sub
 
     def edge_induced(
@@ -240,21 +207,14 @@ class CompactGraph:
                     order.append(v)
         remap = {old: new for new, old in enumerate(order)}
         sub = CompactGraph([self.labels[i] for i in order])
-        rows_ids: List[List[int]] = [[] for _ in order]
-        rows_probs: List[List[float]] = [[] for _ in order]
-        rows_nlogs: List[List[float]] = [[] for _ in order]
+        rows: List[Dict[int, float]] = [{} for _ in order]
         for i, j in edge_list:
             p = self.prob[i][j]
-            nl = self.nlog[i][j]
             a, b = remap[i], remap[j]
-            rows_ids[a].append(b)
-            rows_probs[a].append(p)
-            rows_nlogs[a].append(nl)
-            rows_ids[b].append(a)
-            rows_probs[b].append(p)
-            rows_nlogs[b].append(nl)
-        for i in range(len(order)):
-            sub._set_row(i, rows_ids[i], rows_probs[i], rows_nlogs[i])
+            rows[a][b] = p
+            rows[b][a] = p
+        for i, row in enumerate(rows):
+            sub._set_row(i, row)
         return sub
 
     def relabeled(self, order: Sequence[int]) -> "CompactGraph":
@@ -271,10 +231,7 @@ class CompactGraph:
         out = CompactGraph([self.labels[old] for old in order])
         for i, old in enumerate(order):
             out._set_row(
-                i,
-                [remap[j] for j in self.nbr_ids[old]],
-                self.nbr_probs[old],
-                self.nbr_nlogs[old],
+                i, {remap[j]: p for j, p in self.prob[old].items()}
             )
         return out
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import log
 from types import SimpleNamespace
-from typing import List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.exceptions import KernelBackendError
 from repro.engine.protocol import StateOps
@@ -132,6 +132,8 @@ class KernelStateOps(StateOps):
         self._color: List[int] = []
         self._colnum: List[int] = []
         self._lb: List[int] = []
+        # ``-log p`` rows, dense or sparse (see prepare_ordering).
+        self._nlogr: Union[List[List[float]], List[Dict[int, float]]] = []
 
     # -- prelude: reduction, ordering, coloring — all on int ids -------
     def _reduce_ids(self, cg: CompactGraph) -> CompactGraph:
@@ -171,8 +173,7 @@ class KernelStateOps(StateOps):
         self._deg = [cg_red.degree(old) for old in order]
         self._color = [colors_red[old] for old in order]
         self._colnum = [
-            len({colors_red[u] for u in cg_red.nbr_ids[old]})
-            for old in order
+            len({colors_red[u] for u in cg_red.prob[old]}) for old in order
         ]
         n = self._cg.n
         self._lb = [1] * n
@@ -189,24 +190,25 @@ class KernelStateOps(StateOps):
         self._deg_cn = [
             d * m + c for d, c in zip(self._deg, self._colnum)
         ]
-        # Dense ``-log p`` rows: ``nlogr[u][w]`` is read millions of
-        # times per run, and list indexing beats dict probing.  Only
-        # neighbor slots are ever read (survivors come out of
-        # ``bits & nbr_bits[u]``), so the 0.0 filler is never seen.
-        # O(n^2) pointers is fine at benchmark scale; huge graphs keep
-        # the sparse per-vertex dicts.
+        # The run's one ``-log p`` table, for the search graph only.
+        # ``nlogr[u][w]`` is read millions of times per run, and list
+        # indexing beats dict probing.  Only neighbor slots are ever
+        # read (survivors come out of ``bits & nbr_bits[u]``), so the
+        # 0.0 filler is never seen.  O(n^2) pointers is fine at
+        # benchmark scale; huge graphs keep sparse per-vertex dicts.
         if n <= 2048:
-            nbr_ids = self._cg.nbr_ids
-            nbr_nlogs = self._cg.nbr_nlogs
             rows: List[List[float]] = []
-            for u in range(n):
+            for prob_u in self._cg.prob:
                 row = [0.0] * n
-                for j, nl in zip(nbr_ids[u], nbr_nlogs[u]):
-                    row[j] = nl
+                for j, p in prob_u.items():
+                    row[j] = -log(p) if p < 1.0 else 0.0
                 rows.append(row)
             self._nlogr = rows
         else:
-            self._nlogr = self._cg.nlog
+            self._nlogr = [
+                {j: (-log(p) if p < 1.0 else 0.0) for j, p in prob_u.items()}
+                for prob_u in self._cg.prob
+            ]
         self._hi_base = self._nl_eta + self._guard
         self._guard2 = self._guard + self._guard
 
@@ -224,7 +226,7 @@ class KernelStateOps(StateOps):
             [
                 (u, w)
                 for u in range(cg.n)
-                for w in cg.nbr_ids[u]
+                for w in cg.prob[u]
                 if w > u
             ],
         )
@@ -242,13 +244,12 @@ class KernelStateOps(StateOps):
         return sorted(ids)
 
     def root_state(self, v):
-        cg = self._cg
         eta = self._eta
         sv = self._sv
-        nlog_v = cg.nlog[v]
+        nlog_v = self._nlogr[v]
         c_bits = 0
         x_bits = 0
-        for u, p in cg.prob[v].items():
+        for u, p in self._cg.prob[v].items():
             if p >= eta:
                 sv[u] = nlog_v[u]
                 if u > v:

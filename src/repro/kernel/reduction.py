@@ -28,21 +28,28 @@ from repro.reduction.eta_degree import prefix_count
 # ----------------------------------------------------------------------
 # (Top_k, eta)-core
 # ----------------------------------------------------------------------
+def _topdegrees(
+    cg: CompactGraph, eta: float
+) -> Tuple[List[List[float]], List[int]]:
+    """Per vertex: incident probabilities, descending, and η-topdegree."""
+    incident = [sorted(row.values(), reverse=True) for row in cg.prob]
+    return incident, [prefix_count(values, eta) for values in incident]
+
+
 def topk_core_ids(cg: CompactGraph, k: int, eta: float) -> List[int]:
     """Ids (ascending) of the maximal ``(Top_k, η)``-core of ``cg``."""
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
     n = cg.n
     alive = (1 << n) - 1 if n else 0
-    incident = [sorted(row, reverse=True) for row in cg.nbr_probs]
-    topdeg = [prefix_count(incident[v], eta) for v in range(n)]
+    incident, topdeg = _topdegrees(cg, eta)
     queue = [v for v in range(n) if topdeg[v] < k]
     while queue:
         v = queue.pop()
         if not alive >> v & 1:
             continue
         alive &= ~(1 << v)
-        for u, p in zip(cg.nbr_ids[v], cg.nbr_probs[v]):
+        for u, p in cg.prob[v].items():
             if not alive >> u & 1:
                 continue
             incident[u].remove(p)
@@ -101,12 +108,12 @@ def topk_triangle_edge_ids(
     for i in ids:
         mask |= bit_at[i]
     live = [bits & mask for bits in cg.nbr_bits]
-    nbr_ids = cg.nbr_ids
+    prob = cg.prob
     if k:
         queue = [
             (i, j)
             for i in ids
-            for j in nbr_ids[i]
+            for j in prob[i]
             if j > i
             and live[i] & bit_at[j]
             and bit_count(live[i] & live[j]) < k
@@ -117,7 +124,7 @@ def topk_triangle_edge_ids(
     return [
         normalize(i, j)
         for i in ids
-        for j in nbr_ids[i]
+        for j in prob[i]
         if j > i and live[i] & bit_at[j]
     ]
 
@@ -173,7 +180,6 @@ def _peel_values(
     so it rechecks only its count.
     """
     prob = cg.prob
-    nbr_ids = cg.nbr_ids
     eta_hi = eta + eta * 1e-9
     kth = k - 1
 
@@ -202,7 +208,7 @@ def _peel_values(
     queue = []
     for i in ids:
         row = keys[i]
-        for j in nbr_ids[i]:
+        for j in prob[i]:
             if j > i and live[i] & bit_at[j]:
                 row[j] = keys[j][i] = key = verdict(i, j)
                 if key < 0.0:
@@ -251,8 +257,7 @@ def topk_core_ordering_ids(cg: CompactGraph, eta: float) -> List[int]:
     # One repr per vertex, not one per requeue push — peeling pushes
     # each vertex O(degree) times.
     reprs = [repr(label) for label in cg.labels]
-    incident = [sorted(row, reverse=True) for row in cg.nbr_probs]
-    topdeg = [prefix_count(incident[v], eta) for v in range(n)]
+    incident, topdeg = _topdegrees(cg, eta)
     heap = [(topdeg[v], reprs[v], v) for v in range(n)]
     heapq.heapify(heap)
     alive = (1 << n) - 1 if n else 0
@@ -263,7 +268,7 @@ def topk_core_ordering_ids(cg: CompactGraph, eta: float) -> List[int]:
             continue
         alive &= ~(1 << v)
         order.append(v)
-        for u, p in zip(cg.nbr_ids[v], cg.nbr_probs[v]):
+        for u, p in cg.prob[v].items():
             if alive >> u & 1:
                 incident[u].remove(p)
                 new_deg = prefix_count(incident[u], eta)
@@ -335,7 +340,7 @@ def greedy_coloring_ids(cg: CompactGraph) -> List[int]:
     order = sorted(range(n), key=cg.degree, reverse=True)
     colors = [-1] * n
     for v in order:
-        taken = {colors[u] for u in cg.nbr_ids[v] if colors[u] >= 0}
+        taken = {colors[u] for u in cg.prob[v] if colors[u] >= 0}
         color = 0
         while color in taken:
             color += 1

@@ -24,8 +24,9 @@ import io
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
+from repro.exceptions import DatasetError, ParameterError
 from repro.store.service import EnumerationService, ServeLoop, parse_eta
 from repro.store.store import DEFAULT_STORE_DIR, RunStore, StoredRun
 
@@ -73,6 +74,14 @@ def render_rows(
     return format_table(rows, title=title)
 
 
+def clique_rows(cliques: Iterable[Iterable[object]]) -> List[List[str]]:
+    """Each clique as its sorted member ``repr``s, rows by (size, members)."""
+    return sorted(
+        (sorted(map(repr, clique)) for clique in cliques),
+        key=lambda members: (len(members), members),
+    )
+
+
 def show_document(
     stored: StoredRun, with_cliques: bool = False
 ) -> Dict[str, object]:
@@ -92,11 +101,7 @@ def show_document(
     if stored.artifacts:
         document["artifacts"] = sorted(stored.artifacts)
     if with_cliques and stored.cliques is not None:
-        document["cliques"] = [
-            sorted((repr(m) for m in clique))
-            for clique in stored.cliques
-        ]
-        document["cliques"].sort(key=lambda members: (len(members), members))
+        document["cliques"] = clique_rows(stored.cliques)
     return document
 
 
@@ -149,12 +154,14 @@ def _cmd_run(args) -> int:
 
     try:
         eta = parse_eta(args.eta)
-    except ValueError as error:
+        graph = load_dataset(
+            args.dataset,
+            seed=args.seed,
+            probability_model=args.probability_model,
+        )
+    except (ValueError, DatasetError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
-    graph = load_dataset(
-        args.dataset, seed=args.seed, probability_model=args.probability_model
-    )
     config = PMUC_PLUS_CONFIG
     if args.backend is not None:
         config = replace(config, backend=args.backend)
@@ -162,12 +169,17 @@ def _cmd_run(args) -> int:
         config = replace(config, sanitize=args.sanitize)
     store = RunStore(args.store)
     service = EnumerationService(store, config)
-    if args.procedure == "peel":
-        outcome = service.enumerate(
-            graph, args.k, eta, label="run:%s" % args.dataset
-        )
-    else:
-        outcome = service.query(graph, args.k, eta)
+    # A bad k or η is a usage error; a SanitizerViolation is not.
+    try:
+        if args.procedure == "peel":
+            outcome = service.enumerate(
+                graph, args.k, eta, label="run:%s" % args.dataset
+            )
+        else:
+            outcome = service.query(graph, args.k, eta)
+    except ParameterError as error:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
     print(
         "%s %s k=%d eta=%s procedure=%s: %s"
         % (
@@ -294,13 +306,7 @@ def _cmd_query_export(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        members_rows = sorted(
-            (
-                sorted((repr(m) for m in clique))
-                for clique in stored.cliques
-            ),
-            key=lambda members: (len(members), members),
-        )
+        members_rows = clique_rows(stored.cliques)
         if args.format == "csv":
             buffer = io.StringIO()
             writer = csv.writer(buffer)
@@ -326,9 +332,10 @@ def _cmd_serve(args) -> int:
     loop = ServeLoop(EnumerationService(store))
     if args.socket is not None:
         host, _, port = args.socket.rpartition(":")
-        if not host or not port.isdigit():
+        if not host or not port.isdigit() or int(port) > 65535:
             print(
-                "error: --socket expects HOST:PORT, got %r" % args.socket,
+                "error: --socket expects HOST:PORT with a port in 0-65535,"
+                " got %r" % args.socket,
                 file=sys.stderr,
             )
             return 2

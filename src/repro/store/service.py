@@ -173,7 +173,10 @@ def parse_eta(raw):
         raise ValueError("eta must be a number, got a bool")
     if isinstance(raw, str):
         if "/" in raw:
-            return Fraction(raw)
+            try:
+                return Fraction(raw)
+            except ZeroDivisionError:
+                raise ValueError("eta %r divides by zero" % raw) from None
         return float(raw)
     if isinstance(raw, (int, float, Fraction)):
         return raw

@@ -9,6 +9,11 @@ from repro import (
     maximal_clique_counts,
     maximum_eta_clique,
 )
+from repro.core.dynamic import DynamicCliqueIndex
+from repro.core.maximum import maximum_k_eta_clique
+from repro.core.muc import muc
+from repro.core.pmuc import PivotEnumerator
+from repro.core.session import CliqueQuerySession
 from repro.exceptions import ParameterError
 from repro.uncertain import UncertainGraph
 from tests.conftest import as_sorted_sets
@@ -27,6 +32,23 @@ class TestDispatch:
     def test_unknown_algorithm(self, triangle_graph):
         with pytest.raises(ParameterError):
             enumerate_maximal_cliques(triangle_graph, 2, 0.5, "nope")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g: PivotEnumerator(g, True, 0.5),
+            lambda g: muc(g, True, 0.5),
+            lambda g: CliqueQuerySession(g, 0.5).reduced_graph(True),
+            lambda g: DynamicCliqueIndex(g, True, 0.5),
+            lambda g: maximum_k_eta_clique(g, True, 0.5),
+        ],
+        ids=["pivot-enumerator", "muc", "session", "dynamic", "maximum"],
+    )
+    def test_a_bool_k_is_rejected(self, triangle_graph, entry):
+        # ``isinstance(True, int)`` holds, so an int check alone would
+        # run ``k=True`` as k = 1.
+        with pytest.raises(ParameterError, match="positive integer"):
+            entry(triangle_graph)
 
     def test_callback_respected(self, triangle_graph):
         seen = []

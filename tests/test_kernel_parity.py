@@ -25,7 +25,7 @@ from repro.core.config import (
     MPIVOT_CHOICES,
     PIVOT_CHOICES,
 )
-from repro.kernel.enumerate import supports
+from repro.kernel.enumerate import KernelStateOps, supports
 from repro.uncertain import UncertainGraph
 from tests.conftest import brute_force_maximal_k_eta_cliques
 
@@ -105,6 +105,36 @@ def test_parity_on_denser_fixed_graph():
     for config in CONFIGS:
         for k, eta in ((2, 0.1), (3, 0.05), (4, 0.3)):
             assert_parity(g, k, eta, config)
+
+
+def test_parity_above_the_dense_row_limit(monkeypatch):
+    """Past 2048 search vertices the kernel keeps its ``-log p`` rows
+    as ``{id: -log p}`` dicts; the recursion and ``root_state`` read
+    them there.  600 disjoint K4 blocks (2,400 vertices, all of which
+    survive the triangle reduction) reach that branch, and the blocks
+    whose K4 falls below η leave triangles and M-pivot skips."""
+    rng = random.Random(31)
+    g = UncertainGraph()
+    for block in range(600):
+        members = range(4 * block, 4 * block + 4)
+        for u in members:
+            for v in members:
+                if u < v:
+                    g.add_edge(u, v, rng.uniform(0.75, 1.0))
+    sizes = []
+    search_size = KernelStateOps.search_size
+
+    def spy(ops):
+        sizes.append(search_size(ops))
+        return sizes[-1]
+
+    monkeypatch.setattr(KernelStateOps, "search_size", spy)
+    for sanitize in ("off", "light"):
+        config = replace(PMUC_PLUS_CONFIG, sanitize=sanitize)
+        dict_result, _ = assert_parity(g, 3, 0.35, config)
+        assert dict_result.stats.mpivot_skips > 0
+        assert any(len(c) == 3 for c in dict_result.cliques)
+    assert sizes and min(sizes) > 2048
 
 
 def test_emission_order_matches():

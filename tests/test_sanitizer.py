@@ -16,7 +16,7 @@ from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig, hook_level
 from repro.core.pmuc import PivotEnumerator
 from repro.datasets.figure1 import figure1_graph
 from repro.exceptions import ParameterError, SanitizerViolation
-from repro.kernel.compact import CompactGraph
+from repro.kernel.enumerate import KernelStateOps
 from repro.sanitize import (
     AddOutcome,
     CliqueStreamIndex,
@@ -188,20 +188,18 @@ def test_tampered_pivot_cover_passes_unchecked_when_off(tampered_pivot_cover):
 # ----------------------------------------------------------------------
 @pytest.fixture
 def perturbed_kernel_logs(monkeypatch):
-    """Shift every kernel -log weight by 1e-4 (far above DRIFT_TOL)."""
-    original = CompactGraph.from_uncertain.__func__
+    """Shift every kernel -log weight by 1e-4 (far above DRIFT_TOL).
 
-    def perturbed(cls, graph):
-        cg = original(cls, graph)
-        cg.nbr_nlogs = [[nl + 1e-4 for nl in row] for row in cg.nbr_nlogs]
-        cg.nlog = [
-            {j: nl + 1e-4 for j, nl in row.items()} for row in cg.nlog
-        ]
-        return cg
+    The weights are the search graph's ``-log p`` rows, which
+    ``prepare_ordering`` builds; figure 1 is small, so they are dense.
+    """
+    original = KernelStateOps.prepare_ordering
 
-    monkeypatch.setattr(
-        CompactGraph, "from_uncertain", classmethod(perturbed)
-    )
+    def perturbed(self, order_labels):
+        original(self, order_labels)
+        self._nlogr = [[nl + 1e-4 for nl in row] for row in self._nlogr]
+
+    monkeypatch.setattr(KernelStateOps, "prepare_ordering", perturbed)
 
 
 def test_perturbed_kernel_log_weights_are_caught(perturbed_kernel_logs):

@@ -190,12 +190,28 @@ def test_run_command_stores_then_replays(tmp_path, capsys, monkeypatch):
     assert cli_module is not None
 
 
-def test_run_command_rejects_bad_eta(tmp_path, capsys):
-    code = main([
-        "--store", str(tmp_path / "s"), "run", "--dataset", "figure1",
-        "--k", "3", "--eta", "not-a-number",
-    ])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--dataset", "figure1", "--k", "3", "--eta", "not-a-number"],
+        ["run", "--dataset", "figure1", "--k", "3", "--eta", "1/0"],
+        ["run", "--dataset", "core", "--k", "0", "--eta", "0.3"],
+        ["run", "--dataset", "core", "--k", "3", "--eta", "1.5"],
+        ["run", "--dataset", "nope", "--k", "3", "--eta", "0.3"],
+        ["serve", "--socket", "127.0.0.1:99999"],
+    ],
+    ids=[
+        "eta-not-a-number", "eta-zero-denominator", "k-zero",
+        "eta-above-one", "unknown-dataset", "serve-port-out-of-range",
+    ],
+)
+def test_run_command_rejects_bad_eta(tmp_path, capsys, command):
+    # Every usage error is one ``error:`` line and exit 2, no traceback.
+    code = main(["--store", str(tmp_path / "s")] + command)
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "s")
 
 
 @pytest.mark.parametrize(

@@ -504,6 +504,15 @@ def test_errors_are_reported_not_raised(loop):
     assert "procedure" in response["error"]
 
 
+@pytest.mark.parametrize("procedure", ["peel", "slice"])
+def test_a_bool_k_is_an_error_and_stores_no_run(loop, store, procedure):
+    # JSON ``true`` is a Python bool, which ``isinstance(_, int)``
+    # accepts; run as k = 1, it would be stored under a key of its own.
+    response = loop.handle(enumerate_request(k=True, procedure=procedure))
+    assert "k must be a positive integer" in response["error"]
+    assert store.list_runs() == []
+
+
 def test_handle_line_round_trips_json(loop):
     line = loop.handle_line(json.dumps(enumerate_request()))
     response = json.loads(line)
