@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from numbers import Real
 
 from repro.exceptions import ParameterError
 
@@ -66,6 +67,13 @@ def require_k(k) -> None:
     """Reject a ``k`` that is not a positive int; a bool is not one."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ParameterError(f"k must be a positive integer, got {k!r}")
+
+
+def require_eta(eta) -> None:
+    """Reject an ``eta`` that is not a real number in ``(0, 1]``; a bool
+    or a string is not one."""
+    if isinstance(eta, bool) or not isinstance(eta, Real) or not 0 < eta <= 1:
+        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
 
 
 def hook_level(config, axis: str) -> str:

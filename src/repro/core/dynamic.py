@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Iterable, Set
 
-from repro.exceptions import GraphError, ParameterError
+from repro.exceptions import GraphError
 from repro.core.api import enumerate_maximal_cliques
-from repro.core.config import require_k
+from repro.core.config import require_eta, require_k
 from repro.uncertain.graph import UncertainGraph, Vertex
 
 
@@ -66,8 +66,7 @@ class DynamicCliqueIndex:
         algorithm: str = "pmuc+",
     ):
         require_k(k)
-        if not 0 < eta <= 1:
-            raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+        require_eta(eta)
         self._graph = graph.copy()
         self._k = k
         self._eta = eta

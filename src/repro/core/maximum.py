@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 from repro.exceptions import ParameterError
 from repro.core.api import enumerate_maximal_cliques
 from repro.core.candidates import generate_set
-from repro.core.config import require_k
+from repro.core.config import require_eta, require_k
 from repro.core.stats import SearchStats
 from repro.deterministic.coloring import greedy_coloring
 from repro.reduction.ordering import topk_core_ordering
@@ -50,8 +50,7 @@ def maximum_k_eta_clique(
     η-cliques reachable by expansion is enough.
     """
     require_k(k)
-    if not 0 < eta <= 1:
-        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+    require_eta(eta)
     if stats is None:
         stats = SearchStats()
     search_graph = topk_core(graph, k - 1, eta) if k >= 2 else graph

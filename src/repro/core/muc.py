@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.exceptions import ParameterError
 from repro.core.candidates import generate_set
-from repro.core.config import require_k
+from repro.core.config import require_eta, require_k
 from repro.core.stats import EnumerationResult, SearchStats
 from repro.reduction.topk_core import topk_core
 from repro.uncertain.graph import UncertainGraph, Vertex
@@ -157,5 +157,4 @@ class _MucEngine:
 
 def _check_parameters(k: int, eta) -> None:
     require_k(k)
-    if not 0 < eta <= 1:
-        raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+    require_eta(eta)

@@ -26,11 +26,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.exceptions import ParameterError
 from repro.core.candidates import generate_set, initial_candidates
 from repro.core.config import (
-    PMUC_CONFIG, PMUC_PLUS_CONFIG, PivotConfig, require_k,
+    PMUC_CONFIG, PMUC_PLUS_CONFIG, PivotConfig, require_eta, require_k,
 )
 from repro.core.pivot import PivotContext, get_strategy
 from repro.core.stats import EnumerationResult, SearchStats
-from repro.engine.protocol import SearchOps, StateOps
+from repro.engine.protocol import SearchOps, StateOps, checked_order
 from repro.reduction.ordering import vertex_ordering
 from repro.reduction.topk_core import topk_core
 from repro.reduction.topk_triangle import topk_triangle
@@ -97,6 +97,8 @@ class DictStateOps(StateOps):
             order = vertex_ordering(
                 self.search_graph, self._config.ordering, self._eta
             )
+        else:
+            order = checked_order(order, self.search_graph.vertices())
         self._order = list(order)
         self.rank = {v: i for i, v in enumerate(self._order)}
         self._backbone = self.search_graph.to_deterministic()
@@ -204,8 +206,7 @@ class PivotEnumerator:
         limit: Optional[int] = None,
     ):
         require_k(k)
-        if not 0 < eta <= 1:
-            raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+        require_eta(eta)
         if limit is not None and limit < 1:
             raise ParameterError(f"limit must be positive, got {limit!r}")
         self._limit = limit
@@ -254,10 +255,13 @@ class PivotEnumerator:
             the parallel driver in :mod:`repro.core.partition`.
         order:
             Optional precomputed vertex ordering over the reduced
-            graph; skips the in-run ordering computation.  The
-            parallel driver hands every chunk the parent's ordering
-            (and the parent's reduced graph with ``reduction="off"``),
-            so all chunks agree on each clique's emitting seed.
+            graph; skips the in-run ordering computation.  It must
+            list every vertex of the reduced graph exactly once, or
+            the run raises :class:`ParameterError` before any root
+            runs.  The parallel driver hands every chunk the parent's
+            ordering (and the parent's reduced graph with
+            ``reduction="off"``), so all chunks agree on each clique's
+            emitting seed.
         """
         # Imported lazily: the engine driver reaches into repro.sanitize
         # / repro.obs, which pull repro.core.config back in — a

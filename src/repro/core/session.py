@@ -33,8 +33,9 @@ from typing import Callable, Dict, Optional
 
 from dataclasses import replace
 
-from repro.exceptions import ParameterError
-from repro.core.config import PMUC_PLUS_CONFIG, PivotConfig, require_k
+from repro.core.config import (
+    PMUC_PLUS_CONFIG, PivotConfig, require_eta, require_k,
+)
 from repro.core.pmuc import PivotEnumerator
 from repro.core.stats import EnumerationResult
 from repro.reduction.topk_core import topk_core_decomposition
@@ -82,8 +83,7 @@ class CliqueQuerySession:
         store=None,
         dataset_fingerprint: Optional[str] = None,
     ):
-        if not 0 < eta <= 1:
-            raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+        require_eta(eta)
         self._graph = graph
         self._eta = eta
         self._config = replace(config, reduction="off")

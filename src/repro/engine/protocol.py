@@ -52,6 +52,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.exceptions import ParameterError
+
 #: Class-level attributes every backend must define.
 PROTOCOL_ATTRS = ("name", "log_domain", "unit")
 
@@ -176,8 +178,9 @@ class StateOps:
         """Compute (or adopt) the vertex ordering and pivot context.
 
         ``order`` is an optional precomputed label sequence over the
-        reduced graph.  Runs after :meth:`prepare_reduction`.  A
-        backend whose recursion works on int ids sets ``labels`` here.
+        reduced graph, which :func:`checked_order` vets.  Runs after
+        :meth:`prepare_reduction`.  A backend whose recursion works on
+        int ids sets ``labels`` here.
         """
         raise NotImplementedError
 
@@ -205,6 +208,22 @@ class StateOps:
         lines 3–4): neighbors ordered after/before ``v`` whose edge
         survives the η threshold."""
         raise NotImplementedError
+
+
+def checked_order(order, vertices) -> List:
+    """``order`` as a list, once it lists each of ``vertices`` exactly
+    once.
+
+    ``prepare_ordering`` checks a caller's ``order`` here before any
+    root runs: a repeated vertex would run its root twice, and a
+    missing or foreign one has no rank.
+    """
+    order = list(order)
+    if len(order) != len(vertices) or set(order) != set(vertices):
+        raise ParameterError(
+            "order must list every search-graph vertex exactly once"
+        )
+    return order
 
 
 def validate_state_ops(ops) -> None:

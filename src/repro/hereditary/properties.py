@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.exceptions import ParameterError
+from repro.core.config import require_eta
 from repro.deterministic.graph import Graph
 from repro.uncertain.clique_probability import clique_probability
 from repro.uncertain.graph import UncertainGraph, Vertex
@@ -71,8 +72,7 @@ class EtaCliqueProperty(HereditaryProperty):
     """η-cliques of an uncertain graph (Definition 2)."""
 
     def __init__(self, graph: UncertainGraph, eta):
-        if not 0 < eta <= 1:
-            raise ParameterError(f"eta must lie in (0, 1], got {eta!r}")
+        require_eta(eta)
         self._graph = graph
         self._eta = eta
 

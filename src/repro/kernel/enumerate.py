@@ -47,7 +47,7 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Union
 
 from repro.exceptions import KernelBackendError
-from repro.engine.protocol import StateOps
+from repro.engine.protocol import StateOps, checked_order
 from repro.kernel.compact import CompactGraph, bit_count
 from repro.kernel.reduction import (
     greedy_coloring_ids,
@@ -158,7 +158,10 @@ class KernelStateOps(StateOps):
     def prepare_ordering(self, order_labels) -> None:
         cg_red = self._cg_red
         if order_labels is not None:
-            order = [cg_red.index[v] for v in order_labels]
+            index = cg_red.index
+            order = [
+                index[v] for v in checked_order(order_labels, cg_red.labels)
+            ]
         else:
             order = vertex_ordering_ids(
                 cg_red, self._config.ordering, self._eta

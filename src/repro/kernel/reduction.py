@@ -25,19 +25,49 @@ from repro.kernel.compact import CompactGraph, bit_count
 from repro.reduction.eta_degree import prefix_count
 
 
+#: Relative band above η that a product over *all* of a peel's values
+#: must clear before the peel trusts it without a sorted scan.  Every
+#: prefix product of the same values then clears η too: factors are
+#: <= 1, and the band dwarfs the order-dependent rounding drift of a
+#: product of m factors (<= ~2m·2⁻⁵³).  In-band cases take the scan.
+_BAND = 1e-9
+
+
 # ----------------------------------------------------------------------
 # (Top_k, eta)-core
 # ----------------------------------------------------------------------
 def _topdegrees(
     cg: CompactGraph, eta: float
-) -> Tuple[List[List[float]], List[int]]:
-    """Per vertex: incident probabilities, descending, and η-topdegree."""
-    incident = [sorted(row.values(), reverse=True) for row in cg.prob]
-    return incident, [prefix_count(values, eta) for values in incident]
+) -> Tuple[List[Optional[List[float]]], List[int]]:
+    """Per vertex: incident probabilities, descending, and η-topdegree.
+
+    A row whose product over all incident probabilities clears η above
+    :data:`_BAND` has η-topdegree equal to its degree, and keeps that
+    property as neighbours leave, since every factor is <= 1.  Its
+    list is ``None``: the peels decrement its degree instead of
+    removing values and rescanning.
+    """
+    eta_hi = eta + eta * _BAND
+    incident: List[Optional[List[float]]] = []
+    topdeg = []
+    for row in cg.prob:
+        if prod(row.values()) >= eta_hi:
+            incident.append(None)
+            topdeg.append(len(row))
+        else:
+            values = sorted(row.values(), reverse=True)
+            incident.append(values)
+            topdeg.append(prefix_count(values, eta))
+    return incident, topdeg
 
 
 def topk_core_ids(cg: CompactGraph, k: int, eta: float) -> List[int]:
-    """Ids (ascending) of the maximal ``(Top_k, η)``-core of ``cg``."""
+    """Ids (ascending) of the maximal ``(Top_k, η)``-core of ``cg``.
+
+    A vertex already below ``k`` is queued, so its η-topdegree is not
+    updated again; one whose row cleared the band (see
+    :func:`_topdegrees`) loses one per departing neighbour.
+    """
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
     n = cg.n
@@ -50,13 +80,16 @@ def topk_core_ids(cg: CompactGraph, k: int, eta: float) -> List[int]:
             continue
         alive &= ~(1 << v)
         for u, p in cg.prob[v].items():
-            if not alive >> u & 1:
+            if not alive >> u & 1 or topdeg[u] < k:
                 continue
-            incident[u].remove(p)
-            if topdeg[u] >= k:
-                topdeg[u] = prefix_count(incident[u], eta)
-                if topdeg[u] < k:
-                    queue.append(u)
+            values = incident[u]
+            if values is None:
+                topdeg[u] -= 1
+            else:
+                values.remove(p)
+                topdeg[u] = prefix_count(values, eta)
+            if topdeg[u] < k:
+                queue.append(u)
     out = []
     while alive:
         low = alive & -alive
@@ -171,30 +204,45 @@ def _peel_values(
     so float prefix products never increase and "degree >= k" is
     exactly "the k-th prefix product >= η" — the only question asked.
     Each verdict leaves one recheck key per edge: the k-th largest
-    value, or ``_FAST`` when the product over *all* open triangles
-    clears η with a 1e-9 relative band (every prefix then clears it
-    too; the band dwarfs the order-dependent rounding drift of
-    ~2m·2⁻⁵³, and in-band cases take the sorted scan).  Losing a value
-    below the key leaves the first k values, hence the verdict,
-    unchanged; a fast edge keeps clearing the band as factors leave,
-    so it rechecks only its count.
+    value, or ``_FAST`` when ``p(e)`` times the product over *all* open
+    triangles clears η above :data:`_BAND` (every prefix then clears
+    it too).  Losing a value below the key leaves the first k values,
+    hence the verdict, unchanged; a fast edge keeps clearing the band
+    as factors leave, so it rechecks only its count.
+
+    Before extracting any value, a verdict tries a bound from
+    ``whole[v]``, the product of ``v``'s live incident probabilities
+    when the value pass starts.  The apexes of ``(a, c)`` are live
+    neighbours of both ends other than ``a`` and ``c``, and every
+    factor is <= 1, so ``p(a, c)`` times the open-triangle product is
+    at least ``whole[a] * whole[c] / p(a, c)``: when that clears the
+    band, the edge is ``_FAST`` with no value extracted (the bound's
+    rounding, like the product's, stays far inside the band).  Live
+    sets only shrink, so a stale ``whole`` stays a lower bound on
+    recheck.
     """
     prob = cg.prob
-    eta_hi = eta + eta * 1e-9
+    eta_hi = eta + eta * _BAND
     kth = k - 1
+    whole = [1.0] * len(live)
+    for i in ids:
+        li = live[i]
+        whole[i] = prod([p for x, p in prob[i].items() if li & bit_at[x]])
 
     def verdict(a: int, c: int) -> float:
         common = live[a] & live[c]
         if bit_count(common) < k:
             return _FAIL
         pa = prob[a]
+        p_e = pa[c]
+        if whole[a] * whole[c] / p_e >= eta_hi:
+            return _FAST
         pc = prob[c]
         values = []
         while common:
             x = common.bit_length() - 1
             common ^= bit_at[x]
             values.append(pa[x] * pc[x])
-        p_e = pa[c]
         if prod(values, start=p_e) >= eta_hi:
             return _FAST
         # prod multiplies left to right in IEEE doubles: this is the
@@ -251,7 +299,9 @@ def topk_core_ordering_ids(cg: CompactGraph, eta: float) -> List[int]:
     """Minimum η-topdegree peeling order over int ids.
 
     Heap ties break on ``repr`` of the *original labels*, exactly like
-    :func:`repro.reduction.ordering.topk_core_ordering`.
+    :func:`repro.reduction.ordering.topk_core_ordering`.  A vertex
+    whose row cleared the band (see :func:`_topdegrees`) loses one
+    η-topdegree per departing neighbour, with no rescan.
     """
     n = cg.n
     # One repr per vertex, not one per requeue push — peeling pushes
@@ -270,8 +320,12 @@ def topk_core_ordering_ids(cg: CompactGraph, eta: float) -> List[int]:
         order.append(v)
         for u, p in cg.prob[v].items():
             if alive >> u & 1:
-                incident[u].remove(p)
-                new_deg = prefix_count(incident[u], eta)
+                values = incident[u]
+                if values is None:
+                    new_deg = topdeg[u] - 1
+                else:
+                    values.remove(p)
+                    new_deg = prefix_count(values, eta)
                 if new_deg != topdeg[u]:
                     topdeg[u] = new_deg
                     heapq.heappush(heap, (new_deg, reprs[u], u))

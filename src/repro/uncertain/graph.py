@@ -81,11 +81,11 @@ class UncertainGraph:
         GraphError
             If ``u == v`` (self-loop).
         InvalidProbabilityError
-            If ``p`` is outside the interval ``(0, 1]``.
+            If ``p`` is a bool or outside the interval ``(0, 1]``.
         """
         if u == v:
             raise GraphError(f"self-loop ({u!r}, {v!r}) is not allowed")
-        if not 0 < p <= 1:  # type: ignore[operator]
+        if isinstance(p, bool) or not 0 < p <= 1:  # type: ignore[operator]
             raise InvalidProbabilityError(
                 f"edge ({u!r}, {v!r}) probability {p!r} outside (0, 1]"
             )

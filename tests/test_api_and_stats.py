@@ -15,6 +15,8 @@ from repro.core.muc import muc
 from repro.core.pmuc import PivotEnumerator
 from repro.core.session import CliqueQuerySession
 from repro.exceptions import ParameterError
+from repro.hereditary.properties import EtaCliqueProperty
+from repro.store.store import RunStore
 from repro.uncertain import UncertainGraph
 from tests.conftest import as_sorted_sets
 
@@ -49,6 +51,33 @@ class TestDispatch:
         # run ``k=True`` as k = 1.
         with pytest.raises(ParameterError, match="positive integer"):
             entry(triangle_graph)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda g, eta: PivotEnumerator(g, 2, eta),
+            lambda g, eta: muc(g, 3, eta),
+            lambda g, eta: CliqueQuerySession(g, eta),
+            lambda g, eta: DynamicCliqueIndex(g, 3, eta),
+            lambda g, eta: maximum_k_eta_clique(g, 3, eta),
+            lambda g, eta: EtaCliqueProperty(g, eta),
+        ],
+        ids=["pivot-enumerator", "muc", "session", "dynamic", "maximum",
+             "eta-clique-property"],
+    )
+    @pytest.mark.parametrize("eta", [True, "0.5"], ids=["bool", "str"])
+    def test_a_bool_or_string_eta_is_rejected(self, triangle_graph, entry, eta):
+        # ``0 < True <= 1`` holds, so a range check alone would run
+        # ``eta=True`` as η = 1; a string fails the comparison itself.
+        with pytest.raises(ParameterError, match=r"eta must lie in \(0, 1\]"):
+            entry(triangle_graph, eta)
+
+    def test_a_bool_eta_is_rejected_before_the_store_key(
+        self, triangle_graph, tmp_path
+    ):
+        store = RunStore(str(tmp_path / "store"))
+        with pytest.raises(ParameterError, match=r"eta must lie in \(0, 1\]"):
+            CliqueQuerySession(triangle_graph, True, store=store)
 
     def test_callback_respected(self, triangle_graph):
         seen = []

@@ -3,11 +3,13 @@
 The enumerators' parity tests compare only clique sets and counters
 downstream of the reductions; here the kernel peels themselves are
 compared with :mod:`repro.reduction`: the ``(Top_k, η)``-core ids with
-``topk_core_vertices``, and the ``(Top_k, η)``-triangle survivors,
-mapped to labels, with ``topk_triangle_edges`` — same edges, same
-order.  η is planted on an edge's all-open-triangle product and on its
-k-th prefix product, and one ulp to either side, so the peel's
-fast-path band, its sorted scan and its recheck keys all meet float
+``topk_core_vertices``, the core ordering with ``topk_core_ordering``,
+and the ``(Top_k, η)``-triangle survivors, mapped to labels, with
+``topk_triangle_edges`` — same edges, same order.  η is planted on an
+edge's all-open-triangle product, on its k-th prefix product, on a
+vertex's product of all incident probabilities and on the triangle
+peel's whole-product bound, and one ulp to either side, so the peels'
+fast-path band, their sorted scans and the recheck keys all meet float
 ties and near-ties.
 """
 
@@ -22,7 +24,13 @@ from repro.core import PMUC_PLUS_CONFIG
 from repro.core.pmuc import reduce_graph
 from repro.kernel.compact import CompactGraph
 from repro.kernel.enumerate import KernelStateOps
-from repro.kernel.reduction import topk_core_ids, topk_triangle_edge_ids
+from repro.kernel import reduction as kernel_reduction
+from repro.kernel.reduction import (
+    topk_core_ids,
+    topk_core_ordering_ids,
+    topk_triangle_edge_ids,
+)
+from repro.reduction.ordering import topk_core_ordering
 from repro.reduction.topk_core import topk_core, topk_core_vertices
 from repro.reduction.topk_triangle import topk_triangle_edges
 from repro.uncertain import UncertainGraph
@@ -72,16 +80,27 @@ def peel_cases(draw):
     if not edges:
         return graph, k, draw(st.sampled_from((0.1, 0.5, 1.0)))
     u, v, p = edges[draw(st.integers(0, len(edges) - 1))]
-    values = open_values(graph, u, v)
-    if draw(st.booleans()):
+
+    def drawn_order(values):
+        return [values[i] for i in draw(st.permutations(range(len(values))))]
+
+    mode = draw(st.sampled_from(("triangles", "prefix", "vertex", "bound")))
+    if mode == "triangles":
         # The all-open-triangle product, multiplied in a drawn order:
         # orders round differently, which the fast-path band absorbs.
-        planted = [values[i] for i in draw(st.permutations(range(len(values))))]
+        eta = math.prod(drawn_order(open_values(graph, u, v)), start=p)
+    elif mode == "prefix":
+        eta = math.prod(open_values(graph, u, v)[:k], start=p)
+    elif mode == "vertex":
+        # One vertex's product of all incident probabilities, in a
+        # drawn order: the core peels' whole-row band.
+        eta = math.prod(drawn_order(list(graph.neighbors(u).values())))
     else:
-        planted = values[:k]  # the k-th prefix product
-    eta = p
-    for value in planted:
-        eta = eta * value
+        # whole(u) * whole(v) / p(u, v): the triangle peel's bound.
+        whole_u, whole_v = (
+            math.prod(graph.neighbors(x).values()) for x in (u, v)
+        )
+        eta = whole_u * whole_v / p
     step = draw(st.sampled_from((-1, 0, 1)))
     if step:
         eta = math.nextafter(eta, 2.0 * step)
@@ -115,6 +134,16 @@ def test_kernel_peels_match_dict_peels(case):
     inside = topk_core_ids(cg, k + 1, eta)
     assert labelled(cg, topk_triangle_edge_ids(cg, k, eta, inside)) == (
         topk_triangle_edges(topk_core(graph, k + 1, eta), k, eta)
+    )
+
+
+@given(peel_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_kernel_core_ordering_matches_the_dict_ordering(case):
+    graph, _k, eta = case
+    cg = CompactGraph.from_uncertain(graph)
+    assert [cg.labels[i] for i in topk_core_ordering_ids(cg, eta)] == (
+        topk_core_ordering(graph, eta)
     )
 
 
@@ -162,3 +191,32 @@ def test_fast_path_band_defers_in_band_products_to_the_sorted_scan():
     for eta in sorted(products):
         survivors = labelled(cg, topk_triangle_edge_ids(cg, 3, eta))
         assert survivors == topk_triangle_edges(graph, 3, eta)
+
+
+def test_whole_products_settle_verdicts_without_a_scan(monkeypatch):
+    """K12 with every p = 0.99, k = 3 and η = 0.01: every vertex row's
+    product (0.99^11) and every edge's bound (0.99^21) clear η, so the
+    core peels never rescan a row and the triangle peel multiplies
+    once per vertex, not once per verdict."""
+    graph = UncertainGraph(
+        (u, v, 0.99) for u in range(12) for v in range(u + 1, 12)
+    )
+    cg = CompactGraph.from_uncertain(graph)
+    calls = {"prefix_count": 0, "prod": 0}
+    for name in calls:
+        real = getattr(kernel_reduction, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_reduction, name, counted)
+
+    assert topk_core_ids(cg, 3, 0.01) == list(range(12))
+    assert calls["prefix_count"] == 0
+    ordering = topk_core_ordering_ids(cg, 0.01)
+    assert calls["prefix_count"] == 0
+    assert [cg.labels[i] for i in ordering] == topk_core_ordering(graph, 0.01)
+    calls["prod"] = 0
+    assert len(topk_triangle_edge_ids(cg, 3, 0.01)) == 66
+    assert calls["prod"] <= cg.n

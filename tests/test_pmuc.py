@@ -173,3 +173,32 @@ def test_each_run_returns_a_fresh_result(backend):
         assert result.stats.__dict__ == fresh.stats.__dict__
     assert first is not second
     assert enumerator.stats is second.stats
+
+
+@pytest.mark.parametrize("backend", ["dict", "kernel"])
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda vs: vs + vs,
+        lambda vs: vs[1:],
+        lambda vs: vs[:-1] + ["not-a-vertex"],
+    ],
+    ids=["duplicate", "missing", "foreign"],
+)
+def test_run_rejects_an_order_that_is_not_a_permutation(backend, mangle):
+    """``run(order=)`` must list each search-graph vertex once: a
+    repeated vertex would run its root twice and emit its cliques
+    twice, and a missing or foreign one has no rank."""
+    graph = figure1_graph()
+    config = PivotConfig(
+        backend=backend, ordering="topk-core", reduction="off"
+    )
+    order = list(reversed(graph.vertices()))
+    valid = PivotEnumerator(graph, 3, 0.1, config).run(order=order)
+    assert len(valid.cliques) == valid.stats.outputs == 3
+    enumerator = PivotEnumerator(graph, 3, 0.1, config)
+    with pytest.raises(
+        ParameterError, match="every search-graph vertex exactly once"
+    ):
+        enumerator.run(order=mangle(order))
+    assert enumerator.backend_used == backend

@@ -43,7 +43,9 @@ class TestConstruction:
         with pytest.raises(GraphError):
             g.add_edge(1, 1, 0.5)
 
-    @pytest.mark.parametrize("p", [0, -0.1, 1.5, 2])
+    # ``0 < True <= 1`` holds, so a range check alone would store a
+    # bool that fingerprints and store keys then refuse.
+    @pytest.mark.parametrize("p", [0, -0.1, 1.5, 2, True])
     def test_invalid_probability_rejected(self, p):
         g = UncertainGraph()
         with pytest.raises(InvalidProbabilityError):
